@@ -108,15 +108,6 @@ class DcnFabric {
   Bytes held_bytes() const;
 
   const DcnParams& params() const { return params_; }
-
-  // Minimum latency any cross-island interaction can experience: the
-  // one-way fabric latency floor under every message (serialization and
-  // contention only add to it, and partitions only delay further). This is
-  // the lookahead bound the partitioned engine (sim/partition.h) is built
-  // on — islands interact exclusively through the DCN, so no LP can affect
-  // a peer sooner than this.
-  Duration MinCrossIslandLatency() const { return params_.latency; }
-
   std::int64_t messages_sent() const { return messages_; }
   Bytes bytes_sent() const { return bytes_; }
 

@@ -6,11 +6,6 @@
 // the returned future resolves when every result shard has reported back.
 // Clients may keep many programs in flight — the paper's asynchronous
 // pipelining — or chain Run().Then(...) for the OpByOp pattern.
-//
-// LP ownership: a Client (and its dedicated client host) lives on the
-// control LP with its runtime. Its futures and promises are LP-local;
-// resolving one from another LP's event is a race — cross-LP completions
-// must arrive as timestamped events on this LP first.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,6 @@
 // issued in exactly the scheduler's arrival order per device — preps may
 // finish out of order (HBM back-pressure, jitter) but a later gang's kernel
 // never jumps an earlier one, preserving the consistent gang order.
-//
-// LP ownership: a DeviceExecutor belongs to its device's island LP; the
-// `ready_` reorder buffer and enqueue sequence counters are only touched by
-// events on that LP (dispatches come from the island's own scheduler).
 #pragma once
 
 #include <cstdint>

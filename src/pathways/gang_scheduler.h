@@ -10,12 +10,6 @@
 // are always fully emitted before the next gang's, which (with FIFO links)
 // guarantees every device observes the same relative order of gangs — the
 // property that makes non-preemptible collectives deadlock-free.
-//
-// LP ownership: a GangScheduler is island state — in a partitioned run it
-// lives on its island's LP and its queues are only mutated by events
-// executing there. Dispatch messages to executors are intra-island
-// (LP-local); subgraph submissions arriving from a client on another LP
-// must come in as cross-LP events.
 #pragma once
 
 #include <cstdint>

@@ -7,12 +7,6 @@
 // mapped to a removed physical device are transparently remapped, and
 // clients pick up the new mapping the next time a program is lowered —
 // the paper's suspend/resume/migration hook.
-//
-// LP ownership: the resource manager is control-plane state and lives on
-// the control LP (the runtime's LP). Because it spans islands, an
-// island-partitioned run must route add/remove/remap notifications to and
-// from other LPs as cross-LP events; the slice maps themselves are never
-// shared across LPs.
 #pragma once
 
 #include <cstdint>

@@ -5,14 +5,6 @@
 // created against the runtime; each gets a dedicated client host on the DCN
 // (the paper's client-server split: clients are "farther away" than the
 // per-host controllers of multi-controller systems).
-//
-// LP ownership (partitioned runs, docs/PARALLEL.md): a PathwaysRuntime and
-// everything it owns live on the logical process of the Simulator its
-// Cluster was built on — the control LP. Its state must only be touched by
-// events executing there; other LPs interact with it exclusively through
-// timestamped cross-LP events (PartitionedSimulator::SendAt or an
-// LpChannelMap), never by direct calls. The serving goldens run the whole
-// runtime on LP 0 of a partitioned engine under exactly this rule.
 #pragma once
 
 #include <cstdint>

@@ -33,6 +33,5 @@ Family MakeServingFamily();
 Family MakeServingDisaggFamily();
 Family MakeNetworkFamily();
 Family MakeFig12Family();
-Family MakeParallelFamily();
 
 }  // namespace pw::scenario

@@ -120,9 +120,9 @@ PointResult RunPoint(const Scenario& sc, const FaultsSpec& spec,
   return out;
 }
 
-sweep::Metrics Measure(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
-  const FaultsSpec& spec = sc.faults.For(ctx.quick);
+  const FaultsSpec& spec = sc.faults.For(quick);
   const int devices = static_cast<int>(p.GetInt("island_devices"));
   faults::FaultPlan plan;
   if (!spec.fault_plan.empty()) {

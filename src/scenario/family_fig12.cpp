@@ -89,9 +89,9 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec, const ModelPoint& m,
   return r;
 }
 
-sweep::Metrics Measure(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
-  const Fig12Spec& spec = sc.fig12.For(ctx.quick);
+  const Fig12Spec& spec = sc.fig12.For(quick);
   const ModelPoint m = ModelFor(p.GetString("model"));
   const hw::SystemParams params = BaseSystemParams(sc.cluster);
 

@@ -29,11 +29,11 @@ bool Overloaded(double scale, int clients, const std::vector<double>& w) {
   return scale >= 1.25 * static_cast<double>(clients) * wmax / wsum;
 }
 
-sweep::Metrics Measure(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
   using namespace pw::pathways;
   using namespace pw::workload;
-  const MultitenantSpec& spec = sc.multitenant.For(ctx.quick);
+  const MultitenantSpec& spec = sc.multitenant.For(quick);
   const int clients = static_cast<int>(p.GetInt("clients"));
   const double scale = p.GetDouble("rate_scale");
   const std::string& policy = p.GetString("policy");

@@ -59,9 +59,9 @@ double MeasureShuffle(const NetworkSpec& spec, bool flow_mode,
   return static_cast<double>(last_ns) / 1e6;
 }
 
-sweep::Metrics Measure(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
-  const NetworkSpec& spec = sc.network.For(ctx.quick);
+  const NetworkSpec& spec = sc.network.For(quick);
   const double oversub = p.GetDouble("oversub");
   const int fan_in = static_cast<int>(p.GetInt("fan_in"));
   const double incast_flow = MeasureIncast(spec, true, oversub, fan_in);

@@ -23,9 +23,9 @@ using pathways::PathwaysRuntime;
 using pathways::ProgramBuilder;
 using pathways::ShardedBuffer;
 
-sweep::Metrics Measure(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
-  const OversubSpec& spec = sc.oversub.For(ctx.quick);
+  const OversubSpec& spec = sc.oversub.For(quick);
   const double scale = p.GetDouble("hbm_scale");
   const int depth = static_cast<int>(p.GetInt("depth"));
   const int requests_per_tenant = spec.requests_per_tenant;

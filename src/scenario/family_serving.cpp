@@ -61,9 +61,9 @@ TenantSpec ColocatedTenantSpec(const ServingSpec& spec, int t, double rate,
   return ts;
 }
 
-sweep::Metrics MeasureServing(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                               const sweep::ParamPoint& p) {
-  const ServingSpec& spec = sc.serving.For(ctx.quick);
+  const ServingSpec& spec = sc.serving.For(quick);
   const double rate = p.GetDouble("rate_per_s");  // total across tenants
   const bool continuous = p.GetInt("policy_continuous") != 0;
   const double kv_scale = p.GetDouble("kv_scale");
@@ -231,9 +231,9 @@ Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
          cfg.output_bytes_per_shard + MiB(spec.hbm_headroom_mib);
 }
 
-sweep::Metrics MeasureDisagg(const Scenario& sc, const MeasureCtx& ctx,
+sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
                              const sweep::ParamPoint& p) {
-  const DisaggSpec& spec = sc.disagg.For(ctx.quick);
+  const DisaggSpec& spec = sc.disagg.For(quick);
   const double rate = p.GetDouble("rate_per_s");  // total across tenants
   const int prefill_devices = static_cast<int>(p.GetInt("prefill_devices"));
   // Per arm: P prefill + (devices_per_host - P) decode.

@@ -1,8 +1,6 @@
 #include "scenario/runner.h"
 
-#include <algorithm>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "scenario/family_common.h"
@@ -22,7 +20,6 @@ const std::vector<Family>& Registry() {
     v->push_back(MakeServingDisaggFamily());
     v->push_back(MakeNetworkFamily());
     v->push_back(MakeFig12Family());
-    v->push_back(MakeParallelFamily());
     return v;
   }();
   return *families;
@@ -132,27 +129,13 @@ bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
     return false;
   }
 
-  const MeasureCtx ctx{opts.quick, std::max(1, opts.sim_threads)};
   const sweep::ParamGrid grid = s.Grid(opts.quick);
   const auto point_fn = [&](const sweep::ParamPoint& p) {
-    return fam->measure(s, ctx, p);
+    return fam->measure(s, opts.quick, p);
   };
 
-  // Split the thread budget between sweep-parallelism and per-point
-  // sim-parallelism: a partitioned-engine point already uses sim_threads
-  // cores, so the sweep fans out with correspondingly fewer workers.
-  int sweep_threads = opts.threads;
-  if (ctx.sim_threads > 1) {
-    int budget = opts.threads;
-    if (budget == 0) {
-      budget = static_cast<int>(std::thread::hardware_concurrency());
-      if (budget <= 0) budget = 1;
-    }
-    sweep_threads = std::max(1, budget / ctx.sim_threads);
-  }
-
   sweep::SweepRunner runner(sweep::SweepRunner::Options{
-      .threads = sweep_threads, .record_wall_ms = false});
+      .threads = opts.threads, .record_wall_ms = false});
   out->table = runner.Run(grid, point_fn);
   out->points = grid.Points();
 

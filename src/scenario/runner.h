@@ -42,16 +42,6 @@ struct FamilyAxis {
   AxisKind kind = AxisKind::kInt;
 };
 
-// Per-point measurement context. `sim_threads` is the thread budget for a
-// single point's simulation: families whose points run on the partitioned
-// engine (sim/partition.h) pass it as PartitionedSimulator threads; serial
-// families ignore it. RunScenario splits the overall thread budget so that
-// sweep-parallelism x sim-parallelism never oversubscribes the machine.
-struct MeasureCtx {
-  bool quick = false;
-  int sim_threads = 1;
-};
-
 struct Family {
   std::string name;
   // One-line description for `pwsim families`.
@@ -62,8 +52,8 @@ struct Family {
   bool check_determinism = true;
 
   // Measures one grid point. Runs concurrently across points; must build
-  // all simulator state privately from (scenario, ctx, point).
-  std::function<sweep::Metrics(const Scenario& s, const MeasureCtx& ctx,
+  // all simulator state privately from (scenario, quick, point).
+  std::function<sweep::Metrics(const Scenario& s, bool quick,
                                const sweep::ParamPoint& p)>
       measure;
   // Reduces the finished table to the BENCH summary metrics. `points` is
@@ -89,10 +79,6 @@ struct RunOptions {
   bool quick = false;
   // SweepRunner worker threads; 0 = hardware concurrency.
   int threads = 0;
-  // Per-point simulator threads (pwsim run --sim-threads N). When > 1 the
-  // sweep budget is divided: sweep workers = max(1, threads / sim_threads),
-  // so points running a partitioned engine don't oversubscribe.
-  int sim_threads = 1;
   // Master switch for the 1-thread determinism rerun (ANDed with the
   // family's check_determinism).
   bool check_determinism = true;

@@ -16,7 +16,7 @@ namespace {
 const std::vector<std::string>& KnownFamilies() {
   static const std::vector<std::string> kFamilies{
       "multitenant", "faults",  "oversub",       "serving",
-      "serving_disagg", "network", "fig12_twoisland", "parallel"};
+      "serving_disagg", "network", "fig12_twoisland"};
   return kFamilies;
 }
 
@@ -435,18 +435,6 @@ void ReadFig12(const Json& obj, Fig12Spec* s, DiagnosticEngine* diags,
   r.Finish();
 }
 
-void ReadParallel(const Json& obj, ParallelSpec* s, DiagnosticEngine* diags,
-                  bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Int("steps", &s->steps, 1);
-  r.Double("ici_kib", &s->ici_kib, 0);
-  r.Double("dcn_kib", &s->dcn_kib, 0);
-  r.Int("devices_per_host", &s->devices_per_host, 1);
-  r.Double("lookahead_us", &s->lookahead_us, 1);
-  r.Finish();
-}
-
 template <typename T, typename ReadFn>
 void ReadSection(const Json& obj, WithQuick<T>* out, DiagnosticEngine* diags,
                  ReadFn read) {
@@ -827,15 +815,6 @@ void EmitFig12(JsonWriter* w, const Fig12Spec& s, const Fig12Spec* base) {
   PW_EMIT_INT(model_parallel);
 }
 
-void EmitParallel(JsonWriter* w, const ParallelSpec& s,
-                  const ParallelSpec* base) {
-  PW_EMIT_INT(steps);
-  PW_EMIT_DOUBLE(ici_kib);
-  PW_EMIT_DOUBLE(dcn_kib);
-  PW_EMIT_INT(devices_per_host);
-  PW_EMIT_DOUBLE(lookahead_us);
-}
-
 #undef PW_EMIT_INT
 #undef PW_EMIT_DOUBLE
 #undef PW_EMIT_BOOL
@@ -879,10 +858,6 @@ bool SpecEq(const NetworkSpec& a, const NetworkSpec& b) {
 bool SpecEq(const Fig12Spec& a, const Fig12Spec& b) {
   return PW_EQ(steps) && PW_EQ(chunks) && PW_EQ(max_inflight_gangs) &&
          PW_EQ(model_parallel);
-}
-bool SpecEq(const ParallelSpec& a, const ParallelSpec& b) {
-  return PW_EQ(steps) && PW_EQ(ici_kib) && PW_EQ(dcn_kib) &&
-         PW_EQ(devices_per_host) && PW_EQ(lookahead_us);
 }
 bool SpecEq(const DisaggSpec& a, const DisaggSpec& b) {
   return PW_EQ(model) && PW_EQ(max_batch) && PW_EQ(token_budget) &&
@@ -987,7 +962,6 @@ std::string Scenario::Serialize() const {
   EmitSection(&w, "serving_disagg", disagg, EmitDisagg);
   EmitSection(&w, "network", network, EmitNetwork);
   EmitSection(&w, "fig12_twoisland", fig12, EmitFig12);
-  EmitSection(&w, "parallel", parallel, EmitParallel);
 
   w.Key("sweep");
   w.BeginObject();
@@ -1037,7 +1011,6 @@ bool ParseScenario(const std::string& text, Scenario* out,
   const Json* dg = r.Object("serving_disagg");
   const Json* nw = r.Object("network");
   const Json* fg = r.Object("fig12_twoisland");
-  const Json* pl = r.Object("parallel");
   r.Finish();
 
   if (out->name.empty()) {
@@ -1074,7 +1047,6 @@ bool ParseScenario(const std::string& text, Scenario* out,
   if (dg != nullptr) ReadSection(*dg, &out->disagg, diags, ReadDisagg);
   if (nw != nullptr) ReadSection(*nw, &out->network, diags, ReadNetwork);
   if (fg != nullptr) ReadSection(*fg, &out->fig12, diags, ReadFig12);
-  if (pl != nullptr) ReadSection(*pl, &out->parallel, diags, ReadParallel);
 
   // A section for a family this scenario does not run is almost certainly a
   // mistake (its knobs would be silently ignored).
@@ -1088,8 +1060,7 @@ bool ParseScenario(const std::string& text, Scenario* out,
                               SectionRef{"serving", sv},
                               SectionRef{"serving_disagg", dg},
                               SectionRef{"network", nw},
-                              SectionRef{"fig12_twoisland", fg},
-                              SectionRef{"parallel", pl}}) {
+                              SectionRef{"fig12_twoisland", fg}}) {
     if (s.obj != nullptr && out->family != s.key) {
       diags->Error(root.KeyLoc(s.key),
                    std::string("section '") + s.key +

@@ -195,17 +195,6 @@ struct Fig12Spec {
   int model_parallel = 32;  // single-island SPMD arm
 };
 
-// family "parallel": partitioned-engine scaling — the same cross-island
-// ring workload on a 1-thread and an N-thread PartitionedSimulator, gated
-// on byte-identical canonical traces (bench_parallel, docs/PARALLEL.md).
-struct ParallelSpec {
-  int steps = 600;         // ring hops per starting island
-  double ici_kib = 256;    // intra-island transfer per hop
-  double dcn_kib = 64;     // cross-island message per hop
-  int devices_per_host = 2;
-  double lookahead_us = 20;  // must stay <= the LP channel latency
-};
-
 // --- Sweep grid ------------------------------------------------------------
 
 struct SweepAxis {
@@ -249,7 +238,6 @@ struct Scenario {
   WithQuick<DisaggSpec> disagg;
   WithQuick<NetworkSpec> network;
   WithQuick<Fig12Spec> fig12;
-  WithQuick<ParallelSpec> parallel;
 
   // The axis list lowered into a sweep::ParamGrid (row-major order as
   // declared). Family-specific type coercion lives in runner.h's

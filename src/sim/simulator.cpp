@@ -326,26 +326,9 @@ std::int64_t Simulator::RunUntil(TimePoint t) {
   return n;
 }
 
-std::int64_t Simulator::RunUntilBefore(TimePoint t) {
-  std::int64_t n = 0;
-  while (!QueuesEmpty() && NextEventTime() < t.nanos()) {
-    if (StepOne()) ++n;
-  }
-  return n;
-}
-
 bool Simulator::RunUntilPredicate(const std::function<bool()>& pred) {
   if (pred()) return true;
   while (!QueuesEmpty()) {
-    if (StepOne() && pred()) return true;
-  }
-  return false;
-}
-
-bool Simulator::RunUntilBeforePredicate(TimePoint t,
-                                        const std::function<bool()>& pred) {
-  if (pred()) return true;
-  while (!QueuesEmpty() && NextEventTime() < t.nanos()) {
     if (StepOne() && pred()) return true;
   }
   return false;

@@ -269,35 +269,9 @@ class Simulator {
   // Convenience: RunUntil(now() + d).
   std::int64_t RunFor(Duration d) { return RunUntil(now_ + d); }
 
-  // Runs events with timestamp strictly < t; leaves later events queued and
-  // leaves the clock at the last executed event (unlike RunUntil, the clock
-  // is NOT advanced to t). This is the window-execution primitive for the
-  // partitioned engine (sim/partition.h): slicing a run into lookahead
-  // windows must not move the clock between events, or a windowed run would
-  // not be bit-identical to an unsliced one. Returns the number of events
-  // run.
-  std::int64_t RunUntilBefore(TimePoint t);
-
   // Runs until `pred()` becomes true (checked after every event) or the
   // queue empties. Returns true if the predicate was satisfied.
   bool RunUntilPredicate(const std::function<bool()>& pred);
-
-  // RunUntilBefore bounded by a predicate: only events with timestamp < t
-  // are eligible, pred is checked before the first event and after every
-  // event. Returns true iff the predicate was satisfied.
-  bool RunUntilBeforePredicate(TimePoint t, const std::function<bool()>& pred);
-
-  // True while any entry (including cancelled tombstones) is queued.
-  bool HasQueued() const { return !QueuesEmpty(); }
-
-  // Earliest queued timestamp, or INT64_MAX when nothing is queued. A
-  // cancelled tombstone counts toward the bound — that only tightens the
-  // partitioned engine's lower-bound-timestamp estimate (the window loop
-  // drains tombstones like any other entry).
-  std::int64_t NextQueuedTimeNs() const {
-    return QueuesEmpty() ? std::numeric_limits<std::int64_t>::max()
-                         : NextEventTime();
-  }
 
   bool empty() const { return live_events_ == 0; }
   std::size_t pending_events() const { return live_events_; }

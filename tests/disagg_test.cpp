@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,7 +22,6 @@
 #include "hw/cluster.h"
 #include "pathways/pathways.h"
 #include "serving/serving.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 
 namespace pw::serving {
@@ -33,13 +31,9 @@ using pathways::PathwaysOptions;
 using pathways::PathwaysRuntime;
 
 struct DisaggWorld {
-  // When `external_sim` is given the world runs on that engine (e.g. an LP
-  // of a PartitionedSimulator) instead of its own; `own_sim` stays idle.
   explicit DisaggWorld(Bytes hbm = GiB(1), int devices_per_host = 2,
                        int islands = 2,
-                       hw::SystemParams params = DefaultParams(),
-                       sim::Simulator* external_sim = nullptr)
-      : sim(external_sim != nullptr ? *external_sim : own_sim) {
+                       hw::SystemParams params = DefaultParams()) {
     params.hbm_capacity = hbm;
     cluster = std::make_unique<hw::Cluster>(&sim, params, islands,
                                             /*hosts_per_island=*/1,
@@ -97,8 +91,7 @@ struct DisaggWorld {
     }
   }
 
-  sim::Simulator own_sim;
-  sim::Simulator& sim;
+  sim::Simulator sim;
   std::unique_ptr<hw::Cluster> cluster;
   std::unique_ptr<PathwaysRuntime> runtime;
   pathways::Client* client = nullptr;
@@ -452,13 +445,9 @@ TEST(DisaggTtftTest, TtftStampedAtFirstDecodeTokenNotPrefillCompletion) {
 
 // Fixed two-island, two-tenant disagg scenario. Any change to batching,
 // handoff, transfer, or network semantics moves these constants; update
-// them only with an explanation of what legitimately changed. The same
-// scenario (and the same constants) must also hold on the partitioned
-// engine — the serial/parallel equivalence gate for the disagg stack.
-void RunTwoIslandGoldenScenario(DisaggWorld& w,
-                                const std::function<void()>& drain,
-                                const std::string& label) {
-  SCOPED_TRACE(label);
+// them only with an explanation of what legitimately changed.
+TEST(DisaggGoldenTest, TwoIslandScenarioTraceChecksum) {
+  DisaggWorld w(/*hbm=*/MiB(1), /*devices_per_host=*/2);
   KvCacheConfig kv;
   kv.bytes_per_token_per_shard = KiB(4);
   BatcherConfig cfg;
@@ -495,7 +484,7 @@ void RunTwoIslandGoldenScenario(DisaggWorld& w,
       1, [&r](Request req) { return r.Offer(std::move(req)); }, &w.sim, t1);
   tenant0.Start();
   tenant1.Start();
-  drain();
+  w.sim.Run();
 
   EXPECT_FALSE(w.sim.Deadlocked());
   EXPECT_TRUE(r.idle());
@@ -517,27 +506,6 @@ void RunTwoIslandGoldenScenario(DisaggWorld& w,
   EXPECT_EQ(w.trace.Checksum(), kGoldenChecksum) << actual.str();
   EXPECT_EQ(w.metrics.finished(), kGoldenFinished) << actual.str();
   EXPECT_EQ(r.transfers_completed(), kGoldenTransfers) << actual.str();
-}
-
-TEST(DisaggGoldenTest, TwoIslandScenarioTraceChecksum) {
-  DisaggWorld w(/*hbm=*/MiB(1), /*devices_per_host=*/2);
-  RunTwoIslandGoldenScenario(w, [&] { w.sim.Run(); }, "serial");
-}
-
-// Same scenario hosted on LP 0 of the partitioned engine, at several
-// sim-thread counts. With all events on one LP the conservative windows are
-// unbounded, so the run reproduces the serial schedule byte-for-byte.
-TEST(DisaggGoldenTest, TwoIslandScenarioPartitionedEngineMatchesGolden) {
-  for (int threads : {1, 4}) {
-    sim::PartitionedSimulator part(sim::PartitionedSimulator::Options{
-        /*num_lps=*/4, threads, Duration::Micros(20)});
-    DisaggWorld w(/*hbm=*/MiB(1), /*devices_per_host=*/2, /*islands=*/2,
-                  DisaggWorld::DefaultParams(), &part.lp(0));
-    RunTwoIslandGoldenScenario(
-        w, [&] { part.Run(); },
-        "partitioned sim_threads=" + std::to_string(threads));
-    EXPECT_FALSE(part.Deadlocked());
-  }
 }
 
 }  // namespace

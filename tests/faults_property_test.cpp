@@ -27,7 +27,6 @@
 #include "faults/fault_plan.h"
 #include "hw/cluster.h"
 #include "pathways/pathways.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "sweep/param_grid.h"
@@ -93,21 +92,9 @@ FaultPlan PlanForSeed(std::uint64_t seed, const ClusterShape& shape,
 
 // Runs `steps` successful training steps (retrying failed ones without
 // bound — recovery is guaranteed by always_recover) under the seeded plan.
-// With num_lps > 0 the whole stack runs on LP 0 of a partitioned engine at
-// `sim_threads` — the trace checksum must match the serial run exactly.
 ScenarioResult RunScenario(std::uint64_t seed, bool include_crashes,
-                           int steps = 10, int num_lps = 0,
-                           int sim_threads = 1) {
-  std::unique_ptr<sim::PartitionedSimulator> part;
-  std::unique_ptr<sim::Simulator> serial;
-  if (num_lps > 0) {
-    part = std::make_unique<sim::PartitionedSimulator>(
-        sim::PartitionedSimulator::Options{num_lps, sim_threads,
-                                           Duration::Micros(20)});
-  } else {
-    serial = std::make_unique<sim::Simulator>();
-  }
-  sim::Simulator& sim = part ? part->lp(0) : *serial;
+                           int steps = 10) {
+  sim::Simulator sim;
   hw::SystemParams params = hw::SystemParams::TpuDefault();
   // Zero host jitter: the steady-state property compares step latencies
   // bit-for-bit, and aborted attempts would otherwise shift the shared
@@ -142,9 +129,7 @@ ScenarioResult RunScenario(std::uint64_t seed, bool include_crashes,
     while (true) {
       const TimePoint begin = sim.now();
       auto r = client->RunWithRetry(&prog, {}, policy);
-      auto pred = [&r] { return r.ready(); };
-      const bool done =
-          part ? part->RunUntilPredicate(pred) : sim.RunUntilPredicate(pred);
+      const bool done = sim.RunUntilPredicate([&r] { return r.ready(); });
       EXPECT_TRUE(done) << "seed " << seed << ": step " << i
                         << " never resolved (lost wakeup?)";
       if (!done) return out;  // liveness already failed; don't spin forever
@@ -154,11 +139,7 @@ ScenarioResult RunScenario(std::uint64_t seed, bool include_crashes,
       }
     }
   }
-  if (part) {
-    part->Run();
-  } else {
-    sim.Run();
-  }
+  sim.Run();
   EXPECT_FALSE(sim.Deadlocked()) << "seed " << seed;
   out.spans = cluster->trace().spans();
   out.events_executed = sim.events_executed();
@@ -206,26 +187,6 @@ TEST(FaultPropertyTest, IdenticalSeedsGiveIdenticalTraces) {
     EXPECT_EQ(a.events_executed, b.events_executed);
     EXPECT_EQ(a.final_now_ns, b.final_now_ns);
     EXPECT_EQ(a.aborted, b.aborted);
-  }
-}
-
-TEST(FaultPropertyTest, TracesIdenticalOnPartitionedEngineAcrossSimThreads) {
-  // The seeded fault scenarios again, hosted on LP 0 of the partitioned
-  // engine: crash/straggle/degrade/partition replay must produce the exact
-  // serial trace checksum at every sim-thread count.
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const ScenarioResult serial = RunScenario(seed, /*include_crashes=*/true);
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("sim_threads=" + std::to_string(threads));
-      const ScenarioResult p = RunScenario(seed, /*include_crashes=*/true,
-                                           /*steps=*/10, /*num_lps=*/4,
-                                           threads);
-      EXPECT_EQ(p.Checksum(), serial.Checksum());
-      EXPECT_EQ(p.events_executed, serial.events_executed);
-      EXPECT_EQ(p.final_now_ns, serial.final_now_ns);
-      EXPECT_EQ(p.aborted, serial.aborted);
-    }
   }
 }
 

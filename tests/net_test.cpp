@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -11,8 +10,6 @@
 #include "net/collective_model.h"
 #include "net/dcn.h"
 #include "net/link.h"
-#include "net/lp_channel.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 
 namespace pw::net {
@@ -433,105 +430,6 @@ TEST(DcnFabricFuzzTest, OrderedExactlyOnceUnderPartitionsAbstract) {
 TEST(DcnFabricFuzzTest, OrderedExactlyOnceUnderPartitionsClos) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     RunPartitionDegradeFuzz(seed, /*clos_mode=*/true);
-  }
-}
-
-// ------------------------------------- inter-LP channel fuzz (partitioned) --
-
-// The same ordered/exactly-once property as RunPartitionDegradeFuzz, but on
-// the partitioned engine's inter-LP channels, and with a second obligation:
-// the full per-destination delivery trace must be byte-identical no matter
-// how many sim threads execute the LPs. All mutable fuzz state is split by
-// LP ownership — submitted[a][b] is written only by LP a's events,
-// delivered/trace[b] only by LP b's — so the harness itself follows the
-// discipline it is testing.
-struct LpChannelFuzzResult {
-  // delivered[a][b]: per-pair submission seqs in arrival order.
-  std::array<std::array<std::vector<int>, 4>, 4> delivered;
-  // trace[b]: (arrival ns, src, seq) in arrival order at LP b.
-  std::array<std::vector<std::tuple<std::int64_t, int, int>>, 4> trace;
-  std::array<std::array<int, 4>, 4> submitted{};
-  std::int64_t messages_delivered = 0;
-};
-
-LpChannelFuzzResult RunLpChannelFuzz(std::uint64_t seed, int threads) {
-  SCOPED_TRACE(::testing::Message() << "seed=" << seed
-                                    << " threads=" << threads);
-  constexpr int kLps = 4;
-  sim::PartitionedSimulator part(
-      {.num_lps = kLps, .threads = threads, .lookahead = Duration::Micros(20)});
-  LpChannelParams p;
-  p.bandwidth = 1e9;  // slow enough that egress queues actually form
-  LpChannelMap chan(&part, p);
-
-  LpChannelFuzzResult r;
-  Rng rng(seed);
-  constexpr std::int64_t kHorizonNs = 5'000'000;
-  for (int op = 0; op < 120; ++op) {
-    const auto at = TimePoint::FromNanos(
-        static_cast<std::int64_t>(rng.NextBounded(kHorizonNs)));
-    const int kind = static_cast<int>(rng.NextBounded(4));
-    const int a = static_cast<int>(rng.NextBounded(kLps));
-    const int b = static_cast<int>(rng.NextBounded(kLps));
-    if (kind <= 1) {
-      if (a == b) continue;  // channels carry cross-LP traffic only
-      part.lp(a).ScheduleAt(at, [&r, &chan, &part, a, b] {
-        const int seq = r.submitted[a][b]++;
-        chan.Send(a, b, 1000, [&r, &part, a, b, seq] {
-          r.delivered[a][b].push_back(seq);
-          r.trace[b].emplace_back(part.lp(b).now().nanos(), a, seq);
-        });
-      });
-    } else if (kind == 2) {
-      const auto heal = TimePoint::FromNanos(
-          at.nanos() + 1 +
-          static_cast<std::int64_t>(rng.NextBounded(kHorizonNs / 2)));
-      chan.SchedulePartition(a, at, heal);
-    } else {
-      const double scale = 0.25 + 0.25 * static_cast<double>(rng.NextBounded(4));
-      const auto restore = TimePoint::FromNanos(
-          at.nanos() + 1 +
-          static_cast<std::int64_t>(rng.NextBounded(kHorizonNs / 2)));
-      chan.ScheduleDegrade(a, scale, at, restore);
-    }
-  }
-  part.Run();
-  EXPECT_FALSE(part.Deadlocked());
-
-  // Exactly once, in order, nothing parked: every partition has a heal.
-  EXPECT_EQ(chan.messages_held(), 0u);
-  std::int64_t total_sent = 0;
-  std::int64_t total_delivered = 0;
-  for (int a = 0; a < kLps; ++a) {
-    for (int b = 0; b < kLps; ++b) {
-      total_sent += r.submitted[a][b];
-      const std::vector<int>& seqs = r.delivered[a][b];
-      total_delivered += static_cast<int>(seqs.size());
-      for (std::size_t i = 0; i < seqs.size(); ++i) {
-        EXPECT_EQ(seqs[i], static_cast<int>(i))
-            << "pair (" << a << "," << b << ") out of submission order";
-      }
-      EXPECT_EQ(static_cast<int>(seqs.size()), r.submitted[a][b])
-          << "lost or duplicated messages for pair (" << a << "," << b << ")";
-    }
-  }
-  EXPECT_EQ(total_delivered, total_sent);
-  r.messages_delivered = chan.messages_delivered();
-  EXPECT_EQ(r.messages_delivered, total_delivered);
-  return r;
-}
-
-TEST(LpChannelFuzzTest, OrderedExactlyOnceAndThreadCountInvariant) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    LpChannelFuzzResult serial = RunLpChannelFuzz(seed, /*threads=*/1);
-    for (int threads : {2, 4}) {
-      LpChannelFuzzResult parallel = RunLpChannelFuzz(seed, threads);
-      EXPECT_EQ(parallel.delivered, serial.delivered)
-          << "seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(parallel.trace, serial.trace)
-          << "seed=" << seed << " threads=" << threads;
-      EXPECT_EQ(parallel.messages_delivered, serial.messages_delivered);
-    }
   }
 }
 

@@ -2,7 +2,9 @@
 // canonical serialization round-trips, family validation, thread-count
 // determinism of RunScenario, and the path-addressed result store's glob
 // queries (docs/SCENARIOS.md).
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -269,22 +271,24 @@ TEST(ScenarioFaultPlan, AxisDerivedPlansStillValidateWithDeprecationNote) {
 
 // --- canonical serialization ----------------------------------------------
 
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+// Every scenarios/*.json, sorted, so a new file cannot skip the checks.
+std::vector<std::string> ShippedScenarioPaths() {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(ScenarioDir())) {
+    if (entry.path().extension() == ".json") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
-  const char* names[] = {"multitenant",    "faults",       "faults_plan",
-                         "oversub",        "serving",      "serving_disagg",
-                         "serving_flow",   "network",      "fig12_twoisland",
-                         "parallel"};
-  for (const char* name : names) {
-    SCOPED_TRACE(name);
-    const std::string path = DefaultScenarioPath(name);
+  const std::vector<std::string> paths = ShippedScenarioPaths();
+  ASSERT_FALSE(paths.empty()) << "no scenarios in " << ScenarioDir();
+  for (const std::string& path : paths) {
+    SCOPED_TRACE(path);
     Scenario s1;
     DiagnosticEngine d1;
     ASSERT_TRUE(LoadScenarioFile(path, &s1, &d1)) << d1.Render();

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <iomanip>
 #include <memory>
 #include <sstream>
@@ -22,7 +21,6 @@
 #include "hw/cluster.h"
 #include "pathways/pathways.h"
 #include "serving/serving.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 
 namespace pw::serving {
@@ -32,12 +30,8 @@ using pathways::PathwaysOptions;
 using pathways::PathwaysRuntime;
 
 struct World {
-  // When `external_sim` is given the world runs on that engine (e.g. an LP
-  // of a PartitionedSimulator) instead of its own; `own_sim` stays idle.
   explicit World(Bytes hbm = GiB(1), int devices_per_host = 2,
-                 Bytes dram = GiB(64), PathwaysOptions options = {},
-                 sim::Simulator* external_sim = nullptr)
-      : sim(external_sim != nullptr ? *external_sim : own_sim) {
+                 Bytes dram = GiB(64), PathwaysOptions options = {}) {
     hw::SystemParams params = hw::SystemParams::TpuDefault();
     params.host_jitter_frac = 0;  // deterministic timing in unit tests
     params.hbm_capacity = hbm;
@@ -65,8 +59,7 @@ struct World {
     return r;
   }
 
-  sim::Simulator own_sim;
-  sim::Simulator& sim;
+  sim::Simulator sim;
   std::unique_ptr<hw::Cluster> cluster;
   std::unique_ptr<PathwaysRuntime> runtime;
   pathways::Client* client = nullptr;
@@ -505,12 +498,9 @@ TEST(ServingFaultTest, CrashMidDecodeReleasesKvAndCompletesViaRemap) {
 // Fixed two-tenant scenario under KV pressure (HBM sized so paused KV
 // spills). Any change to batching, KV growth, spill/restore, or arrival
 // semantics moves these constants; update them only with an explanation of
-// what legitimately changed. The same scenario (and the same constants) must
-// also hold when the world runs on the partitioned engine — that is the
-// serial/parallel equivalence gate for the serving stack.
-void RunTwoTenantGoldenScenario(World& w, const std::function<void()>& drain,
-                                const std::string& label) {
-  SCOPED_TRACE(label);
+// what legitimately changed.
+TEST(ServingGoldenTest, TwoTenantScenarioTraceChecksum) {
+  World w(/*hbm=*/KiB(640), /*devices_per_host=*/2);
   KvCacheConfig kv;
   kv.bytes_per_token_per_shard = KiB(4);
   BatcherConfig cfg;
@@ -545,7 +535,7 @@ void RunTwoTenantGoldenScenario(World& w, const std::function<void()>& drain,
   ServingTenant tenant1(1, &b, &w.sim, t1);
   tenant0.Start();
   tenant1.Start();
-  drain();
+  w.sim.Run();
 
   EXPECT_FALSE(w.sim.Deadlocked());
   EXPECT_TRUE(b.idle());
@@ -570,28 +560,6 @@ void RunTwoTenantGoldenScenario(World& w, const std::function<void()>& drain,
   EXPECT_EQ(b.iterations(), kGoldenIterations) << actual.str();
   // The scenario is only interesting if memory pressure was real.
   EXPECT_GT(w.runtime->object_store().spills_completed(), 0) << actual.str();
-}
-
-TEST(ServingGoldenTest, TwoTenantScenarioTraceChecksum) {
-  World w(/*hbm=*/KiB(640), /*devices_per_host=*/2);
-  RunTwoTenantGoldenScenario(w, [&] { w.sim.Run(); }, "serial");
-}
-
-// Same scenario hosted on LP 0 of the partitioned engine, at several
-// sim-thread counts. The trace checksum must be byte-identical to the
-// serial engine's: with all events on one LP, the conservative windows are
-// unbounded and the partitioned run degenerates to the serial schedule.
-TEST(ServingGoldenTest, TwoTenantScenarioPartitionedEngineMatchesGolden) {
-  for (int threads : {1, 4}) {
-    sim::PartitionedSimulator part(sim::PartitionedSimulator::Options{
-        /*num_lps=*/4, threads, Duration::Micros(20)});
-    World w(/*hbm=*/KiB(640), /*devices_per_host=*/2, GiB(64), {},
-            &part.lp(0));
-    RunTwoTenantGoldenScenario(
-        w, [&] { part.Run(); },
-        "partitioned sim_threads=" + std::to_string(threads));
-    EXPECT_FALSE(part.Deadlocked());
-  }
 }
 
 }  // namespace

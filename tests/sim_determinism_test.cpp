@@ -37,7 +37,6 @@
 #include "hw/cluster.h"
 #include "models/step_builder.h"
 #include "pathways/pathways.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "xlasim/compiled_function.h"
@@ -97,41 +96,12 @@ struct ScenarioOutcome {
 // run (an *empty* plan must leave the outcome bit-identical to no injector
 // at all — that contract is regression-gated below). With a plan the
 // trainer submits through RunWithRetry so aborted steps are resubmitted.
-// When `engine.num_lps` > 0 the scenario runs on the partitioned engine
-// (sim/partition.h) with the full Pathways stack hosted on LP 0, the
-// control LP, and `engine.sim_threads` worker threads. The acceptance bar
-// for the parallel-engine work: every golden below must be byte-identical
-// between the serial engine and the partitioned engine at every tested
-// sim-thread count.
-struct EngineSpec {
-  int num_lps = 0;  // 0 => plain serial Simulator
-  int sim_threads = 1;
-};
-
 ScenarioOutcome RunScenario(
-    const std::optional<faults::FaultPlan>& plan = std::nullopt,
-    const EngineSpec& engine = {}) {
-  std::unique_ptr<sim::PartitionedSimulator> part;
-  std::unique_ptr<sim::Simulator> serial;
-  if (engine.num_lps > 0) {
-    // Lookahead mirrors DcnFabric's minimum cross-island latency (asserted
-    // below once the cluster exists); irrelevant to the result here since
-    // the control LP hosts every event, but it is what a real multi-LP run
-    // would derive.
-    part = std::make_unique<sim::PartitionedSimulator>(
-        sim::PartitionedSimulator::Options{engine.num_lps, engine.sim_threads,
-                                           Duration::Micros(20)});
-  } else {
-    serial = std::make_unique<sim::Simulator>();
-  }
-  sim::Simulator& sim = part ? part->lp(0) : *serial;
+    const std::optional<faults::FaultPlan>& plan = std::nullopt) {
+  sim::Simulator sim;
   auto cluster = std::make_unique<hw::Cluster>(
       &sim, hw::SystemParams::TpuDefault(), /*islands=*/2,
       /*hosts_per_island=*/2, /*devices_per_host=*/4);
-  if (part) {
-    EXPECT_EQ(part->lookahead().nanos(),
-              cluster->dcn().MinCrossIslandLatency().nanos());
-  }
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan.has_value()) {
@@ -161,18 +131,9 @@ ScenarioOutcome RunScenario(
   for (int i = 0; i < 3; ++i) {
     auto done = faulted ? trainer->RunWithRetry(&step) : trainer->Run(&step);
     prober->RunFunction(probe_fn, probe_slice);
-    const auto pred = [&done] { return done.ready(); };
-    if (part) {
-      part->RunUntilPredicate(pred);
-    } else {
-      sim.RunUntilPredicate(pred);
-    }
+    sim.RunUntilPredicate([&done] { return done.ready(); });
   }
-  if (part) {
-    part->Run();
-  } else {
-    sim.Run();
-  }
+  sim.Run();
 
   ScenarioOutcome out;
   out.spans = cluster->trace().spans();
@@ -289,44 +250,6 @@ TEST(SimDeterminismGolden, FaultScenarioMatchesRecordedChecksum) {
       << "changed. actual checksum=0x" << std::hex << out.Checksum()
       << " events=" << std::dec << out.events_executed
       << " now_ns=" << out.final_now_ns;
-}
-
-// ----------------------------------------------------------------------- //
-// Partitioned-engine goldens: the same scenarios, run on the conservative
-// parallel engine (sim/partition.h) with the Pathways stack on the control
-// LP, must reproduce every golden byte-for-byte at every sim-thread count.
-// This is the deterministic-merge acceptance gate for the parallel engine:
-// windowed execution, the LBTS protocol, and worker-pool scheduling must be
-// invisible to the event order, the event count, and the final clock.
-
-TEST(SimDeterminismGolden, PartitionedEnginePreservesGolden) {
-  for (const int threads : {1, 4}) {
-    const ScenarioOutcome out =
-        RunScenario(std::nullopt, EngineSpec{/*num_lps=*/4, threads});
-    EXPECT_EQ(out.events_executed, kGoldenEventsExecuted)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.final_now_ns, kGoldenFinalNowNs)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.Checksum(), kGoldenChecksum)
-        << "partitioned engine diverged from the serial golden at "
-        << threads << " sim-threads. actual checksum=0x" << std::hex
-        << out.Checksum();
-  }
-}
-
-TEST(SimDeterminismGolden, PartitionedEnginePreservesFaultGolden) {
-  for (const int threads : {1, 4}) {
-    const ScenarioOutcome out =
-        RunScenario(FixedFaultPlan(), EngineSpec{/*num_lps=*/4, threads});
-    EXPECT_EQ(out.events_executed, kFaultGoldenEventsExecuted)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.final_now_ns, kFaultGoldenFinalNowNs)
-        << "sim_threads=" << threads;
-    EXPECT_EQ(out.Checksum(), kFaultGoldenChecksum)
-        << "partitioned engine diverged from the fault-scenario golden at "
-        << threads << " sim-threads. actual checksum=0x" << std::hex
-        << out.Checksum();
-  }
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 // Scenario arguments that name no existing file and contain no '/' resolve
 // through ScenarioDir() (default <repo>/scenarios, override with
 // $PWSIM_SCENARIO_DIR).
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -40,12 +42,10 @@ int Usage(FILE* out) {
                "      Parse + schema-check + family-check each file; prints\n"
                "      clang-style diagnostics; exit 1 if any file fails.\n"
                "  pwsim run <name|file> [--quick] [--threads N] [--out DIR]\n"
-               "                        [--sim-threads N] [--no-determinism]\n"
-               "                        [--dry-run]\n"
+               "                        [--no-determinism] [--dry-run]\n"
                "      Run the scenario's sweep and write BENCH_<name>.json\n"
-               "      (--dry-run: validate and list grid points only;\n"
-               "      --sim-threads: per-point partitioned-engine threads,\n"
-               "      sweep workers become threads / sim-threads).\n"
+               "      (--threads: sweep workers, 0 = all cores;\n"
+               "      --dry-run: validate and list grid points only).\n"
                "  pwsim query --select <glob> [--dir DIR]\n"
                "      Print 'path value' for every result matching the\n"
                "      glob (segments split on '/'; * ? within a segment,\n"
@@ -71,6 +71,16 @@ std::string ResolveScenarioPath(const std::string& arg) {
   std::ifstream probe(arg);
   if (probe.good()) return arg;
   return scenario::DefaultScenarioPath(arg);
+}
+
+// Whole-string decimal parse; rejects signs, junk suffixes and overflow.
+bool ParseNonNegativeInt(const std::string& s, int* out) {
+  const char* end = s.data() + s.size();
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 0) return false;
+  *out = v;
+  return true;
 }
 
 bool LoadAndValidate(const std::string& path, Scenario* s,
@@ -117,9 +127,14 @@ int CmdRun(const std::vector<std::string>& args) {
     } else if (a == "--dry-run") {
       dry_run = true;
     } else if (a == "--threads" && i + 1 < args.size()) {
-      opts.threads = std::atoi(args[++i].c_str());
-    } else if (a == "--sim-threads" && i + 1 < args.size()) {
-      opts.sim_threads = std::atoi(args[++i].c_str());
+      const std::string& n = args[++i];
+      if (!ParseNonNegativeInt(n, &opts.threads)) {
+        std::fprintf(stderr,
+                     "pwsim run: --threads expects a non-negative integer, "
+                     "got '%s'\n",
+                     n.c_str());
+        return Usage(stderr);
+      }
     } else if (a == "--out" && i + 1 < args.size()) {
       opts.out_dir = args[++i];
     } else if (!a.empty() && a[0] == '-') {
