@@ -20,8 +20,6 @@
 #include "baselines/raylike.h"
 #include "baselines/tf1.h"
 #include "hw/cluster.h"
-#include "scenario/runner.h"
-#include "scenario/scenario.h"
 #include "sim/simulator.h"
 #include "sweep/param_grid.h"
 #include "sweep/result_table.h"
@@ -34,9 +32,7 @@ namespace pw::bench {
 // command line is a hard usage error.
 enum ExtraFlags : unsigned {
   kNoExtraFlags = 0,
-  kDisaggFlag = 1u << 0,    // --disagg (bench_serving)
-  kScenarioFlag = 1u << 1,  // --scenario <file> (scenario-driven benches)
-  kSimcoreFlags = 1u << 2,  // --min-speedup <x>, --gbench (bench_simcore)
+  kSimcoreFlags = 1u << 0,  // --min-speedup <x>, --gbench (bench_simcore)
 };
 
 // Command line shared by every bench binary:
@@ -44,26 +40,18 @@ enum ExtraFlags : unsigned {
 //                      smaller grids)
 //   --out <dir>        directory for BENCH_*.json (default $PWSIM_BENCH_DIR
 //                      or .)
-//   --disagg           bench_serving only: disaggregated prefill/decode mode
-//                      (ratio x KV-transfer-bandwidth sweep, docs/SERVING.md)
-//   --scenario <file>  scenario-driven benches: run this scenario file
-//                      instead of the shipped scenarios/<name>.json
 //   --min-speedup <x>  bench_simcore: enforced acceptance bar
 //   --gbench           bench_simcore: also run the google-benchmark suite
 // Unrecognized flags (and flags outside the bench's registered groups) are
 // hard errors: usage goes to stderr and the process exits 2.
 struct Args {
   bool quick = false;
-  bool disagg = false;
   std::string out_dir;
-  std::string scenario;
   double min_speedup = 2.0;
   bool gbench = false;
 
   static void Usage(FILE* out, const char* prog, unsigned extra) {
     std::fprintf(out, "usage: %s [--quick] [--out <dir>]", prog);
-    if (extra & kDisaggFlag) std::fprintf(out, " [--disagg]");
-    if (extra & kScenarioFlag) std::fprintf(out, " [--scenario <file>]");
     if (extra & kSimcoreFlags) {
       std::fprintf(out, " [--min-speedup <x>] [--gbench]");
     }
@@ -71,15 +59,6 @@ struct Args {
                  "\n  --quick            reduced grid for CI smoke runs\n"
                  "  --out <dir>        directory for BENCH_*.json (default "
                  "$PWSIM_BENCH_DIR or .)\n");
-    if (extra & kDisaggFlag) {
-      std::fprintf(out,
-                   "  --disagg           disaggregated prefill/decode mode\n");
-    }
-    if (extra & kScenarioFlag) {
-      std::fprintf(out,
-                   "  --scenario <file>  run this scenario file instead of "
-                   "the shipped one\n");
-    }
     if (extra & kSimcoreFlags) {
       std::fprintf(out,
                    "  --min-speedup <x>  enforced acceptance bar (default "
@@ -107,11 +86,6 @@ struct Args {
         args.quick = true;
       } else if (std::strcmp(a, "--out") == 0) {
         args.out_dir = value(&i, a);
-      } else if ((extra & kDisaggFlag) != 0 && std::strcmp(a, "--disagg") == 0) {
-        args.disagg = true;
-      } else if ((extra & kScenarioFlag) != 0 &&
-                 std::strcmp(a, "--scenario") == 0) {
-        args.scenario = value(&i, a);
       } else if ((extra & kSimcoreFlags) != 0 &&
                  std::strcmp(a, "--min-speedup") == 0) {
         args.min_speedup = std::atof(value(&i, a));
@@ -169,68 +143,6 @@ class Reporter {
   sweep::ResultTable table_;
   std::map<std::string, double> summary_;
 };
-
-// Loads a scenario-driven bench's input: the --scenario override when given,
-// else the shipped scenarios/<name>.json. Validates schema + family axes
-// and checks the family is the one this bench's gates understand. Any
-// problem prints clang-style diagnostics and exits 2.
-inline scenario::Scenario LoadBenchScenario(const Args& args,
-                                            const std::string& name,
-                                            const std::string& family) {
-  const std::string path = args.scenario.empty()
-                               ? scenario::DefaultScenarioPath(name)
-                               : args.scenario;
-  scenario::Scenario s;
-  scenario::DiagnosticEngine diags;
-  if (!scenario::LoadScenarioFile(path, &s, &diags) ||
-      !scenario::ValidateForFamily(&s, &diags)) {
-    std::fputs(diags.Render().c_str(), stderr);
-    std::exit(2);
-  }
-  if (s.family != family) {
-    std::fprintf(stderr, "%s: expected a '%s' scenario, got family '%s'\n",
-                 path.c_str(), family.c_str(), s.family.c_str());
-    std::exit(2);
-  }
-  return s;
-}
-
-// Lowers the scenario through SweepRunner (writing BENCH_<name>.json like
-// Reporter did) and reports where the file landed. Exits 2 on runner errors.
-inline scenario::RunResult RunBenchScenario(const scenario::Scenario& s,
-                                            const Args& args) {
-  scenario::RunOptions opts;
-  opts.quick = args.quick;
-  opts.out_dir = args.out_dir;
-  scenario::RunResult result;
-  std::string error;
-  if (!scenario::RunScenario(s, opts, &result, &error)) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    std::exit(2);
-  }
-  if (result.json_path.empty()) {
-    std::fprintf(stderr, "warning: could not write BENCH_%s.json\n",
-                 s.name.c_str());
-  } else {
-    std::printf("[bench] wrote %s\n", result.json_path.c_str());
-  }
-  return result;
-}
-
-// Looks up one summary metric from a scenario run; 0.0 when absent.
-inline double SummaryOf(const std::map<std::string, double>& summary,
-                        const std::string& key) {
-  const auto it = summary.find(key);
-  return it == summary.end() ? 0.0 : it->second;
-}
-
-// Looks up one metric in a sweep result row; 0.0 when absent.
-inline double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
 
 inline void Header(const std::string& title, const std::string& paper_claim) {
   std::printf("==============================================================\n");

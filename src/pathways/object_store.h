@@ -219,7 +219,7 @@ class ObjectStore : public memory::SpillBackend {
   }
   // Logical bytes (HBM-resident + spilled) of granted buffer shards homed
   // on `device`, and the peak over the run — the oversubscription factor
-  // bench_oversub gates on is logical_peak / hbm capacity.
+  // the oversub scenario gates on is logical_peak / hbm capacity.
   Bytes logical_live_bytes(hw::DeviceId device) const;
   Bytes logical_peak_bytes(hw::DeviceId device) const;
   std::int64_t spills_completed() const { return spills_completed_; }

@@ -1,7 +1,6 @@
 // Family "faults": goodput and recovery latency under injected device
 // crashes, stragglers, and link degrades, each grid point paired with its
-// own fault-free baseline. Extracted from bench/bench_faults.cpp. The
-// cluster shape is derived per point from the island_devices axis; the
+// own fault-free baseline. The cluster shape is derived per point from the island_devices axis; the
 // scenario's cluster section supplies only the base SystemParams.
 #include <algorithm>
 #include <cstdint>
@@ -152,20 +151,13 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
           {"client_retries", faulted.retries}};
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>&, bool) {
   double ratio_sum = 0, recovery_sum = 0;
   for (const auto& row : table.rows()) {
-    ratio_sum += MetricOf(row, "goodput_ratio");
-    recovery_sum += MetricOf(row, "recovery_latency_mean_us");
+    ratio_sum += row.Metric("goodput_ratio");
+    recovery_sum += row.Metric("recovery_latency_mean_us");
   }
   const double rows = static_cast<double>(table.rows().size());
   return {{"mean_goodput_ratio", ratio_sum / rows},
@@ -182,8 +174,9 @@ Family MakeFaultsFamily() {
       "vs its own fault-free baseline";
   f.axes = {{"island_devices", AxisKind::kInt},
             {"faults_per_sec", AxisKind::kInt}};
-  // bench_faults never carried the determinism rerun (every point already
-  // runs two private simulators); keep its BENCH summary byte-stable.
+  // The faults sweep never carried the determinism rerun (every point
+  // already runs two private simulators); keep its BENCH summary
+  // byte-stable.
   f.check_determinism = false;
   f.measure = Measure;
   f.summarize = Summarize;

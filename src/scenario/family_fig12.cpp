@@ -1,11 +1,11 @@
 // Family "fig12_twoisland": §5.3 / Figure 12 — large decoder-only LMs
 // trained data-parallel over two islands connected by DCN, vs one island
-// with twice the devices. Extracted from bench/bench_fig12_twoisland.cpp.
+// with twice the devices.
 //
 // The model axis fixes the per-island core count (decoder64b -> 512,
 // decoder136b -> 1024). Every point also re-runs the two-island arm on the
 // flow-level Clos DCN (single spine at R=1: a non-blocking fat pipe) so the
-// bench can gate "uncontended flow == analytic" at full system scale.
+// scenario can gate "uncontended flow == analytic" at full system scale.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -121,13 +121,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
            flow.tokens_per_sec / two.tokens_per_sec}};
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>& points, bool deterministic) {
@@ -136,10 +129,10 @@ std::map<std::string, double> Summarize(
   for (std::size_t i = 0; i < table.rows().size(); ++i) {
     const auto& row = table.rows()[i];
     summary["efficiency_" + points[i].GetString("model")] =
-        MetricOf(row, "efficiency");
+        row.Metric("efficiency");
     worst_flow_drift =
         std::max(worst_flow_drift,
-                 std::abs(MetricOf(row, "flow_vs_analytic_ratio") - 1.0));
+                 std::abs(row.Metric("flow_vs_analytic_ratio") - 1.0));
   }
   summary["worst_flow_drift"] = worst_flow_drift;
   summary["deterministic"] = deterministic ? 1.0 : 0.0;
@@ -156,8 +149,8 @@ Family MakeFig12Family() {
       "with 2x devices, plus the flow-level Clos validation arm";
   f.axes = {{"model", AxisKind::kString}};
   // Three full training measurements per point: too slow to rerun the whole
-  // grid serially for the generic determinism check (the bench's own gates
-  // compare against fixed paper numbers instead).
+  // grid serially for the generic determinism check (the scenario's gates
+  // bound the flow-vs-analytic ratio instead).
   f.check_determinism = false;
   f.measure = Measure;
   f.summarize = Summarize;

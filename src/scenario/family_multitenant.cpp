@@ -1,8 +1,7 @@
 // Family "multitenant": N weighted clients drive Poisson open-loop traffic
 // through bounded admission queues into the weighted-stride gang scheduler.
-// Extracted from bench/bench_multitenant.cpp; the bench main keeps its
-// proportional-share and determinism gates and runs this harness through
-// RunScenario.
+// scenarios/multitenant.json gates proportional share and determinism on
+// this family's summary.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -186,20 +185,13 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   return m;
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool quick, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>&, bool deterministic) {
   double gate_err = 0;
   for (const auto& row : table.rows()) {
-    if (MetricOf(row, "overloaded") > 0.5) {
-      gate_err = std::max(gate_err, MetricOf(row, "share_err_max"));
+    if (row.Metric("overloaded") > 0.5) {
+      gate_err = std::max(gate_err, row.Metric("share_err_max"));
     }
   }
   return {{"max_share_err_overloaded", gate_err},

@@ -1,9 +1,8 @@
 // Family "network": contended DCN sweep over the flow-level Clos fabric —
 // oversubscription ratio x incast fan-in, with the abstract per-NIC fabric
 // measured at every point as the baseline the scalar model predicts.
-// Extracted from bench/bench_network.cpp; the bench binary keeps the gates
-// (uncontended agreement, ~N x incast, >= 2x oversubscription penalty) and
-// reads them off this family's metrics and summary.
+// scenarios/network.json gates on these metrics and summary (uncontended
+// agreement, ~N x incast, >= 2x oversubscription penalty).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -75,13 +74,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
           {"shuffle_abstract_ms", shuffle_abstract}};
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>& points, bool deterministic) {
@@ -93,20 +85,20 @@ std::map<std::string, double> Summarize(
     const auto& row = table.rows()[i];
     const double oversub = points[i].GetDouble("oversub");
     max_incast_slowdown =
-        std::max(max_incast_slowdown, MetricOf(row, "incast_slowdown"));
+        std::max(max_incast_slowdown, row.Metric("incast_slowdown"));
     if (points[i].GetInt("fan_in") == 1) {
       uncontended_max_diff_ms =
           std::max(uncontended_max_diff_ms,
-                   std::abs(MetricOf(row, "incast_flow_ms") -
-                            MetricOf(row, "incast_abstract_ms")));
+                   std::abs(row.Metric("incast_flow_ms") -
+                            row.Metric("incast_abstract_ms")));
     }
     if (oversub_lo == 0 || oversub < oversub_lo) {
       oversub_lo = oversub;
-      shuffle_lo = MetricOf(row, "shuffle_flow_ms");
+      shuffle_lo = row.Metric("shuffle_flow_ms");
     }
     if (oversub > oversub_hi) {
       oversub_hi = oversub;
-      shuffle_hi = MetricOf(row, "shuffle_flow_ms");
+      shuffle_hi = row.Metric("shuffle_flow_ms");
     }
   }
   return {{"max_incast_slowdown", max_incast_slowdown},

@@ -1,7 +1,7 @@
 // Family "oversub": T tenants stage resident weights and serve closed-loop
 // requests while per-device HBM is scaled below the sum of their working
 // sets, so survival depends on scheduler-consistent reservations plus the
-// host-DRAM spill path. Extracted from bench/bench_oversub.cpp.
+// host-DRAM spill path.
 #include <algorithm>
 #include <functional>
 #include <map>
@@ -135,13 +135,6 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   return m;
 }
 
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
-
 std::map<std::string, double> Summarize(
     const Scenario&, bool, const sweep::ResultTable& table,
     const std::vector<sweep::ParamPoint>& points, bool deterministic) {
@@ -150,7 +143,7 @@ std::map<std::string, double> Summarize(
   for (std::size_t i = 0; i < table.rows().size(); ++i) {
     if (points[i].GetDouble("hbm_scale") == 1.0) {
       baseline[points[i].GetInt("depth")] =
-          MetricOf(table.rows()[i], "goodput_per_s");
+          table.rows()[i].Metric("goodput_per_s");
     }
   }
   bool any_deadlock = false;
@@ -160,12 +153,12 @@ std::map<std::string, double> Summarize(
     const auto& row = table.rows()[i];
     const double scale = points[i].GetDouble("hbm_scale");
     const double base = baseline[points[i].GetInt("depth")];
-    const double goodput = MetricOf(row, "goodput_per_s");
+    const double goodput = row.Metric("goodput_per_s");
     const double ratio = base > 0 ? goodput / base : 0.0;
-    any_deadlock |= MetricOf(row, "deadlocked") > 0.5;
+    any_deadlock |= row.Metric("deadlocked") > 0.5;
     if (scale < 1.0) {
       min_ratio = std::min(min_ratio, ratio);
-      max_oversub = std::max(max_oversub, MetricOf(row, "oversub_x"));
+      max_oversub = std::max(max_oversub, row.Metric("oversub_x"));
     }
   }
   return {{"deadlocks", any_deadlock ? 1.0 : 0.0},

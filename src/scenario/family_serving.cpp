@@ -1,8 +1,8 @@
 // Families "serving" and "serving_disagg": iteration-level batching with
 // per-sequence KV in the ObjectStore, colocated (continuous vs static under
 // KV budgets) and disaggregated (prefill islands streaming KV over the DCN
-// to decode islands, vs a colocated arm at equal device count). Extracted
-// from bench/bench_serving.cpp.
+// to decode islands, vs a colocated arm at equal device count). Pass/fail
+// thresholds are the "gates" of scenarios/serving{,_disagg}.json.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -27,13 +27,6 @@ using serving::ServingMetrics;
 using serving::ServingTenant;
 using serving::ServingTrace;
 using serving::TenantSpec;
-
-double MetricOf(const sweep::ResultRow& row, const std::string& name) {
-  for (const auto& [k, v] : row.metrics) {
-    if (k == name) return v;
-  }
-  return 0.0;
-}
 
 // --- family "serving" ------------------------------------------------------
 
@@ -164,15 +157,14 @@ std::map<std::string, double> SummarizeServing(
     const double rate = points[i].GetDouble("rate_per_s");
     const bool cont = points[i].GetInt("policy_continuous") != 0;
     const double scale = points[i].GetDouble("kv_scale");
-    any_deadlock |= MetricOf(row, "deadlocked") > 0.5;
-    if (scale == 0.5) spills_at_half_budget += MetricOf(row, "spills");
+    any_deadlock |= row.Metric("deadlocked") > 0.5;
+    if (scale == 0.5) spills_at_half_budget += row.Metric("spills");
     if (cont && rate == min_rate) {
       p99_ttft_low_rate_cont =
-          std::max(p99_ttft_low_rate_cont, MetricOf(row, "ttft_p99_us"));
+          std::max(p99_ttft_low_rate_cont, row.Metric("ttft_p99_us"));
     }
     if (rate == max_rate) {
-      top_rate_goodput[{cont ? 1 : 0, scale}] =
-          MetricOf(row, "goodput_per_s");
+      top_rate_goodput[{cont ? 1 : 0, scale}] = row.Metric("goodput_per_s");
     }
   }
 
@@ -408,15 +400,15 @@ std::map<std::string, double> SummarizeDisagg(
     const double rate = points[i].GetDouble("rate_per_s");
     const int pd = static_cast<int>(points[i].GetInt("prefill_devices"));
     const double dcn = points[i].GetDouble("dcn_scale");
-    any_deadlock |= MetricOf(row, "deadlocked") > 0.5;
-    total_transfers += MetricOf(row, "d_transfers");
-    total_disagg_spills += MetricOf(row, "d_spills");
-    const double d_tok = MetricOf(row, "d_token_p99_us");
+    any_deadlock |= row.Metric("deadlocked") > 0.5;
+    total_transfers += row.Metric("d_transfers");
+    total_disagg_spills += row.Metric("d_spills");
+    const double d_tok = row.Metric("d_token_p99_us");
     if (rate == max_rate && dcn == 1.0) {
-      top_c_tok_p99 = MetricOf(row, "c_token_p99_us");
+      top_c_tok_p99 = row.Metric("c_token_p99_us");
       if (d_tok < best_d_tok_p99) {
         best_d_tok_p99 = d_tok;
-        best_d_ttft_p99 = MetricOf(row, "d_ttft_p99_us");
+        best_d_ttft_p99 = row.Metric("d_ttft_p99_us");
         best_ratio = pd;
       }
     }

@@ -89,6 +89,10 @@ bool ResultStore::GlobMatch(const std::string& pattern,
   return MatchFrom(SplitPath(pattern), SplitPath(path), 0, 0);
 }
 
+bool ResultStore::IsGlob(const std::string& pattern) {
+  return pattern.find_first_of("*?") != std::string::npos;
+}
+
 bool ResultStore::LoadBenchFile(const std::string& path, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -97,8 +101,11 @@ bool ResultStore::LoadBenchFile(const std::string& path, std::string* error) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const std::string text = buf.str();
+  return LoadBenchText(buf.str(), path, error);
+}
 
+bool ResultStore::LoadBenchText(const std::string& text,
+                                const std::string& path, std::string* error) {
   DiagnosticEngine diags(path, text);
   Json root;
   if (!ParseJson(text, &root, &diags)) {

@@ -38,6 +38,9 @@ class ResultStore {
   // Loads one BENCH_<name>.json file, appending its entries. On schema or
   // parse errors returns false and describes the problem in *error.
   bool LoadBenchFile(const std::string& path, std::string* error);
+  // The same for a document already in memory; `path` names it in errors.
+  bool LoadBenchText(const std::string& text, const std::string& path,
+                     std::string* error);
 
   // Loads every BENCH_*.json directly inside `dir` (sorted by filename so
   // entry order is stable). Returns the number of files loaded, or -1 on
@@ -62,6 +65,8 @@ class ResultStore {
   // Slash-aware glob match: `*` / `?` never cross a '/', `**` matches any
   // number of whole segments (including zero).
   static bool GlobMatch(const std::string& pattern, const std::string& path);
+  // Whether `pattern` has a wildcard (`*` or `?`), i.e. is not a literal path.
+  static bool IsGlob(const std::string& pattern);
 
  private:
   std::vector<ResultEntry> entries_;

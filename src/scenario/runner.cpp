@@ -1,5 +1,8 @@
 #include "scenario/runner.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +26,78 @@ const std::vector<Family>& Registry() {
     return v;
   }();
   return *families;
+}
+
+std::string FormatValue(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
+
+GateResult CheckGate(const Gate& g, const std::string& root,
+                     const ResultStore& store) {
+  std::string failure;
+  // Resolves a set bound into *value and its printed form into *text.
+  const auto resolve = [&](const GateBound& b, double* value,
+                           std::string* text) {
+    if (!b.set) return;
+    if (b.path.empty()) {
+      *value = b.number;
+      *text = FormatValue(b.number);
+      return;
+    }
+    const std::vector<ResultEntry> m = store.Select(root + b.path);
+    *text = b.path;
+    if (m.size() != 1) {
+      failure = "bound '" + b.path + "' matches " + std::to_string(m.size()) +
+                " values, not 1";
+      return;
+    }
+    *value = m[0].value;
+    *text += " (" + FormatValue(*value) + ")";
+  };
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  std::string lo_text, hi_text;
+  resolve(g.min, &lo, &lo_text);
+  resolve(g.max, &hi, &hi_text);
+
+  const std::vector<ResultEntry> matches = store.Select(root + g.select);
+  if (failure.empty() && !ResultStore::IsGlob(g.select) &&
+      matches.size() != 1) {
+    failure = "matches " + std::to_string(matches.size()) +
+              " values; a literal select must match exactly 1";
+  }
+  for (const ResultEntry& e : matches) {
+    if (!failure.empty()) break;
+    // Written so a NaN value fails.
+    if (!(lo <= e.value && e.value <= hi)) {
+      failure = e.path + " = " + FormatValue(e.value);
+    }
+  }
+
+  std::string measured = "no values";
+  if (matches.size() == 1) {
+    measured = FormatValue(matches[0].value);
+  } else if (!matches.empty()) {
+    const auto [min_it, max_it] = std::minmax_element(
+        matches.begin(), matches.end(),
+        [](const ResultEntry& a, const ResultEntry& b) {
+          return a.value < b.value;
+        });
+    measured = std::to_string(matches.size()) + " values in [" +
+               FormatValue(min_it->value) + ", " + FormatValue(max_it->value) +
+               "]";
+  }
+  const std::string bound = g.min.set && g.max.set
+                                ? "in [" + lo_text + ", " + hi_text + "]"
+                            : g.min.set ? ">= " + lo_text
+                                        : "<= " + hi_text;
+  GateResult r;
+  r.pass = failure.empty();
+  r.line = std::string(r.pass ? "PASS " : "FAIL ") + g.select + " " + bound +
+           ": " + (r.pass ? measured : failure);
+  return r;
 }
 
 }  // namespace
@@ -164,6 +239,31 @@ bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
                                   opts.out_dir);
   }
   return true;
+}
+
+std::vector<GateResult> CheckGates(const Scenario& s, const RunResult& result) {
+  std::ostringstream doc;
+  sweep::WriteBenchJson(doc, s.name, result.summary, result.table);
+  ResultStore store;
+  std::string error;
+  if (!store.LoadBenchText(doc.str(), "BENCH_" + s.name + ".json", &error)) {
+    // A NaN or infinite metric has no JSON form; no gate can pass on it.
+    std::vector<GateResult> failed;
+    for (const Gate& g : s.gates) {
+      failed.push_back({false, "FAIL " + g.select + ": " + error});
+    }
+    return failed;
+  }
+  return CheckGates(s, store);
+}
+
+std::vector<GateResult> CheckGates(const Scenario& s,
+                                   const ResultStore& store) {
+  std::vector<GateResult> results;
+  for (const Gate& g : s.gates) {
+    results.push_back(CheckGate(g, s.name + "/", store));
+  }
+  return results;
 }
 
 }  // namespace pw::scenario

@@ -1,12 +1,11 @@
 // Family registry + scenario runner: the layer that turns a validated
-// Scenario into a sweep::ResultTable and a BENCH_<name>.json file.
+// Scenario into a sweep::ResultTable, a BENCH_<name>.json file, and a
+// verdict on the scenario's gates.
 //
-// A Family is one measurement harness (the code that used to live in a
-// bench_*.cpp main): it declares the sweep axes it understands, measures a
-// single grid point on a private simulator, and reduces the finished table
-// to the summary metrics CI trend lines track. The registry maps the
-// scenario's "family" string to that harness, so bench binaries and the
-// pwsim CLI share one implementation:
+// A Family is one measurement harness: it declares the sweep axes it
+// understands, measures a single grid point on a private simulator, and
+// reduces the finished table to the summary metrics CI trend lines track.
+// The registry maps the scenario's "family" string to that harness:
 //
 //   Scenario sc;
 //   DiagnosticEngine diags;
@@ -15,6 +14,7 @@
 //   RunResult result;
 //   std::string error;
 //   RunScenario(sc, {.quick = true}, &result, &error);
+//   for (const GateResult& g : CheckGates(sc, result)) { ... g.pass ... }
 #pragma once
 
 #include <functional>
@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/result_store.h"
 #include "scenario/scenario.h"
 #include "sweep/param_grid.h"
 #include "sweep/result_table.h"
@@ -100,8 +101,22 @@ struct RunResult {
 
 // Lowers `s` (already parsed AND ValidateForFamily-ed) through SweepRunner.
 // Returns false with *error set on a non-diagnostic failure (unknown
-// family). Measurement itself cannot fail — gates live in the callers.
+// family). Measurement itself cannot fail — pass/fail is CheckGates' job.
 bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
                  std::string* error);
+
+struct GateResult {
+  bool pass = false;
+  // "PASS <select> <bound>: <measured>" or "FAIL ...: <offending value or
+  // resolution error>".
+  std::string line;
+};
+
+// Evaluates s.gates in order (semantics in scenario.h) against the result
+// store of `result` — the BENCH document RunScenario writes, so gate paths
+// are exactly `pwsim query` paths.
+std::vector<GateResult> CheckGates(const Scenario& s, const RunResult& result);
+// The same against an already-loaded store, e.g. a committed BENCH file.
+std::vector<GateResult> CheckGates(const Scenario& s, const ResultStore& store);
 
 }  // namespace pw::scenario

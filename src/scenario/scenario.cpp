@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "scenario/json.h"
+#include "scenario/result_store.h"
 #include "sweep/result_table.h"
 
 namespace pw::scenario {
@@ -150,6 +151,9 @@ class FieldReader {
     }
     return v;
   }
+
+  // Registers `key` and returns it, of any type, when present.
+  const Json* Any(const char* key) { return Register(key); }
 
   // Registers a key this reader handles elsewhere (e.g. "quick").
   void Allow(const char* key) { keys_.emplace_back(key); }
@@ -580,6 +584,63 @@ void ReadSweep(const Json& obj, Scenario* out, DiagnosticEngine* diags) {
   }
 }
 
+// --- Gates -----------------------------------------------------------------
+
+void ReadGateBound(const Json* v, const char* key, GateBound* out,
+                   DiagnosticEngine* diags) {
+  if (v == nullptr) return;
+  if (v->is_number()) {
+    *out = {true, v->number_value(), ""};
+  } else if (v->is_string() && !v->string_value().empty()) {
+    if (ResultStore::IsGlob(v->string_value())) {
+      diags->Error(v->loc(), std::string("gate '") + key +
+                                 "' must be a literal result path, not a glob");
+      return;
+    }
+    *out = {true, 0, v->string_value()};
+  } else {
+    diags->Error(v->loc(), std::string("gate '") + key +
+                               "' expects a number or a result path, got " +
+                               v->kind_name());
+  }
+}
+
+void ReadGates(const Json& arr, std::vector<Gate>* out,
+               DiagnosticEngine* diags) {
+  for (const Json& obj : arr.array()) {
+    if (!obj.is_object()) {
+      diags->Error(obj.loc(), std::string("gates entries expect object, got ") +
+                                  obj.kind_name());
+      continue;
+    }
+    Gate g;
+    g.loc = obj.loc();
+    FieldReader r(obj, diags);
+    r.String("select", &g.select);
+    const Json* min = r.Any("min");
+    const Json* max = r.Any("max");
+    r.Finish();
+    ReadGateBound(min, "min", &g.min, diags);
+    ReadGateBound(max, "max", &g.max, diags);
+    if (g.select.empty()) {
+      diags->Error(obj.loc(), "gate requires a non-empty 'select' path");
+    } else if (g.select.find(' ') != std::string::npos) {
+      // "<agg> over <glob>" would otherwise read as a glob matching nothing.
+      diags->Error(obj.KeyLoc("select"),
+                   "gate 'select' must be a result path or glob; "
+                   "aggregations are not supported");
+    }
+    if (min == nullptr && max == nullptr) {
+      diags->Error(obj.loc(), "gate requires a 'min' or 'max' bound");
+    }
+    if (g.min.set && g.max.set && g.min.path.empty() && g.max.path.empty() &&
+        g.min.number > g.max.number) {
+      diags->Error(obj.KeyLoc("min"), "gate 'min' is greater than 'max'");
+    }
+    out->push_back(std::move(g));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Canonical serialization.
 
@@ -980,6 +1041,26 @@ std::string Scenario::Serialize() const {
   });
   w.EndObject();
 
+  if (!gates.empty()) {
+    w.Key("gates");
+    w.ObjectArray(gates.begin(), gates.end(), [&w](const Gate& g) {
+      w.BeginObject();
+      w.Key("select");
+      w.String(g.select);
+      for (const auto& [key, bound] : {std::pair{"min", &g.min},
+                                       std::pair{"max", &g.max}}) {
+        if (!bound->set) continue;
+        w.Key(key);
+        if (bound->path.empty()) {
+          w.Double(bound->number);
+        } else {
+          w.String(bound->path);
+        }
+      }
+      w.EndObject();
+    });
+  }
+
   w.EndObject();
   std::string out = w.Take();
   out += "\n";
@@ -1011,6 +1092,7 @@ bool ParseScenario(const std::string& text, Scenario* out,
   const Json* dg = r.Object("serving_disagg");
   const Json* nw = r.Object("network");
   const Json* fg = r.Object("fig12_twoisland");
+  const Json* gates = r.Array("gates");
   r.Finish();
 
   if (out->name.empty()) {
@@ -1075,6 +1157,7 @@ bool ParseScenario(const std::string& text, Scenario* out,
   } else {
     ReadSweep(*sweep_obj, out, diags);
   }
+  if (gates != nullptr) ReadGates(*gates, &out->gates, diags);
 
   return diags->ok();
 }

@@ -11,7 +11,8 @@
 //     "serving":  { "max_batch": 8, ..., "quick": { "horizon_ms": 2 } },
 //     "sweep":    { "axes": [ { "name": "rate_per_s",
 //                               "values": [1500.0, 24000.0],
-//                               "quick_values": [1500.0] } ] }
+//                               "quick_values": [1500.0] } ] },
+//     "gates":    [ { "select": "summary/deadlocks", "max": 0 } ]
 //   }
 //
 // Parsing is strict: unknown keys are hard errors with "did you mean"
@@ -64,11 +65,11 @@ struct ClusterSpec {
 };
 
 // --- Family sections -------------------------------------------------------
-// Field defaults are the full-size values the pre-scenario bench binaries
-// hard-coded; shipped scenario files override via "quick" for smoke runs.
+// Field defaults are the full-size values of the original hand-written
+// sweeps; shipped scenario files override via "quick" for smoke runs.
 
 // family "multitenant": open-loop weighted clients through the stride
-// scheduler (bench_multitenant).
+// scheduler (scenarios/multitenant.json).
 struct MultitenantSpec {
   double nominal_pod_per_sec = 2500;
   int max_inflight_gangs = 2;
@@ -107,11 +108,11 @@ struct FaultPlanEvent {
 };
 
 // family "faults": crash/straggler/degrade injection vs a per-point
-// fault-free baseline (bench_faults).
+// fault-free baseline (scenarios/faults.json, faults_plan.json).
 //
 // Two ways to get a fault timeline: a non-empty `fault_plan` replays those
 // exact events at every grid point; an empty one derives a seeded random
-// plan from the faults_per_sec axis (the original bench_faults behaviour,
+// plan from the faults_per_sec axis (the original faults sweep behaviour,
 // now deprecated — validation emits a note steering scenarios to the
 // declarative form).
 struct FaultsSpec {
@@ -129,7 +130,7 @@ struct FaultsSpec {
 };
 
 // family "oversub": tenants' working sets vs scaled-down HBM through the
-// spill hierarchy (bench_oversub).
+// spill hierarchy (scenarios/oversub.json).
 struct OversubSpec {
   int tenants = 4;
   double weights_per_shard_mib = 6;
@@ -140,7 +141,7 @@ struct OversubSpec {
 };
 
 // family "serving": continuous vs static batching under KV budgets
-// (bench_serving).
+// (scenarios/serving.json, serving_flow.json).
 struct ServingSpec {
   std::int64_t kv_bytes_per_token = 4096;
   int max_batch = 8;
@@ -158,7 +159,8 @@ struct ServingSpec {
 };
 
 // family "serving_disagg": prefill/decode split across islands with
-// cross-island KV transfer, vs a colocated arm (bench_serving --disagg).
+// cross-island KV transfer, vs a colocated arm
+// (scenarios/serving_disagg.json).
 struct DisaggSpec {
   std::string model = "decoder3b";
   int max_batch = 8;
@@ -176,7 +178,7 @@ struct DisaggSpec {
 
 // family "network": contended flow-level Clos DCN vs the abstract per-NIC
 // fabric, swept over oversubscription ratio x incast fan-in
-// (bench_network, docs/NETWORK.md).
+// (scenarios/network.json, docs/NETWORK.md).
 struct NetworkSpec {
   double message_mib = 16;
   int hosts = 32;
@@ -186,13 +188,35 @@ struct NetworkSpec {
 
 // family "fig12_twoisland": Figure 12 / §5.3 — data-parallel training over
 // two islands vs one island with twice the devices, plus the flow-level
-// Clos validation arm (bench_fig12_twoisland). The model axis fixes the
-// per-island core count: decoder64b -> 512, decoder136b -> 1024.
+// Clos validation arm (scenarios/fig12_twoisland.json). The model axis
+// fixes the per-island core count: decoder64b -> 512, decoder136b -> 1024.
 struct Fig12Spec {
   int steps = 3;
   int chunks = 8;
   int max_inflight_gangs = 64;
   int model_parallel = 32;  // single-island SPMD arm
+};
+
+// --- Gates -----------------------------------------------------------------
+//
+// A pass/fail check `pwsim run` evaluates on the finished run's result
+// store (scenario/result_store.h). Paths are relative to the scenario's
+// result root: "<name>/" is prepended. A literal `select` must resolve to
+// exactly one value; a glob checks every match and may match none. Bounds
+// are inclusive (a value passes iff min <= v && v <= max, so NaN fails).
+
+// A bound is a number, or a literal result path of the same run that
+// resolves to exactly one value.
+struct GateBound {
+  bool set = false;
+  double number = 0;
+  std::string path;  // non-empty: the bound is this result's value
+};
+
+struct Gate {
+  SourceLoc loc;
+  std::string select;
+  GateBound min, max;
 };
 
 // --- Sweep grid ------------------------------------------------------------
@@ -238,6 +262,8 @@ struct Scenario {
   WithQuick<DisaggSpec> disagg;
   WithQuick<NetworkSpec> network;
   WithQuick<Fig12Spec> fig12;
+
+  std::vector<Gate> gates;
 
   // The axis list lowered into a sweep::ParamGrid (row-major order as
   // declared). Family-specific type coercion lives in runner.h's

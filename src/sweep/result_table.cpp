@@ -64,6 +64,13 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+double ResultRow::Metric(const std::string& name) const {
+  for (const auto& [k, v] : metrics) {
+    if (k == name) return v;
+  }
+  return 0.0;
+}
+
 void ResultTable::WriteCsv(std::ostream& os) const {
   const auto param_cols = ColumnOrder(rows_, &ResultRow::params);
   const auto metric_cols = ColumnOrder(rows_, &ResultRow::metrics);

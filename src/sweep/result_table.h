@@ -31,6 +31,9 @@ namespace pw::sweep {
 struct ResultRow {
   std::vector<std::pair<std::string, ParamValue>> params;
   std::vector<std::pair<std::string, double>> metrics;
+
+  // Value of metric `name`; 0.0 when absent.
+  double Metric(const std::string& name) const;
 };
 
 class ResultTable {

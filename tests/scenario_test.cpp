@@ -1,13 +1,17 @@
 // Scenario layer: clang-style diagnostics (file:line:col + did-you-mean),
-// canonical serialization round-trips, family validation, thread-count
+// canonical serialization round-trips, family validation, gate semantics
+// and the shipped gates against the committed records, thread-count
 // determinism of RunScenario, and the path-addressed result store's glob
 // queries (docs/SCENARIOS.md).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -316,6 +320,161 @@ TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
       }
     }
   }
+}
+
+// --- gates -----------------------------------------------------------------
+
+TEST(ScenarioGates, MalformedGatesAreDiagnosed) {
+  Scenario s;
+  DiagnosticEngine diags;
+  const std::string render = ParseExpectingErrors(
+      "{ \"name\": \"t\", \"family\": \"network\",\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"fan_in\", \"values\": [1] } ] },\n"
+      "  \"gates\": [\n"
+      "    { \"max\": 1 },\n"
+      "    { \"select\": \"summary/a\" },\n"
+      "    { \"select\": \"summary/a\", \"mx\": 1 },\n"
+      "    { \"select\": \"summary/a\", \"min\": 2, \"max\": 1 },\n"
+      "    { \"select\": \"summary/a\", \"max\": \"summary/*\" } ] }\n",
+      &s, &diags);
+  const std::pair<int, const char*> expected[] = {
+      {4, "gate requires a non-empty 'select' path"},
+      {5, "gate requires a 'min' or 'max' bound"},
+      {6, "unknown key 'mx'; did you mean 'max'?"},
+      {7, "gate 'min' is greater than 'max'"},
+      {8, "gate 'max' must be a literal result path, not a glob"},
+  };
+  for (const auto& [line, message] : expected) {
+    bool found = false;
+    for (const auto& d : diags.diagnostics()) {
+      found |= d.loc.line == line && d.message == message;
+    }
+    EXPECT_TRUE(found) << "line " << line << ": " << message << "\n"
+                       << render;
+  }
+}
+
+// Parses a network scenario named `name` whose "gates" array is `gates`.
+Scenario ScenarioWithGates(const std::string& name, const std::string& gates) {
+  const std::string text =
+      "{ \"name\": \"" + name + "\", \"family\": \"network\",\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"fan_in\", \"values\": [1] } ] },\n"
+      "  \"gates\": [" + gates + "] }\n";
+  Scenario s;
+  DiagnosticEngine diags("test.json", text);
+  EXPECT_TRUE(ParseScenario(text, &s, &diags)) << diags.Render();
+  return s;
+}
+
+TEST(ScenarioGates, SemanticsOverTheResultStore) {
+  ResultStore store;
+  std::string error;
+  ASSERT_TRUE(store.LoadBenchText(
+      "{ \"bench\": \"g\", \"schema_version\": 1,\n"
+      "  \"summary\": { \"ok\": 1, \"tol\": 0.1, \"err\": 0.1 },\n"
+      "  \"series\": [ { \"params\": { \"n\": 1 }, \"metrics\": { \"x\": 2 } },\n"
+      "              { \"params\": { \"n\": 2 }, \"metrics\": { \"x\": 3 } } ] }\n",
+      "inline", &error))
+      << error;
+  const struct {
+    const char* gate;
+    bool pass;
+  } cases[] = {
+      // Bounds are inclusive, on numbers and on result paths.
+      {R"({ "select": "summary/ok", "min": 1, "max": 1 })", true},
+      {R"({ "select": "summary/ok", "min": 1.5 })", false},
+      {R"({ "select": "summary/err", "max": "summary/tol" })", true},
+      {R"({ "select": "summary/ok", "max": "summary/err" })", false},
+      // A literal select or path bound must resolve to exactly one value.
+      {R"({ "select": "summary/missing", "min": 0 })", false},
+      {R"({ "select": "summary/ok", "max": "summary/missing" })", false},
+      // A glob checks every match, and may match none.
+      {R"({ "select": "*/x", "min": 2, "max": 3 })", true},
+      {R"({ "select": "*/x", "max": 2.5 })", false},
+      {R"({ "select": "*/nothing", "min": 5 })", true},
+  };
+  for (const auto& c : cases) {
+    const std::vector<GateResult> r =
+        CheckGates(ScenarioWithGates("g", c.gate), store);
+    ASSERT_EQ(r.size(), 1u) << c.gate;
+    EXPECT_EQ(r[0].pass, c.pass) << r[0].line;
+    EXPECT_EQ(r[0].line.rfind(c.pass ? "PASS " : "FAIL ", 0), 0u) << r[0].line;
+  }
+  // The failing glob value is named by its full path.
+  const auto r = CheckGates(
+      ScenarioWithGates("g", R"({ "select": "*/x", "max": 2.5 })"), store);
+  EXPECT_NE(r[0].line.find("g/n=2/x = 3"), std::string::npos) << r[0].line;
+  // Paths are relative to the scenario's own root.
+  EXPECT_FALSE(CheckGates(ScenarioWithGates(
+                              "h", R"({ "select": "summary/ok", "min": 0 })"),
+                          store)[0]
+                   .pass);
+}
+
+TEST(ScenarioGates, NonFiniteMetricsFailEveryGate) {
+  const Scenario s = ScenarioWithGates(
+      "g", R"({ "select": "summary/x", "min": 0 }, )"
+           R"({ "select": "summary/y", "max": 1 })");
+  RunResult result;
+  result.summary = {{"x", std::nan("")}, {"y", 0.5}};
+  const std::vector<GateResult> r = CheckGates(s, result);
+  ASSERT_EQ(r.size(), 2u);
+  EXPECT_FALSE(r[0].pass) << r[0].line;
+  EXPECT_FALSE(r[1].pass) << r[1].line;
+
+  result.summary["x"] = 0.0;
+  for (const GateResult& g : CheckGates(s, result)) {
+    EXPECT_TRUE(g.pass) << g.line;
+  }
+}
+
+// Each gated shipped scenario against its committed full-size
+// BENCH_<name>.json at the repo root: every gate passes, its select matches
+// at least one value, and each bound fails once moved just past the
+// measured value (while the measured value itself still passes).
+TEST(ScenarioGates, ShippedGatesHoldOnCommittedRecordsAndBite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  int gated = 0;
+  for (const std::string& path : ShippedScenarioPaths()) {
+    Scenario s;
+    DiagnosticEngine diags;
+    ASSERT_TRUE(LoadScenarioFile(path, &s, &diags)) << diags.Render();
+    if (s.gates.empty()) continue;
+    ++gated;
+    SCOPED_TRACE(s.name);
+    ResultStore store;
+    std::string error;
+    ASSERT_TRUE(store.LoadBenchFile(
+        ScenarioDir() + "/../BENCH_" + s.name + ".json", &error))
+        << error;
+    for (const GateResult& r : CheckGates(s, store)) {
+      EXPECT_TRUE(r.pass) << r.line;
+    }
+
+    for (const Gate& g : s.gates) {
+      SCOPED_TRACE(g.select);
+      std::vector<double> values;
+      for (const ResultEntry& e : store.Select(s.name + "/" + g.select)) {
+        values.push_back(e.value);
+      }
+      ASSERT_FALSE(values.empty());
+      const double lo = *std::min_element(values.begin(), values.end());
+      const double hi = *std::max_element(values.begin(), values.end());
+      for (const bool min_side : {true, false}) {
+        if (!(min_side ? g.min : g.max).set) continue;
+        Scenario one = s;
+        one.gates = {g};
+        GateBound& bound = min_side ? one.gates[0].min : one.gates[0].max;
+        bound = {true, min_side ? lo : hi, ""};
+        EXPECT_TRUE(CheckGates(one, store)[0].pass);
+        bound.number = min_side ? std::nextafter(lo, kInf)
+                                : std::nextafter(hi, -kInf);
+        const GateResult tightened = CheckGates(one, store)[0];
+        EXPECT_FALSE(tightened.pass) << tightened.line;
+      }
+    }
+  }
+  EXPECT_GT(gated, 0);
 }
 
 // --- runner determinism ----------------------------------------------------

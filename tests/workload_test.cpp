@@ -352,7 +352,7 @@ TEST(WorkloadFairnessTest, OverloadedOpenLoopFollowsStrideWeights) {
 TEST(LatencyRecorderTest, FullQueueDepthSampleIsCountedNotDropped) {
   // Regression: an arrival that finds the waiting queue full observes
   // depth == capacity — the signature sample of the overloaded regime
-  // bench_multitenant measures. It must land in its own histogram bucket
+  // multitenant scenario measures. It must land in its own histogram bucket
   // (not overflow, not one bucket low via the old fraction-of-range index
   // math) and be reflected by MeanQueueDepth.
   for (std::size_t capacity : {4u, 21u, 64u}) {

@@ -2,8 +2,8 @@
 //
 //   pwsim validate <file>...     schema + family validation, clang-style
 //                                diagnostics, non-zero exit on any error
-//   pwsim run <name|file>        lower a scenario through SweepRunner and
-//                                write BENCH_<name>.json
+//   pwsim run <name|file>        lower a scenario through SweepRunner, write
+//                                BENCH_<name>.json, check its gates
 //   pwsim query --select <glob>  path-addressed lookup over BENCH_*.json
 //   pwsim dump <name|file>       canonical serialization to stdout
 //   pwsim families               list registered measurement families
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,7 +44,9 @@ int Usage(FILE* out) {
                "      clang-style diagnostics; exit 1 if any file fails.\n"
                "  pwsim run <name|file> [--quick] [--threads N] [--out DIR]\n"
                "                        [--no-determinism] [--dry-run]\n"
-               "      Run the scenario's sweep and write BENCH_<name>.json\n"
+               "      Run the scenario's sweep, print its table and summary,\n"
+               "      write BENCH_<name>.json and check the scenario's gates;\n"
+               "      exit 1 if a gate fails or the file cannot be written\n"
                "      (--threads: sweep workers, 0 = all cores;\n"
                "      --dry-run: validate and list grid points only).\n"
                "  pwsim query --select <glob> [--dir DIR]\n"
@@ -180,13 +183,25 @@ int CmdRun(const std::vector<std::string>& args) {
   }
   std::printf("%s: %zu points%s\n", s.name.c_str(), result.points.size(),
               opts.quick ? " (quick)" : "");
+  result.table.WriteCsv(std::cout);  // stdio-synced: ordered with printf
+  std::printf("summary:\n");
   for (const auto& [key, value] : result.summary) {
     std::printf("  %-28s %.6g\n", key.c_str(), value);
   }
-  if (!result.json_path.empty()) {
+  int rc = 0;
+  if (result.json_path.empty()) {
+    std::fprintf(stderr, "pwsim run: could not write BENCH_%s.json%s%s\n",
+                 s.name.c_str(), opts.out_dir.empty() ? "" : " in ",
+                 opts.out_dir.c_str());
+    rc = 1;
+  } else {
     std::printf("wrote %s\n", result.json_path.c_str());
   }
-  return 0;
+  for (const scenario::GateResult& g : scenario::CheckGates(s, result)) {
+    std::printf("%s\n", g.line.c_str());
+    if (!g.pass) rc = 1;
+  }
+  return rc;
 }
 
 // Shortest printf form of `v` that strtod-round-trips.
