@@ -28,20 +28,18 @@ using serving::ServingTenant;
 using serving::ServingTrace;
 using serving::TenantSpec;
 
-// --- family "serving" ------------------------------------------------------
-
 // Projected full KV of one worst-case sequence, per device shard.
-int MaxKvTokens(const ServingSpec& spec) {
+int MaxKvTokens(const RequestShape& spec) {
   return spec.max_prefill_tokens + spec.max_decode_tokens - 1;
 }
 
-TenantSpec ColocatedTenantSpec(const ServingSpec& spec, int t, double rate,
-                               Duration horizon) {
+// Tenant `t` of the two every serving arm runs, offering half of `rate`.
+TenantSpec MakeTenantSpec(const RequestShape& spec, int t, double rate) {
   TenantSpec ts;
   ts.arrivals.process = t == 0 ? workload::ArrivalProcess::kPoisson
                                : workload::ArrivalProcess::kUniform;
   ts.arrivals.rate_per_sec = rate / 2;
-  ts.arrivals.horizon = horizon;
+  ts.arrivals.horizon = Duration::Millis(spec.horizon_ms);
   ts.arrivals.seed = static_cast<std::uint64_t>(spec.arrival_seed_base) +
                      static_cast<std::uint64_t>(t) *
                          static_cast<std::uint64_t>(spec.arrival_seed_stride);
@@ -54,13 +52,14 @@ TenantSpec ColocatedTenantSpec(const ServingSpec& spec, int t, double rate,
   return ts;
 }
 
+// --- family "serving" ------------------------------------------------------
+
 sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                               const sweep::ParamPoint& p) {
   const ServingSpec& spec = sc.serving.For(quick);
   const double rate = p.GetDouble("rate_per_s");  // total across tenants
   const bool continuous = p.GetInt("policy_continuous") != 0;
   const double kv_scale = p.GetDouble("kv_scale");
-  const Duration horizon = Duration::Millis(spec.horizon_ms);
 
   // Aggregate projected KV working set of a full batch, per device shard.
   const Bytes working_set_per_shard =
@@ -94,10 +93,8 @@ sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                            KvCacheConfig{spec.kv_bytes_per_token}, cfg,
                            &metrics, &trace);
 
-  ServingTenant tenant0(0, &batcher, &sim,
-                        ColocatedTenantSpec(spec, 0, rate, horizon));
-  ServingTenant tenant1(1, &batcher, &sim,
-                        ColocatedTenantSpec(spec, 1, rate, horizon));
+  ServingTenant tenant0(0, &batcher, &sim, MakeTenantSpec(spec, 0, rate));
+  ServingTenant tenant1(1, &batcher, &sim, MakeTenantSpec(spec, 1, rate));
   tenant0.Start();
   tenant1.Start();
   sim.Run();
@@ -187,29 +184,6 @@ std::map<std::string, double> SummarizeServing(
 
 // --- family "serving_disagg" -----------------------------------------------
 
-int DisaggMaxKvTokens(const DisaggSpec& spec) {
-  return spec.max_prefill_tokens + spec.max_decode_tokens - 1;
-}
-
-TenantSpec DisaggTenantSpec(const DisaggSpec& spec, int t, double rate,
-                            Duration horizon) {
-  TenantSpec ts;
-  ts.arrivals.process = t == 0 ? workload::ArrivalProcess::kPoisson
-                               : workload::ArrivalProcess::kUniform;
-  ts.arrivals.rate_per_sec = rate / 2;
-  ts.arrivals.horizon = horizon;
-  ts.arrivals.seed = static_cast<std::uint64_t>(spec.arrival_seed_base) +
-                     static_cast<std::uint64_t>(t) *
-                         static_cast<std::uint64_t>(spec.arrival_seed_stride);
-  ts.min_prefill_tokens = spec.min_prefill_tokens;
-  ts.max_prefill_tokens = spec.max_prefill_tokens;
-  ts.min_decode_tokens = spec.min_decode_tokens;
-  ts.max_decode_tokens = spec.max_decode_tokens;
-  ts.token_seed = static_cast<std::uint64_t>(spec.token_seed_base) +
-                  static_cast<std::uint64_t>(t);
-  return ts;
-}
-
 // Decode-island KV working set per shard at the reference half:half split;
 // HBM is fixed across every point at half of it (plus staging headroom).
 Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
@@ -218,7 +192,7 @@ Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
       models::TransformerConfig::Decoder3B();
   const Bytes kv_per_shard = model.KvBytesPerToken() / (devices_per_arm / 2);
   const Bytes working_set = static_cast<Bytes>(spec.max_batch) *
-                            DisaggMaxKvTokens(spec) * kv_per_shard;
+                            MaxKvTokens(spec) * kv_per_shard;
   return working_set / 2 + cfg.activation_bytes_per_shard +
          cfg.output_bytes_per_shard + MiB(spec.hbm_headroom_mib);
 }
@@ -232,7 +206,6 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
   const int arm_devices = sc.cluster.devices_per_host;
   const int decode_devices = arm_devices - prefill_devices;
   const double dcn_scale = p.GetDouble("dcn_scale");
-  const Duration horizon = Duration::Millis(spec.horizon_ms);
   const models::TransformerConfig model =
       models::TransformerConfig::Decoder3B();
 
@@ -245,7 +218,7 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
   };
   // Projected-KV admission budget for a decode role with `shards` devices.
   auto kv_budget = [&](int shards) {
-    return static_cast<Bytes>(spec.max_batch) * DisaggMaxKvTokens(spec) *
+    return static_cast<Bytes>(spec.max_batch) * MaxKvTokens(spec) *
            (model.KvBytesPerToken() / shards);
   };
 
@@ -291,10 +264,8 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
     auto sink = [&router](serving::Request req) {
       return router.Offer(std::move(req));
     };
-    ServingTenant tenant0(0, sink, &sim, DisaggTenantSpec(spec, 0, rate,
-                                                          horizon));
-    ServingTenant tenant1(1, sink, &sim, DisaggTenantSpec(spec, 1, rate,
-                                                          horizon));
+    ServingTenant tenant0(0, sink, &sim, MakeTenantSpec(spec, 0, rate));
+    ServingTenant tenant1(1, sink, &sim, MakeTenantSpec(spec, 1, rate));
     tenant0.Start();
     tenant1.Start();
     sim.Run();
@@ -348,10 +319,8 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
         client, client->AllocateSlice(arm_devices, hw::IslandId(0)).value(),
         costs.KvConfig(), cfg, &metrics, &trace);
 
-    ServingTenant tenant0(0, &batcher, &sim, DisaggTenantSpec(spec, 0, rate,
-                                                              horizon));
-    ServingTenant tenant1(1, &batcher, &sim, DisaggTenantSpec(spec, 1, rate,
-                                                              horizon));
+    ServingTenant tenant0(0, &batcher, &sim, MakeTenantSpec(spec, 0, rate));
+    ServingTenant tenant1(1, &batcher, &sim, MakeTenantSpec(spec, 1, rate));
     tenant0.Start();
     tenant1.Start();
     sim.Run();

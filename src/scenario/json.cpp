@@ -1,6 +1,7 @@
 #include "scenario/json.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -283,6 +284,9 @@ class JsonParser {
     if (end != token.c_str() + token.size()) {
       return Fail(start, "invalid number '" + token + "'");
     }
+    // Overflow has no finite double; underflow to a subnormal or zero is
+    // a fine approximation.
+    if (!std::isfinite(d)) return Fail(start, "number out of range");
     out->kind_ = Json::Kind::kDouble;
     out->double_ = d;
     return true;

@@ -8,7 +8,8 @@
 // Strictness: RFC-8259 JSON only — no comments, no trailing commas, no
 // NaN/Infinity. Duplicate object keys and trailing content after the root
 // value are errors. Integers without '.'/exponent parse as kInt (int64),
-// everything else numeric as kDouble.
+// everything else numeric as kDouble; a number that overflows its type is
+// an error.
 #pragma once
 
 #include <cstdint>

@@ -5,21 +5,16 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "scenario/json.h"
 #include "scenario/result_store.h"
+#include "scenario/runner.h"
 #include "sweep/result_table.h"
 
 namespace pw::scenario {
 namespace {
-
-// The known families double as the schema's section keys.
-const std::vector<std::string>& KnownFamilies() {
-  static const std::vector<std::string> kFamilies{
-      "multitenant", "faults",  "oversub",       "serving",
-      "serving_disagg", "network", "fig12_twoisland"};
-  return kFamilies;
-}
 
 const std::vector<std::string>& KnownPresets() {
   static const std::vector<std::string> kPresets{"tpu_default", "gpu_vm",
@@ -30,50 +25,39 @@ const std::vector<std::string>& KnownPresets() {
 // ---------------------------------------------------------------------------
 // Typed field extraction with unknown-key detection.
 //
-// Every Read* function below funnels object members through one FieldReader;
+// Every reader below funnels object members through one FieldReader;
 // Finish() then reports any member that was never registered, with a
-// "did you mean" suggestion over the registered keys. The same read function
-// serves the full section and its "quick" overlay (overlay=true skips the
-// nested "quick" registration and leaves absent fields at their incoming
-// values, which are the full-spec values).
+// "did you mean" suggestion over the registered keys.
+
+constexpr double kNoMin = -std::numeric_limits<double>::infinity();
 
 class FieldReader {
  public:
   FieldReader(const Json& obj, DiagnosticEngine* diags)
       : obj_(obj), diags_(diags) {}
 
-  void Int(const char* key, int* out,
-           std::int64_t min = std::numeric_limits<std::int64_t>::min()) {
-    std::int64_t v = *out;
-    I64(key, &v, min);
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      diags_->Error(obj_.KeyLoc(key),
-                    std::string("key '") + key + "' is out of int range");
-      return;
-    }
-    *out = static_cast<int>(v);
-  }
-
-  void I64(const char* key, std::int64_t* out,
-           std::int64_t min = std::numeric_limits<std::int64_t>::min()) {
+  // An int or int64 member: a JSON int >= min that fits T.
+  template <typename T>
+  void Int(const char* key, T* out, double min = kNoMin) {
     const Json* v = Register(key);
     if (v == nullptr) return;
     if (!v->is_int()) {
       TypeError(key, "int", *v);
       return;
     }
-    if (v->int_value() < min) {
-      diags_->Error(v->loc(), std::string("key '") + key + "' must be >= " +
-                                  std::to_string(min) + " (got " +
-                                  std::to_string(v->int_value()) + ")");
+    if (static_cast<double>(v->int_value()) < min) {
+      BoundError(*v, key, min, std::to_string(v->int_value()));
       return;
     }
-    *out = v->int_value();
+    if (!std::in_range<T>(v->int_value())) {
+      diags_->Error(obj_.KeyLoc(key),
+                    std::string("key '") + key + "' is out of int range");
+      return;
+    }
+    *out = static_cast<T>(v->int_value());
   }
 
-  void Double(const char* key, double* out,
-              double min = -std::numeric_limits<double>::infinity()) {
+  void Double(const char* key, double* out, double min = kNoMin) {
     const Json* v = Register(key);
     if (v == nullptr) return;
     if (!v->is_number()) {
@@ -81,9 +65,7 @@ class FieldReader {
       return;
     }
     if (v->number_value() < min) {
-      diags_->Error(v->loc(), std::string("key '") + key + "' must be >= " +
-                                  FormatNumber(min) + " (got " +
-                                  FormatNumber(v->number_value()) + ")");
+      BoundError(*v, key, min, FormatNumber(v->number_value()));
       return;
     }
     *out = v->number_value();
@@ -190,6 +172,12 @@ class FieldReader {
                                  want + ", got " + got.kind_name());
   }
 
+  void BoundError(const Json& got, const char* key, double min,
+                  const std::string& value) {
+    diags_->Error(got.loc(), std::string("key '") + key + "' must be >= " +
+                                 FormatNumber(min) + " (got " + value + ")");
+  }
+
   static std::string FormatNumber(double d) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%g", d);
@@ -202,7 +190,8 @@ class FieldReader {
 };
 
 // ---------------------------------------------------------------------------
-// Section readers. One function per spec, shared by full and overlay parse.
+// Section readers: the cluster by hand, the family sections by walking each
+// spec's field table (shared by the full and the "quick" overlay parse).
 
 void ReadCluster(const Json& obj, ClusterSpec* s, DiagnosticEngine* diags) {
   FieldReader r(obj, diags);
@@ -239,25 +228,6 @@ void ReadCluster(const Json& obj, ClusterSpec* s, DiagnosticEngine* diags) {
     cr.Double("oversubscription", &s->clos_oversubscription, 0);
     cr.Finish();
   }
-  r.Finish();
-}
-
-void ReadMultitenant(const Json& obj, MultitenantSpec* s,
-                     DiagnosticEngine* diags, bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("nominal_pod_per_sec", &s->nominal_pod_per_sec, 0);
-  r.Int("max_inflight_gangs", &s->max_inflight_gangs, 1);
-  r.Double("warmup_ms", &s->warmup_ms, 0);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Int("queue_capacity", &s->queue_capacity, 1);
-  r.Int("max_outstanding", &s->max_outstanding, 1);
-  r.Int("retry_max_attempts", &s->retry_max_attempts, 1);
-  r.Double("retry_initial_backoff_us", &s->retry_initial_backoff_us, 0);
-  r.Double("retry_max_backoff_ms", &s->retry_max_backoff_ms, 0);
-  r.Double("step_us", &s->step_us, 0);
-  r.I64("collective_bytes", &s->collective_bytes, 0);
-  r.I64("seed_base", &s->seed_base, 0);
   r.Finish();
 }
 
@@ -315,144 +285,125 @@ void ReadFaultPlanEvent(const Json& obj, FaultPlanEvent* e,
   }
 }
 
-void ReadFaults(const Json& obj, FaultsSpec* s, DiagnosticEngine* diags,
-                bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("min_window_ms", &s->min_window_ms, 0);
-  r.Double("max_window_ms", &s->max_window_ms, 0);
-  r.Int("link_degrades", &s->link_degrades, 0);
-  r.Bool("always_recover", &s->always_recover);
-  r.Int("retry_max_attempts", &s->retry_max_attempts, 1);
-  r.Double("retry_initial_backoff_us", &s->retry_initial_backoff_us, 0);
-  r.Double("step_us", &s->step_us, 0);
-  r.I64("collective_kib", &s->collective_kib, 0);
-  r.I64("seed_base", &s->seed_base, 0);
-  if (const Json* plan = r.Array("fault_plan")) {
-    // A fault_plan in a quick overlay replaces the full plan wholesale
-    // (merging timelines element-wise would be unintelligible).
-    s->fault_plan.clear();
-    for (const Json& entry : plan->array()) {
-      if (!entry.is_object()) {
-        diags->Error(entry.loc(),
-                     std::string("fault_plan entries expect object, got ") +
-                         entry.kind_name());
-        continue;
-      }
-      FaultPlanEvent e;
-      ReadFaultPlanEvent(entry, &e, diags);
-      s->fault_plan.push_back(e);
+void ReadFaultPlan(const Json* plan, std::vector<FaultPlanEvent>* out,
+                   DiagnosticEngine* diags) {
+  if (plan == nullptr) return;
+  // A fault_plan in a quick overlay replaces the full plan wholesale
+  // (merging timelines element-wise would be unintelligible).
+  out->clear();
+  for (const Json& entry : plan->array()) {
+    if (!entry.is_object()) {
+      diags->Error(entry.loc(),
+                   std::string("fault_plan entries expect object, got ") +
+                       entry.kind_name());
+      continue;
     }
-  }
-  r.Finish();
-  if (s->max_window_ms < s->min_window_ms) {
-    diags->Error(obj.KeyLoc("max_window_ms"),
-                 "'max_window_ms' must be >= 'min_window_ms'");
+    FaultPlanEvent e;
+    ReadFaultPlanEvent(entry, &e, diags);
+    out->push_back(e);
   }
 }
 
-void ReadOversub(const Json& obj, OversubSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Int("tenants", &s->tenants, 1);
-  r.Double("weights_per_shard_mib", &s->weights_per_shard_mib, 0);
-  r.Double("output_per_shard_mib", &s->output_per_shard_mib, 0);
-  r.Double("working_headroom_mib", &s->working_headroom_mib, 0);
-  r.Int("requests_per_tenant", &s->requests_per_tenant, 1);
-  r.Double("step_us", &s->step_us, 0);
-  r.Finish();
-}
-
-void ReadServing(const Json& obj, ServingSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.I64("kv_bytes_per_token", &s->kv_bytes_per_token, 1);
-  r.Int("max_batch", &s->max_batch, 1);
-  r.Int("token_budget", &s->token_budget, 1);
-  r.Int("min_prefill_tokens", &s->min_prefill_tokens, 1);
-  r.Int("max_prefill_tokens", &s->max_prefill_tokens, 1);
-  r.Int("min_decode_tokens", &s->min_decode_tokens, 1);
-  r.Int("max_decode_tokens", &s->max_decode_tokens, 1);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("hbm_frac_of_working_set", &s->hbm_frac_of_working_set, 0);
-  r.Double("hbm_headroom_kib", &s->hbm_headroom_kib, 0);
-  r.I64("arrival_seed_base", &s->arrival_seed_base, 0);
-  r.I64("arrival_seed_stride", &s->arrival_seed_stride, 0);
-  r.I64("token_seed_base", &s->token_seed_base, 0);
-  r.Finish();
-  if (s->max_prefill_tokens < s->min_prefill_tokens) {
-    diags->Error(obj.KeyLoc("max_prefill_tokens"),
-                 "'max_prefill_tokens' must be >= 'min_prefill_tokens'");
-  }
-  if (s->max_decode_tokens < s->min_decode_tokens) {
-    diags->Error(obj.KeyLoc("max_decode_tokens"),
-                 "'max_decode_tokens' must be >= 'min_decode_tokens'");
+// 'max_<what>' below 'min_<what>' is an error at the max key.
+template <typename T>
+void CheckRange(const Json& obj, const std::string& what, T min, T max,
+                DiagnosticEngine* diags) {
+  if (max < min) {
+    diags->Error(obj.KeyLoc("max_" + what),
+                 "'max_" + what + "' must be >= 'min_" + what + "'");
   }
 }
 
-void ReadDisagg(const Json& obj, DisaggSpec* s, DiagnosticEngine* diags,
-                bool overlay) {
+// Calls fn on each entry of a table (a tuple), in order.
+template <typename Table, typename Fn>
+void ForEach(const Table& table, Fn fn) {
+  std::apply([&](const auto&... entry) { (fn(entry), ...); }, table);
+}
+
+// Reads a section object, or its "quick" overlay on top of the full spec,
+// by walking S's field table; the member's type picks the reader. Absent
+// fields keep their incoming values. `check` holds the section's
+// cross-field rules; specs sharing the serving RequestShape also get its
+// token-range rules.
+template <typename S>
+void ReadSpec(const Json& obj, S* s, bool overlay,
+              void (*check)(const Json&, const S&, DiagnosticEngine*),
+              DiagnosticEngine* diags) {
   FieldReader r(obj, diags);
   if (!overlay) r.Allow("quick");
-  SourceLoc model_loc = obj.loc();
-  r.String("model", &s->model, &model_loc);
-  if (s->model != "decoder3b") {
-    diags->Error(model_loc,
-                 "unknown model '" + s->model + "'; known models: decoder3b");
+  ForEach(S::kFields, [&](const auto& f) {
+    auto* out = &(s->*f.member);
+    using T = std::remove_pointer_t<decltype(out)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      r.Bool(f.key, out);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      r.String(f.key, out);
+    } else if constexpr (std::is_same_v<T, double>) {
+      r.Double(f.key, out, f.min);
+    } else if constexpr (std::is_integral_v<T>) {
+      r.Int(f.key, out, f.min);
+    } else {
+      ReadFaultPlan(r.Array(f.key), out, diags);
+    }
+  });
+  r.Finish();
+  if constexpr (std::is_base_of_v<RequestShape, S>) {
+    CheckRange(obj, "prefill_tokens", s->min_prefill_tokens,
+               s->max_prefill_tokens, diags);
+    CheckRange(obj, "decode_tokens", s->min_decode_tokens,
+               s->max_decode_tokens, diags);
   }
-  r.Int("max_batch", &s->max_batch, 1);
-  r.Int("token_budget", &s->token_budget, 1);
-  r.Int("min_prefill_tokens", &s->min_prefill_tokens, 1);
-  r.Int("max_prefill_tokens", &s->max_prefill_tokens, 1);
-  r.Int("min_decode_tokens", &s->min_decode_tokens, 1);
-  r.Int("max_decode_tokens", &s->max_decode_tokens, 1);
-  r.Double("horizon_ms", &s->horizon_ms, 0);
-  r.Double("hbm_headroom_mib", &s->hbm_headroom_mib, 0);
-  r.I64("arrival_seed_base", &s->arrival_seed_base, 0);
-  r.I64("arrival_seed_stride", &s->arrival_seed_stride, 0);
-  r.I64("token_seed_base", &s->token_seed_base, 0);
-  r.Finish();
+  if (check != nullptr) check(obj, *s, diags);
 }
 
-void ReadNetwork(const Json& obj, NetworkSpec* s, DiagnosticEngine* diags,
-                 bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Double("message_mib", &s->message_mib, 0);
-  r.Int("hosts", &s->hosts, 2);
-  r.Int("hosts_per_leaf", &s->hosts_per_leaf, 1);
-  r.Int("num_spines", &s->num_spines, 1);
-  r.Finish();
+void CheckFaults(const Json& obj, const FaultsSpec& s,
+                 DiagnosticEngine* diags) {
+  CheckRange(obj, "window_ms", s.min_window_ms, s.max_window_ms, diags);
 }
 
-void ReadFig12(const Json& obj, Fig12Spec* s, DiagnosticEngine* diags,
-               bool overlay) {
-  FieldReader r(obj, diags);
-  if (!overlay) r.Allow("quick");
-  r.Int("steps", &s->steps, 1);
-  r.Int("chunks", &s->chunks, 1);
-  r.Int("max_inflight_gangs", &s->max_inflight_gangs, 1);
-  r.Int("model_parallel", &s->model_parallel, 1);
-  r.Finish();
+void CheckDisagg(const Json& obj, const DisaggSpec& s,
+                 DiagnosticEngine* diags) {
+  if (s.model != "decoder3b") {
+    const Json* model = obj.Find("model");
+    diags->Error(model != nullptr ? model->loc() : obj.loc(),
+                 "unknown model '" + s.model + "'; known models: decoder3b");
+  }
 }
 
-template <typename T, typename ReadFn>
-void ReadSection(const Json& obj, WithQuick<T>* out, DiagnosticEngine* diags,
-                 ReadFn read) {
-  out->present = true;
-  out->loc = obj.loc();
-  read(obj, &out->full, diags, /*overlay=*/false);
-  out->quick = out->full;
+// One family section: its key (also the name of the family that reads it),
+// its Scenario member, and its cross-field check, if any.
+template <typename S>
+struct Section {
+  const char* key;
+  WithQuick<S> Scenario::*member;
+  void (*check)(const Json&, const S&, DiagnosticEngine*) = nullptr;
+};
+
+// Every family section, in canonical order.
+constexpr std::tuple kSections{
+    Section{"multitenant", &Scenario::multitenant},
+    Section{"faults", &Scenario::faults, &CheckFaults},
+    Section{"oversub", &Scenario::oversub},
+    Section{"serving", &Scenario::serving},
+    Section{"serving_disagg", &Scenario::disagg, &CheckDisagg},
+    Section{"network", &Scenario::network},
+    Section{"fig12_twoisland", &Scenario::fig12}};
+
+template <typename S>
+void ReadSection(const Json& obj, const Section<S>& section, Scenario* sc,
+                 DiagnosticEngine* diags) {
+  WithQuick<S>& out = sc->*section.member;
+  out.present = true;
+  out.loc = obj.loc();
+  ReadSpec(obj, &out.full, /*overlay=*/false, section.check, diags);
+  out.quick = out.full;
   if (const Json* q = obj.Find("quick")) {
     if (!q->is_object()) {
       diags->Error(q->loc(), std::string("key 'quick' expects object, got ") +
                                  q->kind_name());
       return;
     }
-    read(*q, &out->quick, diags, /*overlay=*/true);
+    ReadSpec(*q, &out.quick, /*overlay=*/true, section.check, diags);
   }
 }
 
@@ -727,221 +678,70 @@ class JsonWriter {
   std::vector<bool> stack_;  // per level: no member emitted yet
 };
 
-// Emits `key: value` only when no baseline is given or the value differs
-// from it — quick overlays canonicalize to their diff vs the full spec.
-template <typename T, typename EmitFn>
-void Diffed(JsonWriter* w, const char* key, const T& value, const T* base,
-            EmitFn emit) {
-  if (base != nullptr && value == *base) return;
-  w->Key(key);
-  emit(value);
+// Only the keys the kind accepts are emitted, mirroring what the parser
+// admits, so parse -> serialize stays a fixed point.
+void WriteFaultPlan(JsonWriter* w, const std::vector<FaultPlanEvent>& plan) {
+  w->ObjectArray(plan.begin(), plan.end(), [w](const FaultPlanEvent& e) {
+    w->BeginObject();
+    w->Key("kind");
+    w->String(e.kind);
+    w->Key("at_ms");
+    w->Double(e.at_ms);
+    w->Key("window_ms");
+    w->Double(e.window_ms);
+    if (e.kind == "device_crash" || e.kind == "straggler") {
+      w->Key("device");
+      w->Int(e.device);
+    } else {
+      w->Key("host");
+      w->Int(e.host);
+    }
+    if (e.kind == "straggler" || e.kind == "link_degrade") {
+      w->Key("severity");
+      w->Double(e.severity);
+    }
+    w->EndObject();
+  });
 }
 
-void EmitInt(JsonWriter* w, const char* key, std::int64_t v,
-             const std::int64_t* base) {
-  Diffed(w, key, v, base, [w](std::int64_t x) { w->Int(x); });
-}
-void EmitInt(JsonWriter* w, const char* key, int v, const int* base) {
-  Diffed(w, key, v, base, [w](int x) { w->Int(x); });
-}
-void EmitDouble(JsonWriter* w, const char* key, double v, const double* base) {
-  Diffed(w, key, v, base, [w](double x) { w->Double(x); });
-}
-void EmitBool(JsonWriter* w, const char* key, bool v, const bool* base) {
-  Diffed(w, key, v, base, [w](bool x) { w->Bool(x); });
-}
-void EmitString(JsonWriter* w, const char* key, const std::string& v,
-                const std::string* base) {
-  Diffed(w, key, v, base, [w](const std::string& x) { w->String(x); });
-}
-
-#define PW_EMIT_INT(field) EmitInt(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_DOUBLE(field) \
-  EmitDouble(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_BOOL(field) \
-  EmitBool(w, #field, s.field, base ? &base->field : nullptr)
-#define PW_EMIT_STRING(field) \
-  EmitString(w, #field, s.field, base ? &base->field : nullptr)
-
-void EmitMultitenant(JsonWriter* w, const MultitenantSpec& s,
-                     const MultitenantSpec* base) {
-  PW_EMIT_DOUBLE(nominal_pod_per_sec);
-  PW_EMIT_INT(max_inflight_gangs);
-  PW_EMIT_DOUBLE(warmup_ms);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_INT(queue_capacity);
-  PW_EMIT_INT(max_outstanding);
-  PW_EMIT_INT(retry_max_attempts);
-  PW_EMIT_DOUBLE(retry_initial_backoff_us);
-  PW_EMIT_DOUBLE(retry_max_backoff_ms);
-  PW_EMIT_DOUBLE(step_us);
-  PW_EMIT_INT(collective_bytes);
-  PW_EMIT_INT(seed_base);
+// Emits S's fields in table order. The full spec (no base) emits every
+// scalar and any non-empty list; a quick overlay canonicalizes to the
+// fields that differ from its base, the full spec.
+template <typename S>
+void EmitSpec(JsonWriter* w, const S& s, const S* base = nullptr) {
+  ForEach(S::kFields, [&](const auto& f) {
+    const auto& v = s.*f.member;
+    using T = std::decay_t<decltype(v)>;
+    if (base != nullptr && v == base->*f.member) return;
+    if constexpr (std::is_same_v<T, std::vector<FaultPlanEvent>>) {
+      if (base == nullptr && v.empty()) return;
+    }
+    w->Key(f.key);
+    if constexpr (std::is_same_v<T, bool>) {
+      w->Bool(v);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      w->String(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      w->Double(v);
+    } else if constexpr (std::is_integral_v<T>) {
+      w->Int(v);
+    } else {
+      WriteFaultPlan(w, v);
+    }
+  });
 }
 
-void EmitFaults(JsonWriter* w, const FaultsSpec& s, const FaultsSpec* base) {
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(min_window_ms);
-  PW_EMIT_DOUBLE(max_window_ms);
-  PW_EMIT_INT(link_degrades);
-  PW_EMIT_BOOL(always_recover);
-  PW_EMIT_INT(retry_max_attempts);
-  PW_EMIT_DOUBLE(retry_initial_backoff_us);
-  PW_EMIT_DOUBLE(step_us);
-  PW_EMIT_INT(collective_kib);
-  PW_EMIT_INT(seed_base);
-  // Only the keys the kind accepts are emitted, mirroring what the parser
-  // admits, so parse -> serialize stays a fixed point.
-  const bool plan_differs =
-      base != nullptr ? !(s.fault_plan == base->fault_plan)
-                      : !s.fault_plan.empty();
-  if (plan_differs) {
-    w->Key("fault_plan");
-    w->ObjectArray(s.fault_plan.begin(), s.fault_plan.end(),
-                   [w](const FaultPlanEvent& e) {
-                     w->BeginObject();
-                     w->Key("kind");
-                     w->String(e.kind);
-                     w->Key("at_ms");
-                     w->Double(e.at_ms);
-                     w->Key("window_ms");
-                     w->Double(e.window_ms);
-                     if (e.kind == "device_crash" || e.kind == "straggler") {
-                       w->Key("device");
-                       w->Int(e.device);
-                     } else {
-                       w->Key("host");
-                       w->Int(e.host);
-                     }
-                     if (e.kind == "straggler" || e.kind == "link_degrade") {
-                       w->Key("severity");
-                       w->Double(e.severity);
-                     }
-                     w->EndObject();
-                   });
-  }
-}
-
-void EmitOversub(JsonWriter* w, const OversubSpec& s, const OversubSpec* base) {
-  PW_EMIT_INT(tenants);
-  PW_EMIT_DOUBLE(weights_per_shard_mib);
-  PW_EMIT_DOUBLE(output_per_shard_mib);
-  PW_EMIT_DOUBLE(working_headroom_mib);
-  PW_EMIT_INT(requests_per_tenant);
-  PW_EMIT_DOUBLE(step_us);
-}
-
-void EmitServing(JsonWriter* w, const ServingSpec& s, const ServingSpec* base) {
-  PW_EMIT_INT(kv_bytes_per_token);
-  PW_EMIT_INT(max_batch);
-  PW_EMIT_INT(token_budget);
-  PW_EMIT_INT(min_prefill_tokens);
-  PW_EMIT_INT(max_prefill_tokens);
-  PW_EMIT_INT(min_decode_tokens);
-  PW_EMIT_INT(max_decode_tokens);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(hbm_frac_of_working_set);
-  PW_EMIT_DOUBLE(hbm_headroom_kib);
-  PW_EMIT_INT(arrival_seed_base);
-  PW_EMIT_INT(arrival_seed_stride);
-  PW_EMIT_INT(token_seed_base);
-}
-
-void EmitDisagg(JsonWriter* w, const DisaggSpec& s, const DisaggSpec* base) {
-  PW_EMIT_STRING(model);
-  PW_EMIT_INT(max_batch);
-  PW_EMIT_INT(token_budget);
-  PW_EMIT_INT(min_prefill_tokens);
-  PW_EMIT_INT(max_prefill_tokens);
-  PW_EMIT_INT(min_decode_tokens);
-  PW_EMIT_INT(max_decode_tokens);
-  PW_EMIT_DOUBLE(horizon_ms);
-  PW_EMIT_DOUBLE(hbm_headroom_mib);
-  PW_EMIT_INT(arrival_seed_base);
-  PW_EMIT_INT(arrival_seed_stride);
-  PW_EMIT_INT(token_seed_base);
-}
-
-void EmitNetwork(JsonWriter* w, const NetworkSpec& s, const NetworkSpec* base) {
-  PW_EMIT_DOUBLE(message_mib);
-  PW_EMIT_INT(hosts);
-  PW_EMIT_INT(hosts_per_leaf);
-  PW_EMIT_INT(num_spines);
-}
-
-void EmitFig12(JsonWriter* w, const Fig12Spec& s, const Fig12Spec* base) {
-  PW_EMIT_INT(steps);
-  PW_EMIT_INT(chunks);
-  PW_EMIT_INT(max_inflight_gangs);
-  PW_EMIT_INT(model_parallel);
-}
-
-#undef PW_EMIT_INT
-#undef PW_EMIT_DOUBLE
-#undef PW_EMIT_BOOL
-#undef PW_EMIT_STRING
-
-// Spec equality, used only to decide whether a quick overlay exists.
-#define PW_EQ(field) a.field == b.field
-bool SpecEq(const MultitenantSpec& a, const MultitenantSpec& b) {
-  return PW_EQ(nominal_pod_per_sec) &&
-         PW_EQ(max_inflight_gangs) && PW_EQ(warmup_ms) && PW_EQ(horizon_ms) &&
-         PW_EQ(queue_capacity) && PW_EQ(max_outstanding) &&
-         PW_EQ(retry_max_attempts) && PW_EQ(retry_initial_backoff_us) &&
-         PW_EQ(retry_max_backoff_ms) && PW_EQ(step_us) &&
-         PW_EQ(collective_bytes) && PW_EQ(seed_base);
-}
-bool SpecEq(const FaultsSpec& a, const FaultsSpec& b) {
-  return PW_EQ(horizon_ms) && PW_EQ(min_window_ms) && PW_EQ(max_window_ms) &&
-         PW_EQ(link_degrades) && PW_EQ(always_recover) &&
-         PW_EQ(retry_max_attempts) && PW_EQ(retry_initial_backoff_us) &&
-         PW_EQ(step_us) && PW_EQ(collective_kib) && PW_EQ(seed_base) &&
-         PW_EQ(fault_plan);
-}
-bool SpecEq(const OversubSpec& a, const OversubSpec& b) {
-  return PW_EQ(tenants) && PW_EQ(weights_per_shard_mib) &&
-         PW_EQ(output_per_shard_mib) && PW_EQ(working_headroom_mib) &&
-         PW_EQ(requests_per_tenant) && PW_EQ(step_us);
-}
-bool SpecEq(const ServingSpec& a, const ServingSpec& b) {
-  return PW_EQ(kv_bytes_per_token) && PW_EQ(max_batch) &&
-         PW_EQ(token_budget) && PW_EQ(min_prefill_tokens) &&
-         PW_EQ(max_prefill_tokens) && PW_EQ(min_decode_tokens) &&
-         PW_EQ(max_decode_tokens) && PW_EQ(horizon_ms) &&
-         PW_EQ(hbm_frac_of_working_set) && PW_EQ(hbm_headroom_kib) &&
-         PW_EQ(arrival_seed_base) && PW_EQ(arrival_seed_stride) &&
-         PW_EQ(token_seed_base);
-}
-bool SpecEq(const NetworkSpec& a, const NetworkSpec& b) {
-  return PW_EQ(message_mib) && PW_EQ(hosts) && PW_EQ(hosts_per_leaf) &&
-         PW_EQ(num_spines);
-}
-bool SpecEq(const Fig12Spec& a, const Fig12Spec& b) {
-  return PW_EQ(steps) && PW_EQ(chunks) && PW_EQ(max_inflight_gangs) &&
-         PW_EQ(model_parallel);
-}
-bool SpecEq(const DisaggSpec& a, const DisaggSpec& b) {
-  return PW_EQ(model) && PW_EQ(max_batch) && PW_EQ(token_budget) &&
-         PW_EQ(min_prefill_tokens) && PW_EQ(max_prefill_tokens) &&
-         PW_EQ(min_decode_tokens) && PW_EQ(max_decode_tokens) &&
-         PW_EQ(horizon_ms) && PW_EQ(hbm_headroom_mib) &&
-         PW_EQ(arrival_seed_base) && PW_EQ(arrival_seed_stride) &&
-         PW_EQ(token_seed_base);
-}
-#undef PW_EQ
-
-template <typename T, typename EmitFn>
-void EmitSection(JsonWriter* w, const char* key, const WithQuick<T>& section,
-                 EmitFn emit) {
+template <typename S>
+void EmitSection(JsonWriter* w, const char* key, const WithQuick<S>& section) {
   if (!section.present) return;
   w->Key(key);
   w->BeginObject();
-  emit(w, section.full, static_cast<const T*>(nullptr));
+  EmitSpec(w, section.full);
   // The quick overlay reduces to its diff vs the full spec; omit when empty.
-  if (!SpecEq(section.quick, section.full)) {
+  if (section.quick != section.full) {
     w->Key("quick");
     w->BeginObject();
-    emit(w, section.quick, &section.full);
+    EmitSpec(w, section.quick, &section.full);
     w->EndObject();
   }
   w->EndObject();
@@ -1016,13 +816,9 @@ std::string Scenario::Serialize() const {
   }
   w.EndObject();
 
-  EmitSection(&w, "multitenant", multitenant, EmitMultitenant);
-  EmitSection(&w, "faults", faults, EmitFaults);
-  EmitSection(&w, "oversub", oversub, EmitOversub);
-  EmitSection(&w, "serving", serving, EmitServing);
-  EmitSection(&w, "serving_disagg", disagg, EmitDisagg);
-  EmitSection(&w, "network", network, EmitNetwork);
-  EmitSection(&w, "fig12_twoisland", fig12, EmitFig12);
+  ForEach(kSections, [&](const auto& section) {
+    EmitSection(&w, section.key, this->*section.member);
+  });
 
   w.Key("sweep");
   w.BeginObject();
@@ -1085,13 +881,7 @@ bool ParseScenario(const std::string& text, Scenario* out,
   r.String("description", &out->description);
   const Json* cluster = r.Object("cluster");
   const Json* sweep_obj = r.Object("sweep");
-  const Json* mt = r.Object("multitenant");
-  const Json* fl = r.Object("faults");
-  const Json* ov = r.Object("oversub");
-  const Json* sv = r.Object("serving");
-  const Json* dg = r.Object("serving_disagg");
-  const Json* nw = r.Object("network");
-  const Json* fg = r.Object("fig12_twoisland");
+  ForEach(kSections, [&](const auto& section) { r.Object(section.key); });
   const Json* gates = r.Array("gates");
   r.Finish();
 
@@ -1112,43 +902,29 @@ bool ParseScenario(const std::string& text, Scenario* out,
   if (out->family.empty()) {
     diags->Error(root.loc(), "scenario requires a 'family'");
   } else {
+    const std::vector<std::string> families = FamilyNames();
     bool known = false;
-    for (const std::string& f : KnownFamilies()) known |= f == out->family;
+    for (const std::string& f : families) known |= f == out->family;
     if (!known) {
       diags->Error(out->family_loc,
                    "unknown family '" + out->family + "'" +
-                       DidYouMeanSuffix(out->family, KnownFamilies()));
+                       DidYouMeanSuffix(out->family, families));
     }
   }
 
   if (cluster != nullptr) ReadCluster(*cluster, &out->cluster, diags);
-  if (mt != nullptr) ReadSection(*mt, &out->multitenant, diags, ReadMultitenant);
-  if (fl != nullptr) ReadSection(*fl, &out->faults, diags, ReadFaults);
-  if (ov != nullptr) ReadSection(*ov, &out->oversub, diags, ReadOversub);
-  if (sv != nullptr) ReadSection(*sv, &out->serving, diags, ReadServing);
-  if (dg != nullptr) ReadSection(*dg, &out->disagg, diags, ReadDisagg);
-  if (nw != nullptr) ReadSection(*nw, &out->network, diags, ReadNetwork);
-  if (fg != nullptr) ReadSection(*fg, &out->fig12, diags, ReadFig12);
-
-  // A section for a family this scenario does not run is almost certainly a
-  // mistake (its knobs would be silently ignored).
-  struct SectionRef {
-    const char* key;
-    const Json* obj;
-  };
-  for (const SectionRef& s : {SectionRef{"multitenant", mt},
-                              SectionRef{"faults", fl},
-                              SectionRef{"oversub", ov},
-                              SectionRef{"serving", sv},
-                              SectionRef{"serving_disagg", dg},
-                              SectionRef{"network", nw},
-                              SectionRef{"fig12_twoisland", fg}}) {
-    if (s.obj != nullptr && out->family != s.key) {
-      diags->Error(root.KeyLoc(s.key),
-                   std::string("section '") + s.key +
+  ForEach(kSections, [&](const auto& section) {
+    const Json* obj = root.Find(section.key);
+    if (obj == nullptr || !obj->is_object()) return;
+    ReadSection(*obj, section, out, diags);
+    // A section for a family this scenario does not run is almost certainly
+    // a mistake (its knobs would be silently ignored).
+    if (out->family != section.key) {
+      diags->Error(root.KeyLoc(section.key),
+                   std::string("section '") + section.key +
                        "' does not match family '" + out->family + "'");
     }
-  }
+  });
 
   if (sweep_obj == nullptr) {
     if (root.Find("sweep") == nullptr) {

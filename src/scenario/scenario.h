@@ -25,11 +25,16 @@
 // its fields for --quick (CI smoke) runs; each sweep axis may carry
 // "quick_values". Spec(quick=true) / GridAxes(quick=true) select the
 // overlaid view.
+//
+// Each family spec declares its fields once, in `kFields`: the table the
+// parser, the quick overlay, and Serialize() all walk, in canonical order.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "scenario/diagnostics.h"
@@ -62,11 +67,24 @@ struct ClusterSpec {
   int clos_hosts_per_leaf = 8;
   int clos_num_spines = 4;
   double clos_oversubscription = 1.0;
+
+  bool operator==(const ClusterSpec&) const = default;
 };
 
 // --- Family sections -------------------------------------------------------
 // Field defaults are the full-size values of the original hand-written
 // sweeps; shipped scenario files override via "quick" for smoke runs.
+
+// One field-table entry: the JSON key, the spec member it fills, and the
+// member's inclusive lower bound (numeric members only). The member's type
+// sets the JSON type: int and int64 members take an integer, double any
+// number; the rest are bool, string and the fault_plan event list.
+template <typename Member>
+struct Field {
+  const char* key;
+  Member member;
+  double min = -std::numeric_limits<double>::infinity();
+};
 
 // family "multitenant": open-loop weighted clients through the stride
 // scheduler (scenarios/multitenant.json).
@@ -83,6 +101,22 @@ struct MultitenantSpec {
   double step_us = 330;
   std::int64_t collective_bytes = 64;
   std::int64_t seed_base = 0xC0FFEE;
+
+  bool operator==(const MultitenantSpec&) const = default;
+  using Self = MultitenantSpec;
+  static constexpr std::tuple kFields{
+      Field{"nominal_pod_per_sec", &Self::nominal_pod_per_sec, 0},
+      Field{"max_inflight_gangs", &Self::max_inflight_gangs, 1},
+      Field{"warmup_ms", &Self::warmup_ms, 0},
+      Field{"horizon_ms", &Self::horizon_ms, 0},
+      Field{"queue_capacity", &Self::queue_capacity, 1},
+      Field{"max_outstanding", &Self::max_outstanding, 1},
+      Field{"retry_max_attempts", &Self::retry_max_attempts, 1},
+      Field{"retry_initial_backoff_us", &Self::retry_initial_backoff_us, 0},
+      Field{"retry_max_backoff_ms", &Self::retry_max_backoff_ms, 0},
+      Field{"step_us", &Self::step_us, 0},
+      Field{"collective_bytes", &Self::collective_bytes, 0},
+      Field{"seed_base", &Self::seed_base, 0}};
 };
 
 // One entry in a declarative fault timeline. `kind` selects which target
@@ -100,11 +134,7 @@ struct FaultPlanEvent {
   int host = 0;
   double severity = 1.0;
 
-  friend bool operator==(const FaultPlanEvent& a, const FaultPlanEvent& b) {
-    return a.kind == b.kind && a.at_ms == b.at_ms &&
-           a.window_ms == b.window_ms && a.device == b.device &&
-           a.host == b.host && a.severity == b.severity;
-  }
+  bool operator==(const FaultPlanEvent&) const = default;
 };
 
 // family "faults": crash/straggler/degrade injection vs a per-point
@@ -127,6 +157,21 @@ struct FaultsSpec {
   std::int64_t collective_kib = 64;
   std::int64_t seed_base = 0x5eed;
   std::vector<FaultPlanEvent> fault_plan;
+
+  bool operator==(const FaultsSpec&) const = default;
+  using Self = FaultsSpec;
+  static constexpr std::tuple kFields{
+      Field{"horizon_ms", &Self::horizon_ms, 0},
+      Field{"min_window_ms", &Self::min_window_ms, 0},
+      Field{"max_window_ms", &Self::max_window_ms, 0},
+      Field{"link_degrades", &Self::link_degrades, 0},
+      Field{"always_recover", &Self::always_recover},
+      Field{"retry_max_attempts", &Self::retry_max_attempts, 1},
+      Field{"retry_initial_backoff_us", &Self::retry_initial_backoff_us, 0},
+      Field{"step_us", &Self::step_us, 0},
+      Field{"collective_kib", &Self::collective_kib, 0},
+      Field{"seed_base", &Self::seed_base, 0},
+      Field{"fault_plan", &Self::fault_plan}};
 };
 
 // family "oversub": tenants' working sets vs scaled-down HBM through the
@@ -138,42 +183,87 @@ struct OversubSpec {
   double working_headroom_mib = 64;
   int requests_per_tenant = 24;
   double step_us = 300;
+
+  bool operator==(const OversubSpec&) const = default;
+  using Self = OversubSpec;
+  static constexpr std::tuple kFields{
+      Field{"tenants", &Self::tenants, 1},
+      Field{"weights_per_shard_mib", &Self::weights_per_shard_mib, 0},
+      Field{"output_per_shard_mib", &Self::output_per_shard_mib, 0},
+      Field{"working_headroom_mib", &Self::working_headroom_mib, 0},
+      Field{"requests_per_tenant", &Self::requests_per_tenant, 1},
+      Field{"step_us", &Self::step_us, 0}};
 };
 
-// family "serving": continuous vs static batching under KV budgets
-// (scenarios/serving.json, serving_flow.json).
-struct ServingSpec {
-  std::int64_t kv_bytes_per_token = 4096;
+// The request shape both serving families share: batching limits, the
+// uniform token-length ranges, the arrival horizon and the seeds. Its
+// fields sit in two runs of the canonical order, with each family's own
+// fields between them.
+struct RequestShape {
+  explicit RequestShape(double horizon_ms) : horizon_ms(horizon_ms) {}
+
   int max_batch = 8;
   int token_budget = 256;
   int min_prefill_tokens = 8;
   int max_prefill_tokens = 48;
   int min_decode_tokens = 2;
   int max_decode_tokens = 32;
-  double horizon_ms = 8;
-  double hbm_frac_of_working_set = 0.2;
-  double hbm_headroom_kib = 128;
+  double horizon_ms;
   std::int64_t arrival_seed_base = 11;
   std::int64_t arrival_seed_stride = 17;
   std::int64_t token_seed_base = 101;
+
+  bool operator==(const RequestShape&) const = default;
+  using Self = RequestShape;
+  static constexpr std::tuple kBatchFields{
+      Field{"max_batch", &Self::max_batch, 1},
+      Field{"token_budget", &Self::token_budget, 1},
+      Field{"min_prefill_tokens", &Self::min_prefill_tokens, 1},
+      Field{"max_prefill_tokens", &Self::max_prefill_tokens, 1},
+      Field{"min_decode_tokens", &Self::min_decode_tokens, 1},
+      Field{"max_decode_tokens", &Self::max_decode_tokens, 1},
+      Field{"horizon_ms", &Self::horizon_ms, 0}};
+  static constexpr std::tuple kSeedFields{
+      Field{"arrival_seed_base", &Self::arrival_seed_base, 0},
+      Field{"arrival_seed_stride", &Self::arrival_seed_stride, 0},
+      Field{"token_seed_base", &Self::token_seed_base, 0}};
+};
+
+// family "serving": continuous vs static batching under KV budgets
+// (scenarios/serving.json, serving_flow.json).
+struct ServingSpec : RequestShape {
+  ServingSpec() : RequestShape(/*horizon_ms=*/8) {}
+
+  std::int64_t kv_bytes_per_token = 4096;
+  double hbm_frac_of_working_set = 0.2;
+  double hbm_headroom_kib = 128;
+
+  bool operator==(const ServingSpec&) const = default;
+  using Self = ServingSpec;
+  static constexpr auto kFields = std::tuple_cat(
+      std::tuple{Field{"kv_bytes_per_token", &Self::kv_bytes_per_token, 1}},
+      kBatchFields,
+      std::tuple{
+          Field{"hbm_frac_of_working_set", &Self::hbm_frac_of_working_set, 0},
+          Field{"hbm_headroom_kib", &Self::hbm_headroom_kib, 0}},
+      kSeedFields);
 };
 
 // family "serving_disagg": prefill/decode split across islands with
 // cross-island KV transfer, vs a colocated arm
 // (scenarios/serving_disagg.json).
-struct DisaggSpec {
+struct DisaggSpec : RequestShape {
+  DisaggSpec() : RequestShape(/*horizon_ms=*/4000) {}
+
   std::string model = "decoder3b";
-  int max_batch = 8;
-  int token_budget = 256;
-  int min_prefill_tokens = 8;
-  int max_prefill_tokens = 48;
-  int min_decode_tokens = 2;
-  int max_decode_tokens = 32;
-  double horizon_ms = 4000;
   double hbm_headroom_mib = 1;
-  std::int64_t arrival_seed_base = 11;
-  std::int64_t arrival_seed_stride = 17;
-  std::int64_t token_seed_base = 101;
+
+  bool operator==(const DisaggSpec&) const = default;
+  using Self = DisaggSpec;
+  static constexpr auto kFields = std::tuple_cat(
+      std::tuple{Field{"model", &Self::model}}, kBatchFields,
+      std::tuple{Field{"hbm_headroom_mib", &Self::hbm_headroom_mib, 0}},
+      kSeedFields);
 };
 
 // family "network": contended flow-level Clos DCN vs the abstract per-NIC
@@ -184,6 +274,14 @@ struct NetworkSpec {
   int hosts = 32;
   int hosts_per_leaf = 8;
   int num_spines = 4;
+
+  bool operator==(const NetworkSpec&) const = default;
+  using Self = NetworkSpec;
+  static constexpr std::tuple kFields{
+      Field{"message_mib", &Self::message_mib, 0},
+      Field{"hosts", &Self::hosts, 2},
+      Field{"hosts_per_leaf", &Self::hosts_per_leaf, 1},
+      Field{"num_spines", &Self::num_spines, 1}};
 };
 
 // family "fig12_twoisland": Figure 12 / §5.3 — data-parallel training over
@@ -195,6 +293,14 @@ struct Fig12Spec {
   int chunks = 8;
   int max_inflight_gangs = 64;
   int model_parallel = 32;  // single-island SPMD arm
+
+  bool operator==(const Fig12Spec&) const = default;
+  using Self = Fig12Spec;
+  static constexpr std::tuple kFields{
+      Field{"steps", &Self::steps, 1},
+      Field{"chunks", &Self::chunks, 1},
+      Field{"max_inflight_gangs", &Self::max_inflight_gangs, 1},
+      Field{"model_parallel", &Self::model_parallel, 1}};
 };
 
 // --- Gates -----------------------------------------------------------------

@@ -11,11 +11,13 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "scenario/diagnostics.h"
+#include "scenario/json.h"
 #include "scenario/result_store.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -53,6 +55,29 @@ TEST(Diagnostics, HeaderCarriesFileLineCol) {
   EXPECT_NE(render.find("  \"bad\": 1"), std::string::npos);
   EXPECT_NE(render.find("^"), std::string::npos);
   EXPECT_FALSE(diags.ok());
+}
+
+TEST(Diagnostics, NumbersThatOverflowAreRejected) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"1e999", "number out of range"},
+      {"-1e999", "number out of range"},
+      {"99999999999999999999", "integer out of range"},
+  };
+  for (const auto& [number, message] : cases) {
+    const std::string text = std::string("{\n  \"x\": ") + number + "\n}\n";
+    DiagnosticEngine diags("test.json", text);
+    Json root;
+    EXPECT_FALSE(ParseJson(text, &root, &diags)) << number;
+    ASSERT_EQ(diags.diagnostics().size(), 1u) << number;
+    EXPECT_EQ(diags.diagnostics()[0].Header(),
+              std::string("test.json:2:8: error: ") + message);
+  }
+  // Underflow is not an error: the nearest double is a fine stand-in.
+  const std::string text = "{ \"x\": 1e-999 }";
+  DiagnosticEngine diags("test.json", text);
+  Json root;
+  ASSERT_TRUE(ParseJson(text, &root, &diags)) << diags.Render();
+  EXPECT_EQ(root.Find("x")->number_value(), 0.0);
 }
 
 // Parses `text` expecting failure; returns the rendered diagnostics.
@@ -129,6 +154,41 @@ TEST(ScenarioParse, MistypedFieldReportsWantedAndActualType) {
   EXPECT_NE(render.find("key 'horizon_ms' expects number"),
             std::string::npos);
   EXPECT_NE(render.find("test.json:4:"), std::string::npos);
+}
+
+// Both serving families share the token-range rule, in the full section and
+// in its quick overlay; the error sits on the max_* key.
+TEST(ScenarioParse, InvertedTokenRangesPointAtTheMaxKey) {
+  for (const std::string family : {"serving", "serving_disagg"}) {
+    SCOPED_TRACE(family);
+    Scenario s;
+    DiagnosticEngine diags;
+    const std::string render = ParseExpectingErrors(
+        "{ \"name\": \"t\", \"family\": \"" + family + "\",\n"
+        "  \"" + family + "\": {\n"
+        "    \"min_prefill_tokens\": 48,\n"
+        "    \"max_prefill_tokens\": 8,\n"
+        "    \"quick\": { \"min_decode_tokens\": 9,\n"
+        "               \"max_decode_tokens\": 4 } },\n"
+        "  \"sweep\": { \"axes\": [ { \"name\": \"a\", \"values\": [1] } ] } }\n",
+        &s, &diags);
+    const struct {
+      int line, col;
+      const char* message;
+    } expected[] = {
+        {4, 5, "'max_prefill_tokens' must be >= 'min_prefill_tokens'"},
+        {6, 16, "'max_decode_tokens' must be >= 'min_decode_tokens'"},
+    };
+    for (const auto& e : expected) {
+      bool found = false;
+      for (const auto& d : diags.diagnostics()) {
+        found |= d.loc.line == e.line && d.loc.col == e.col &&
+                 d.message == e.message;
+      }
+      EXPECT_TRUE(found) << e.line << ":" << e.col << ": " << e.message
+                         << "\n" << render;
+    }
+  }
 }
 
 TEST(ScenarioParse, UnknownFamilyAxisSuggestsDeclaredAxis) {
@@ -322,6 +382,158 @@ TEST(ScenarioSerialize, ShippedScenariosRoundTripByteIdentically) {
   }
 }
 
+// One section key with its value in the full section and in "quick".
+struct FieldValues {
+  const char* key;
+  const char* full;
+  const char* quick;
+};
+
+// Parses a `family` scenario whose section sets `fields`, and whose cluster
+// sets every cluster knob, all to non-default values. Checks that the table
+// of S left no field at its default (and "quick" overrides every one), then
+// that the specs survive Serialize -> Parse and the canonical form is a
+// fixed point. A key missing from S's table fails the first parse.
+template <typename S>
+void ExpectEveryFieldRoundTrips(const std::string& family,
+                                WithQuick<S> Scenario::*section,
+                                const std::vector<FieldValues>& fields) {
+  SCOPED_TRACE(family);
+  std::string full, quick;
+  for (const FieldValues& f : fields) {
+    full += std::string("    \"") + f.key + "\": " + f.full + ",\n";
+    quick += std::string(quick.empty() ? "" : ",\n") + "      \"" + f.key +
+             "\": " + f.quick;
+  }
+  const std::string text =
+      "{ \"name\": \"t\", \"family\": \"" + family + "\",\n"
+      "  \"cluster\": { \"preset\": \"config_a\", \"islands\": 3,\n"
+      "    \"hosts_per_island\": 5, \"devices_per_host\": 4,\n"
+      "    \"host_jitter_frac\": 0.25, \"hbm_capacity_mib\": 1536.5,\n"
+      "    \"host_dram_capacity_mib\": 8192,\n"
+      "    \"ici_flow\": { \"enabled\": true, \"dims\": 3 },\n"
+      "    \"dcn_clos\": { \"enabled\": true, \"hosts_per_leaf\": 4,\n"
+      "                  \"num_spines\": 2, \"oversubscription\": 2.5 } },\n"
+      "  \"" + family + "\": {\n" + full + "    \"quick\": {\n" + quick +
+      " } },\n"
+      "  \"sweep\": { \"axes\": [ { \"name\": \"a\", \"values\": [1] } ] } }\n";
+  Scenario s1;
+  DiagnosticEngine d1("test.json", text);
+  ASSERT_TRUE(ParseScenario(text, &s1, &d1)) << d1.Render() << text;
+  const WithQuick<S>& parsed = s1.*section;
+  EXPECT_FALSE(s1.cluster == ClusterSpec{});
+  std::apply(
+      [&](const auto&... f) {
+        const S defaults;
+        const auto check = [&](const auto& field) {
+          // "decoder3b" is the only model serving_disagg accepts.
+          if (std::string(field.key) == "model") return;
+          EXPECT_TRUE(parsed.full.*field.member != defaults.*field.member)
+              << field.key << " is left at its default";
+          EXPECT_TRUE(parsed.quick.*field.member != parsed.full.*field.member)
+              << field.key << " is not overridden by quick";
+        };
+        (check(f), ...);
+      },
+      S::kFields);
+
+  const std::string canon = s1.Serialize();
+  Scenario s2;
+  DiagnosticEngine d2("test.json (canonical)", canon);
+  ASSERT_TRUE(ParseScenario(canon, &s2, &d2)) << d2.Render() << canon;
+  EXPECT_TRUE((s2.*section).full == parsed.full);
+  EXPECT_TRUE((s2.*section).quick == parsed.quick);
+  EXPECT_TRUE(s2.cluster == s1.cluster);
+  EXPECT_EQ(s2.Serialize(), canon);
+}
+
+TEST(ScenarioSerialize, EveryFieldRoundTripsInFullAndQuick) {
+  ExpectEveryFieldRoundTrips<MultitenantSpec>(
+      "multitenant", &Scenario::multitenant,
+      {{"nominal_pod_per_sec", "1234.5", "99.25"},
+       {"max_inflight_gangs", "3", "5"},
+       {"warmup_ms", "7.5", "1"},
+       {"horizon_ms", "90.5", "10.5"},
+       {"queue_capacity", "17", "3"},
+       {"max_outstanding", "4", "2"},
+       {"retry_max_attempts", "9", "2"},
+       {"retry_initial_backoff_us", "150.5", "10.5"},
+       {"retry_max_backoff_ms", "2.5", "1.5"},
+       {"step_us", "111.5", "50.5"},
+       {"collective_bytes", "4096", "8"},
+       {"seed_base", "9007199254740993", "7"}});
+  ExpectEveryFieldRoundTrips<FaultsSpec>(
+      "faults", &Scenario::faults,
+      {{"horizon_ms", "120.5", "40"},
+       {"min_window_ms", "0.5", "2"},
+       {"max_window_ms", "9.5", "3"},
+       {"link_degrades", "3", "0"},
+       {"always_recover", "false", "true"},
+       {"retry_max_attempts", "2", "4"},
+       {"retry_initial_backoff_us", "99.5", "10"},
+       {"step_us", "123.25", "77"},
+       {"collective_kib", "256", "8"},
+       {"seed_base", "9007199254740993", "3"},
+       {"fault_plan",
+        R"([ { "kind": "device_crash", "at_ms": 5, "window_ms": 0,)"
+        R"( "device": 1 },)"
+        R"( { "kind": "straggler", "at_ms": 6, "window_ms": 1, "device": 2,)"
+        R"( "severity": 2.5 },)"
+        R"( { "kind": "link_degrade", "at_ms": 7.5, "window_ms": 2,)"
+        R"( "host": 1, "severity": 0.25 },)"
+        R"( { "kind": "partition", "at_ms": 8, "window_ms": 3, "host": 0 } ])",
+        R"([ { "kind": "partition", "at_ms": 1, "window_ms": 1, "host": 2 } ])"}});
+  ExpectEveryFieldRoundTrips<OversubSpec>(
+      "oversub", &Scenario::oversub,
+      {{"tenants", "3", "2"},
+       {"weights_per_shard_mib", "4.5", "1"},
+       {"output_per_shard_mib", "1.5", "0.5"},
+       {"working_headroom_mib", "32", "8.5"},
+       {"requests_per_tenant", "12", "3"},
+       {"step_us", "250.5", "100"}});
+  ExpectEveryFieldRoundTrips<ServingSpec>(
+      "serving", &Scenario::serving,
+      {{"kv_bytes_per_token", "2048", "512"},
+       {"max_batch", "4", "2"},
+       {"token_budget", "128", "64"},
+       {"min_prefill_tokens", "4", "2"},
+       {"max_prefill_tokens", "24", "12"},
+       {"min_decode_tokens", "3", "1"},
+       {"max_decode_tokens", "16", "8"},
+       {"horizon_ms", "6.5", "2"},
+       {"hbm_frac_of_working_set", "0.35", "0.5"},
+       {"hbm_headroom_kib", "64.5", "32"},
+       {"arrival_seed_base", "9007199254740993", "5"},
+       {"arrival_seed_stride", "19", "3"},
+       {"token_seed_base", "202", "9"}});
+  ExpectEveryFieldRoundTrips<DisaggSpec>(
+      "serving_disagg", &Scenario::disagg,
+      {{"model", "\"decoder3b\"", "\"decoder3b\""},
+       {"max_batch", "4", "2"},
+       {"token_budget", "128", "64"},
+       {"min_prefill_tokens", "4", "2"},
+       {"max_prefill_tokens", "24", "12"},
+       {"min_decode_tokens", "3", "1"},
+       {"max_decode_tokens", "16", "8"},
+       {"horizon_ms", "250.5", "20"},
+       {"hbm_headroom_mib", "2.5", "0.5"},
+       {"arrival_seed_base", "9007199254740993", "5"},
+       {"arrival_seed_stride", "19", "3"},
+       {"token_seed_base", "202", "9"}});
+  ExpectEveryFieldRoundTrips<NetworkSpec>(
+      "network", &Scenario::network,
+      {{"message_mib", "4.5", "1"},
+       {"hosts", "16", "8"},
+       {"hosts_per_leaf", "4", "2"},
+       {"num_spines", "2", "1"}});
+  ExpectEveryFieldRoundTrips<Fig12Spec>(
+      "fig12_twoisland", &Scenario::fig12,
+      {{"steps", "2", "1"},
+       {"chunks", "4", "2"},
+       {"max_inflight_gangs", "16", "8"},
+       {"model_parallel", "16", "8"}});
+}
+
 // --- gates -----------------------------------------------------------------
 
 TEST(ScenarioGates, MalformedGatesAreDiagnosed) {
@@ -428,20 +640,21 @@ TEST(ScenarioGates, NonFiniteMetricsFailEveryGate) {
   }
 }
 
-// Each gated shipped scenario against its committed full-size
-// BENCH_<name>.json at the repo root: every gate passes, its select matches
-// at least one value, and each bound fails once moved just past the
-// measured value (while the measured value itself still passes).
+// Every shipped scenario has gates and a committed full-size
+// BENCH_<name>.json at the repo root. Against that record every gate
+// passes, its select matches at least one value, and each bound fails once
+// moved just past the measured value (while the measured value itself
+// still passes).
 TEST(ScenarioGates, ShippedGatesHoldOnCommittedRecordsAndBite) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  int gated = 0;
-  for (const std::string& path : ShippedScenarioPaths()) {
+  const std::vector<std::string> paths = ShippedScenarioPaths();
+  ASSERT_FALSE(paths.empty()) << "no scenarios in " << ScenarioDir();
+  for (const std::string& path : paths) {
     Scenario s;
     DiagnosticEngine diags;
     ASSERT_TRUE(LoadScenarioFile(path, &s, &diags)) << diags.Render();
-    if (s.gates.empty()) continue;
-    ++gated;
     SCOPED_TRACE(s.name);
+    EXPECT_FALSE(s.gates.empty()) << path << " declares no gates";
     ResultStore store;
     std::string error;
     ASSERT_TRUE(store.LoadBenchFile(
@@ -474,7 +687,6 @@ TEST(ScenarioGates, ShippedGatesHoldOnCommittedRecordsAndBite) {
       }
     }
   }
-  EXPECT_GT(gated, 0);
 }
 
 // --- runner determinism ----------------------------------------------------

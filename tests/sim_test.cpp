@@ -6,8 +6,6 @@
 #include "sim/future.h"
 #include "sim/serial_resource.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
-#include "sim/throughput.h"
 #include "sim/trace.h"
 
 namespace pw::sim {
@@ -191,59 +189,6 @@ TEST(CountdownLatchTest, ZeroCountIsImmediatelyDone) {
   EXPECT_TRUE(latch.done().ready());
 }
 
-// ----------------------------------------------------------- Coroutines --
-
-Task ProducerConsumer(Simulator* sim, SimFuture<int> in, int* out) {
-  const int v = co_await in;
-  co_await SleepFor(sim, Duration::Micros(10));
-  *out = v * 2;
-}
-
-TEST(TaskTest, AwaitsFutureAndSleeps) {
-  Simulator sim;
-  SimPromise<int> p(&sim);
-  int out = 0;
-  ProducerConsumer(&sim, p.future(), &out);
-  sim.Schedule(Duration::Micros(5), [&] { p.Set(21); });
-  sim.Run();
-  EXPECT_EQ(out, 42);
-  EXPECT_EQ(sim.now().ToMicros(), 15.0);
-}
-
-Task ChainStep(Simulator* sim, SimFuture<int> in, SimPromise<int> out) {
-  const int v = co_await in;
-  co_await SleepFor(sim, Duration::Micros(1));
-  out.Set(v + 1);
-}
-
-TEST(TaskTest, ChainsOfCoroutines) {
-  Simulator sim;
-  SimPromise<int> head(&sim);
-  SimFuture<int> cur = head.future();
-  for (int i = 0; i < 10; ++i) {
-    SimPromise<int> next(&sim);
-    ChainStep(&sim, cur, next);
-    cur = next.future();
-  }
-  head.Set(0);
-  sim.Run();
-  ASSERT_TRUE(cur.ready());
-  EXPECT_EQ(cur.value(), 10);
-  EXPECT_GE(sim.now().ToMicros(), 10.0);
-}
-
-Task AwaitReadyFuture(Simulator* sim, int* out) {
-  *out = co_await ReadyFuture(sim, 7);
-}
-
-TEST(TaskTest, ReadyFutureDoesNotSuspend) {
-  Simulator sim;
-  int out = 0;
-  AwaitReadyFuture(&sim, &out);
-  // await_ready() was true: no suspension, value available synchronously.
-  EXPECT_EQ(out, 7);
-}
-
 // ------------------------------------------------------- SerialResource --
 
 TEST(SerialResourceTest, SerializesWork) {
@@ -270,30 +215,6 @@ TEST(SerialResourceTest, IdleGapsDoNotAccumulate) {
   });
   sim.Run();
   EXPECT_EQ(done2, 105.0);  // starts fresh at t=100, not queued behind t=5
-}
-
-TEST(SerialResourceTest, SubmitAsyncCompletesAsFuture) {
-  Simulator sim;
-  SerialResource cpu(&sim, "cpu0");
-  auto f = cpu.SubmitAsync(Duration::Micros(7));
-  sim.Run();
-  EXPECT_TRUE(f.ready());
-  EXPECT_EQ(sim.now().ToMicros(), 7.0);
-}
-
-// ------------------------------------------------------------ Throughput --
-
-TEST(ThroughputMeterTest, SteadyStateRate) {
-  Simulator sim;
-  ThroughputMeter meter(&sim);
-  // Warm-up: 100us, then count 1000 completions over 1ms.
-  sim.Schedule(Duration::Micros(100), [&] { meter.StartWindow(); });
-  for (int i = 1; i <= 1000; ++i) {
-    sim.Schedule(Duration::Micros(100) + Duration::Nanos(1000 * i),
-                 [&] { meter.Count(); });
-  }
-  sim.Run();
-  EXPECT_NEAR(meter.RatePerSecond(), 1e6, 1.0);
 }
 
 // ----------------------------------------------------------------- Trace --
