@@ -16,71 +16,99 @@ constexpr double kRipeBytes = 1e-3;
 
 }  // namespace
 
-std::vector<double> MaxMinFairRates(
+void MaxMinFairSolver::Solve(
     const Topology& topo,
-    const std::vector<const std::vector<LinkIndex>*>& paths) {
-  const std::size_t n = paths.size();
-  std::vector<double> rates(n, 0.0);
-  if (n == 0) return rates;
+    const std::vector<const std::vector<LinkIndex>*>& paths,
+    std::vector<double>* rates) {
+  const int n = static_cast<int>(paths.size());
+  rates->assign(paths.size(), 0.0);
+  if (n == 0) return;
+  if (count_.size() < topo.num_links()) {
+    remaining_.resize(topo.num_links());
+    count_.resize(topo.num_links(), 0);
+    first_.resize(topo.num_links());
+    last_.resize(topo.num_links());
+  }
 
-  // Per-link remaining capacity and unfixed-flow crossing count, over just
-  // the links these paths touch. A path may cross a link more than once
-  // (not the case for torus/Clos routes, but the solver stays general).
-  std::map<LinkIndex, double> remaining;
-  std::map<LinkIndex, int> count;
+  // Per-link capacity and crossing count over the links these paths touch
+  // (a link crossed twice by one path counts twice).
+  loaded_.clear();
   for (const auto* path : paths) {
     PW_CHECK(!path->empty()) << "flow with empty path";
     for (LinkIndex l : *path) {
-      remaining.try_emplace(l, topo.EffectiveBandwidth(l));
-      ++count[l];
+      if (count_[l]++ == 0) {
+        remaining_[l] = topo.EffectiveBandwidth(l);
+        loaded_.push_back(l);
+      }
     }
   }
+  std::sort(loaded_.begin(), loaded_.end());
 
-  std::vector<bool> fixed(n, false);
-  std::size_t unfixed = n;
+  // Link→flow incidence (CSR), each link's flows in ascending index order.
+  int offset = 0;
+  for (LinkIndex l : loaded_) {
+    first_[l] = last_[l] = offset;
+    offset += count_[l];
+  }
+  incidence_.resize(static_cast<std::size_t>(offset));
+  for (int f = 0; f < n; ++f) {
+    for (LinkIndex l : *paths[f]) incidence_[last_[l]++] = f;
+  }
+
+  fixed_.assign(paths.size(), 0);
+  int unfixed = n;
   while (unfixed > 0) {
-    // Bottleneck: smallest fair share; ties to the lowest link index (the
-    // map iterates in index order, so `<` keeps the first).
+    // Bottleneck: smallest fair share; ties to the lowest link index
+    // (loaded_ is ascending, so `<` keeps the first). Links no unfixed flow
+    // crosses leave the list.
     LinkIndex bottleneck = -1;
     double share = std::numeric_limits<double>::infinity();
-    for (const auto& [l, cap] : remaining) {
-      const int c = count[l];
+    std::size_t live = 0;
+    for (LinkIndex l : loaded_) {
+      const int c = count_[l];
       if (c == 0) continue;
-      const double s = std::max(cap, 0.0) / c;
+      loaded_[live++] = l;
+      const double s = std::max(remaining_[l], 0.0) / c;
       if (s < share) {
         share = s;
         bottleneck = l;
       }
     }
+    loaded_.resize(live);
     PW_CHECK_GE(bottleneck, 0) << "unfixed flows but no loaded link";
-    for (std::size_t f = 0; f < n; ++f) {
-      if (fixed[f]) continue;
-      const auto& path = *paths[f];
-      if (std::find(path.begin(), path.end(), bottleneck) == path.end()) {
-        continue;
-      }
-      rates[f] = share;
-      fixed[f] = true;
+    // Fix the bottleneck's unfixed flows in index order; each subtracts its
+    // share once per crossing from every link on its path.
+    for (int k = first_[bottleneck]; k < last_[bottleneck]; ++k) {
+      const int f = incidence_[k];
+      if (fixed_[f]) continue;  // fixed earlier, or a repeat crossing
+      (*rates)[f] = share;
+      fixed_[f] = 1;
       --unfixed;
-      for (LinkIndex l : path) {
-        remaining[l] -= share;
-        --count[l];
+      for (LinkIndex l : *paths[f]) {
+        remaining_[l] -= share;
+        --count_[l];
       }
     }
   }
+}
+
+std::vector<double> MaxMinFairRates(
+    const Topology& topo,
+    const std::vector<const std::vector<LinkIndex>*>& paths) {
+  std::vector<double> rates;
+  MaxMinFairSolver().Solve(topo, paths, &rates);
   return rates;
 }
 
 // ---------------------------------------------------------------------------
 // FlowNetwork
 
-FlowNetwork::FlowId FlowNetwork::StartFlow(std::vector<LinkIndex> path,
-                                           Bytes bytes, Duration delivery_latency,
-                                           std::function<void()> on_delivered) {
+void FlowNetwork::StartFlow(std::vector<LinkIndex> path, Bytes bytes,
+                            Duration delivery_latency,
+                            std::function<void()> on_delivered) {
   PW_CHECK(!path.empty()) << "flow needs a non-empty path";
   PW_CHECK_GE(bytes, 0);
-  const FlowId id = next_id_++;
-  Flow& flow = flows_[id];
+  Flow& flow = flows_.emplace_back();
   flow.path = std::move(path);
   // A zero-byte message still occupies the wire for one quantum rather than
   // completing instantaneously at infinite rate.
@@ -89,16 +117,10 @@ FlowNetwork::FlowId FlowNetwork::StartFlow(std::vector<LinkIndex> path,
   flow.on_delivered = std::move(on_delivered);
   ++flows_started_;
   Recompute();
-  return id;
 }
 
 void FlowNetwork::OnCapacityChanged() {
   if (!flows_.empty()) Recompute();
-}
-
-double FlowNetwork::Rate(FlowId id) const {
-  auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
 }
 
 void FlowNetwork::Recompute() {
@@ -107,24 +129,25 @@ void FlowNetwork::Recompute() {
   // 1. Advance progress at the rates that held since the last event.
   const double dt = (now - last_update_).ToSeconds();
   if (dt > 0) {
-    for (auto& [id, flow] : flows_) {
+    for (Flow& flow : flows_) {
       flow.remaining = std::max(flow.remaining - flow.rate * dt, 0.0);
     }
   }
   last_update_ = now;
 
-  // 2. Deliver drained flows (in flow-id == start order; ties in delivery
-  // time then resolve by schedule order, i.e. FIFO).
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& flow = it->second;
+  // 2. Deliver drained flows in start order (ties in delivery time then
+  // resolve by schedule order, i.e. FIFO); survivors keep their order.
+  std::size_t kept = 0;
+  for (Flow& flow : flows_) {
     if (flow.remaining < kRipeBytes) {
       ++flows_completed_;
       sim_->ScheduleAt(now + flow.latency, std::move(flow.on_delivered));
-      it = flows_.erase(it);
     } else {
-      ++it;
+      if (&flow != &flows_[kept]) flows_[kept] = std::move(flow);
+      ++kept;
     }
   }
+  flows_.resize(kept);
 
   if (flows_.empty()) {
     if (next_completion_.valid()) sim_->Cancel(next_completion_);
@@ -133,14 +156,13 @@ void FlowNetwork::Recompute() {
   }
 
   // 3. Re-solve the fair shares for the survivors.
-  std::vector<const std::vector<LinkIndex>*> paths;
-  paths.reserve(flows_.size());
-  for (const auto& [id, flow] : flows_) paths.push_back(&flow.path);
-  const std::vector<double> rates = MaxMinFairRates(*topo_, paths);
+  paths_.clear();
+  for (const Flow& flow : flows_) paths_.push_back(&flow.path);
+  solver_.Solve(*topo_, paths_, &rates_);
   std::size_t i = 0;
   std::int64_t next_ns = std::numeric_limits<std::int64_t>::max();
-  for (auto& [id, flow] : flows_) {
-    flow.rate = rates[i++];
+  for (Flow& flow : flows_) {
+    flow.rate = rates_[i++];
     PW_CHECK_GT(flow.rate, 0.0) << "flow starved by the fair-share solver";
     // Ceil to integer nanoseconds: the flow is never delivered early, and
     // the residual (< 1ns of progress) is absorbed by kRipeBytes.

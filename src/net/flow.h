@@ -10,11 +10,10 @@
 // the link graph.
 //
 // Determinism: every recomputation runs inside a simulator event, ordered
-// by (time, seq) like everything else; flows are iterated in start order
-// (flow ids are handed out sequentially); the water-filling bottleneck
-// tie-break is the lowest link index; and predicted completion times are
-// ceilinged to integer nanoseconds. Two runs of the same scenario schedule
-// byte-identical event sequences.
+// by (time, seq) like everything else; flows are iterated in start order;
+// the water-filling bottleneck tie-break is the lowest link index; and
+// predicted completion times are ceilinged to integer nanoseconds. Two runs
+// of the same scenario schedule byte-identical event sequences.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +33,45 @@ namespace pw::net {
 // effective link bandwidths of `topo`. Repeatedly finds the bottleneck link
 // — the one whose remaining capacity divided by its unfixed-flow count is
 // smallest, ties to the lowest link index — and fixes every flow crossing
-// it at that fair share. Runs in O(iterations · total path length); exact
-// order of operations is deterministic, so results are bit-stable.
+// it at that fair share, subtracting the share from each link on the fixed
+// flow's path (flows in index order). A solve costs O(total path length +
+// iterations · links still loaded): per-link state lives in dense arrays
+// indexed by LinkIndex, and a link→flow incidence list means fixing a
+// bottleneck visits only the flows that cross it. The order of operations
+// is fixed, so results are bit-stable.
+//
+// The solver object owns its buffers and reuses them across Solve calls,
+// so a warm solver does not allocate.
+class MaxMinFairSolver {
+ public:
+  // Writes one rate per path into *rates (resized to paths.size()). Every
+  // path must be non-empty; a path may cross a link more than once.
+  void Solve(const Topology& topo,
+             const std::vector<const std::vector<LinkIndex>*>& paths,
+             std::vector<double>* rates);
+
+ private:
+  // By LinkIndex, sized to the topology at solve time. count_ is all zeros
+  // between solves (every crossing it counts is undone when its flow is
+  // fixed), so a link's first crossing in a solve is the one that finds
+  // count_ == 0; the other arrays are written before they are read.
+  std::vector<double> remaining_;  // capacity not yet handed out
+  std::vector<int> count_;         // crossings by unfixed flows
+  std::vector<int> first_;         // its range in incidence_: [first_, last_)
+  std::vector<int> last_;
+  // Links crossed by an unfixed flow, ascending; the bottleneck scan drops
+  // the ones whose count reached zero.
+  std::vector<LinkIndex> loaded_;
+  std::vector<int> incidence_;  // flow indices per link, ascending
+  std::vector<char> fixed_;     // by flow index
+};
+
+// One-shot MaxMinFairSolver::Solve.
 std::vector<double> MaxMinFairRates(
     const Topology& topo, const std::vector<const std::vector<LinkIndex>*>& paths);
 
 class FlowNetwork {
  public:
-  using FlowId = std::int64_t;
-
   FlowNetwork(sim::Simulator* sim, Topology* topo) : sim_(sim), topo_(topo) {
     PW_CHECK(sim_ != nullptr);
     PW_CHECK(topo_ != nullptr);
@@ -54,8 +83,8 @@ class FlowNetwork {
   // drains, `on_delivered` is scheduled `delivery_latency` later
   // (serialization finish + propagation, the flow-level analogue of
   // Link::Transfer's store-and-forward accounting).
-  FlowId StartFlow(std::vector<LinkIndex> path, Bytes bytes,
-                   Duration delivery_latency, std::function<void()> on_delivered);
+  void StartFlow(std::vector<LinkIndex> path, Bytes bytes,
+                 Duration delivery_latency, std::function<void()> on_delivered);
 
   // Call after Topology::SetLinkScale so active flows re-share the new
   // capacities from now() onward (bytes already moved stay moved).
@@ -64,10 +93,6 @@ class FlowNetwork {
   int active_flows() const { return static_cast<int>(flows_.size()); }
   std::int64_t flows_started() const { return flows_started_; }
   std::int64_t flows_completed() const { return flows_completed_; }
-  Bytes bytes_delivered() const { return bytes_delivered_; }
-
-  // Current fair-share rate of an active flow (bytes/sec); 0 if finished.
-  double Rate(FlowId id) const;
 
  private:
   struct Flow {
@@ -84,13 +109,15 @@ class FlowNetwork {
 
   sim::Simulator* sim_;
   Topology* topo_;
-  std::map<FlowId, Flow> flows_;  // id order == start order
-  FlowId next_id_ = 0;
+  std::vector<Flow> flows_;  // active flows, in start order
   TimePoint last_update_;
   sim::EventHandle next_completion_;
   std::int64_t flows_started_ = 0;
   std::int64_t flows_completed_ = 0;
-  Bytes bytes_delivered_ = 0;
+  // Recompute's solver and its input/output, kept warm across calls.
+  MaxMinFairSolver solver_;
+  std::vector<const std::vector<LinkIndex>*> paths_;
+  std::vector<double> rates_;
 };
 
 // CollectiveModel backed by the flow solver over a torus: phases are

@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "hw/cluster.h"
 #include "net/collective_model.h"
 #include "net/dcn.h"
@@ -131,6 +136,143 @@ TEST(MaxMinFairTest, DegradedLinkScalesShares) {
   const auto rates = MaxMinFairRates(topo, {&path, &path});
   EXPECT_DOUBLE_EQ(rates[0], 2.5e9);
   EXPECT_DOUBLE_EQ(rates[1], 2.5e9);
+}
+
+// The straightforward water-filling the production solver must reproduce
+// bit for bit: per-solve maps over the touched links, and a scan of every
+// unfixed flow's path for the bottleneck on each iteration.
+std::vector<double> ReferenceMaxMinFairRates(
+    const Topology& topo,
+    const std::vector<const std::vector<LinkIndex>*>& paths) {
+  const std::size_t n = paths.size();
+  std::vector<double> rates(n, 0.0);
+  if (n == 0) return rates;
+
+  // Per-link remaining capacity and unfixed-flow crossing count, over just
+  // the links these paths touch. A path may cross a link more than once
+  // (not the case for torus/Clos routes, but the solver stays general).
+  std::map<LinkIndex, double> remaining;
+  std::map<LinkIndex, int> count;
+  for (const auto* path : paths) {
+    PW_CHECK(!path->empty()) << "flow with empty path";
+    for (LinkIndex l : *path) {
+      remaining.try_emplace(l, topo.EffectiveBandwidth(l));
+      ++count[l];
+    }
+  }
+
+  std::vector<bool> fixed(n, false);
+  std::size_t unfixed = n;
+  while (unfixed > 0) {
+    // Bottleneck: smallest fair share; ties to the lowest link index (the
+    // map iterates in index order, so `<` keeps the first).
+    LinkIndex bottleneck = -1;
+    double share = std::numeric_limits<double>::infinity();
+    for (const auto& [l, cap] : remaining) {
+      const int c = count[l];
+      if (c == 0) continue;
+      const double s = std::max(cap, 0.0) / c;
+      if (s < share) {
+        share = s;
+        bottleneck = l;
+      }
+    }
+    PW_CHECK_GE(bottleneck, 0) << "unfixed flows but no loaded link";
+    for (std::size_t f = 0; f < n; ++f) {
+      if (fixed[f]) continue;
+      const auto& path = *paths[f];
+      if (std::find(path.begin(), path.end(), bottleneck) == path.end()) {
+        continue;
+      }
+      rates[f] = share;
+      fixed[f] = true;
+      --unfixed;
+      for (LinkIndex l : path) {
+        remaining[l] -= share;
+        --count[l];
+      }
+    }
+  }
+  return rates;
+}
+
+TEST(MaxMinFairTest, MatchesReferenceBitForBitOnRandomCases) {
+  // Seeded random cases over Clos and torus link graphs: routed paths,
+  // arbitrary link lists that may repeat a link, degraded links, and the
+  // exact ties that uniform bandwidths produce. One solver is reused across
+  // all cases (and across topologies of different sizes), as FlowNetwork
+  // reuses its own; the one-shot entry point must agree as well.
+  constexpr int kCases = 300;
+  Rng rng(20221117);
+  MaxMinFairSolver solver;
+  std::vector<double> reused;
+  for (int c = 0; c < kCases; ++c) {
+    Topology topo;
+    std::vector<std::vector<LinkIndex>> routes;  // candidate routed paths
+    if (rng.NextBounded(2) == 0) {
+      const double nic = rng.NextBounded(2) == 0 ? 10e9 : 12.5e9;
+      ClosTopology clos(
+          &topo, {.hosts_per_leaf = 1 + static_cast<int>(rng.NextBounded(8)),
+                  .num_spines = 1 + static_cast<int>(rng.NextBounded(4)),
+                  .host_bandwidth = nic,
+                  .spine_bandwidth = 0,
+                  .oversubscription = 1.0 + static_cast<double>(rng.NextBounded(4))});
+      const int hosts = 2 + static_cast<int>(rng.NextBounded(40));
+      for (int h = 0; h < hosts; ++h) clos.AddHost();
+      for (int s = 0; s < hosts; ++s) {
+        for (int d = 0; d < hosts; ++d) {
+          if (s != d) routes.push_back(clos.Path(s, d));
+        }
+      }
+    } else {
+      std::vector<int> dims;
+      const int ndims = 2 + static_cast<int>(rng.NextBounded(2));
+      for (int i = 0; i < ndims; ++i) {
+        dims.push_back(1 + static_cast<int>(rng.NextBounded(5)));
+      }
+      TorusTopology torus(&topo, dims, 100e9);
+      for (int s = 0; s < torus.num_nodes(); ++s) {
+        for (int d = 0; d < torus.num_nodes(); ++d) {
+          if (s != d) routes.push_back(torus.Path(s, d));
+        }
+      }
+    }
+    const auto num_links = static_cast<std::uint64_t>(topo.num_links());
+    const int degraded = static_cast<int>(rng.NextBounded(4));
+    for (int i = 0; i < degraded; ++i) {
+      topo.SetLinkScale(static_cast<LinkIndex>(rng.NextBounded(num_links)),
+                        rng.NextBounded(2) == 0 ? 0.25 : rng.NextDouble(0.05, 1.0));
+    }
+
+    const int n = 1 + static_cast<int>(rng.NextBounded(600));
+    std::vector<std::vector<LinkIndex>> paths;
+    for (int f = 0; f < n; ++f) {
+      if (!routes.empty() && rng.NextBounded(8) != 0) {
+        paths.push_back(routes[rng.NextBounded(routes.size())]);
+        continue;
+      }
+      // Arbitrary link list: random links, repeats allowed.
+      std::vector<LinkIndex> path;
+      const int len = 1 + static_cast<int>(rng.NextBounded(6));
+      for (int i = 0; i < len; ++i) {
+        path.push_back(static_cast<LinkIndex>(rng.NextBounded(num_links)));
+      }
+      if (rng.NextBounded(4) == 0) path.push_back(path.front());
+      paths.push_back(std::move(path));
+    }
+    std::vector<const std::vector<LinkIndex>*> ptrs;
+    for (const auto& p : paths) ptrs.push_back(&p);
+
+    const std::vector<double> want = ReferenceMaxMinFairRates(topo, ptrs);
+    const std::vector<double> got = MaxMinFairRates(topo, ptrs);
+    solver.Solve(topo, ptrs, &reused);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(reused.size(), want.size());
+    for (std::size_t f = 0; f < want.size(); ++f) {
+      ASSERT_EQ(got[f], want[f]) << "case " << c << ", flow " << f << " of " << n;
+      ASSERT_EQ(reused[f], want[f]) << "case " << c << ", flow " << f << " of " << n;
+    }
+  }
 }
 
 // ----------------------------------------------------------- FlowNetwork --
@@ -337,6 +479,64 @@ TEST(DcnFlowTest, NicDegradeScalesOneEdgeOnly) {
   sim.Run();
   EXPECT_NEAR(static_cast<double>(degraded), 4.0 * static_cast<double>(clean),
               0.05 * static_cast<double>(degraded));
+}
+
+TEST(DcnFlowTest, ClosCompletionScheduleGolden) {
+  // Pins every delivery nanosecond of a fixed Clos schedule: a burst of
+  // simultaneous starts (a permutation, with equal sizes that tie), joiners
+  // every 7 us (a third of them into host 0, an incast), and one NIC
+  // degraded mid-flight and healed. Any change to the solver's arithmetic
+  // or the flow engine's bookkeeping moves the checksum.
+  DcnParams p;
+  p.latency = Duration::Micros(5);
+  p.nic_bandwidth = 12.5e9;
+  p.clos.enabled = true;
+  p.clos.hosts_per_leaf = 4;
+  p.clos.num_spines = 2;
+  p.clos.oversubscription = 2.0;
+  sim::Simulator sim;
+  DcnFabric dcn(&sim, p);
+  constexpr int kHosts = 16;
+  for (int h = 0; h < kHosts; ++h) dcn.AddHost(HostId(h));
+
+  std::vector<std::pair<int, std::int64_t>> deliveries;  // (flow index, ns)
+  int next_index = 0;
+  auto send = [&](int src, int dst, Bytes bytes) {
+    const int index = next_index++;
+    dcn.Send(HostId(src), HostId(dst), bytes, [&deliveries, &sim, index] {
+      deliveries.emplace_back(index, sim.now().nanos());
+    });
+  };
+  for (int h = 0; h < kHosts; ++h) {
+    send(h, (h * 5 + 3) % kHosts, MiB(1) + (h % 4) * KiB(256));
+  }
+  constexpr int kJoiners = 24;
+  for (int k = 0; k < kJoiners; ++k) {
+    sim.Schedule(Duration::Micros(7 * (k + 1)), [&send, k] {
+      const int src = k % 15 + 1;
+      int dst = k % 3 == 0 ? 0 : (k * 3 + 1) % kHosts;
+      if (dst == src) dst = (dst + 1) % kHosts;
+      send(src, dst, KiB(64) * (1 + k % 5));
+    });
+  }
+  sim.Schedule(Duration::Micros(40),
+               [&dcn] { dcn.SetNicBandwidthScale(HostId(3), 0.25); });
+  sim.Schedule(Duration::Micros(120),
+               [&dcn] { dcn.SetNicBandwidthScale(HostId(3), 1.0); });
+  sim.Run();
+
+  ASSERT_EQ(deliveries.size(), static_cast<std::size_t>(kHosts + kJoiners));
+  EXPECT_EQ(dcn.flow_network()->flows_completed(), kHosts + kJoiners);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over (index, ns) pairs
+  for (const auto& [index, ns] : deliveries) {
+    for (std::int64_t v : {std::int64_t{index}, ns}) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x64a5e4f99b23a704ULL) << std::hex << "0x" << h;
 }
 
 // -------------------------------------------------- FlowCollectiveModel --
