@@ -1,7 +1,7 @@
 // Wall-clock microbenchmarks of the simulation substrate itself: event
 // throughput of the pooled-event engine vs the pre-overhaul engine, plus
 // handle-cancellation and periodic-timer costs. These bound how large a
-// cluster the figure benches can afford to model.
+// cluster the scenarios can afford to model.
 //
 // Needs no external dependency: a built-in timing loop measures
 // events/second and writes BENCH_simcore.json via the sweep result
@@ -268,7 +268,7 @@ void RunGoogleBenchmarkSuite(int argc, char** argv);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args = bench::Args::Parse(argc, argv, bench::kSimcoreFlags);
+  const bench::Args args = bench::Args::Parse(argc, argv);
   // --min-speedup <x>: the enforced acceptance bar (default 2.0). CI on
   // shared runners passes a lower value so noisy-neighbor slowdowns don't
   // flake the job while gross regressions still fail.

@@ -20,7 +20,8 @@ struct PathwaysOptions {
   SchedulerPolicy policy = SchedulerPolicy::kFifo;
   // If true, client-side bookkeeping is charged per *logical* buffer
   // (the sharded-buffer abstraction, §4.2); if false, per shard — the
-  // ablation showing why the abstraction matters at 2048 shards.
+  // ablation showing why the abstraction matters at 2048 shards
+  // (ShardedBufferTest in tests/pathways_test.cpp).
   bool sharded_buffer_bookkeeping = true;
   // Admission control: maximum gangs dispatched-but-not-completed per
   // island scheduler. Deep enough for pipelines to fill (Table 2 uses up to

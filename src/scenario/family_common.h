@@ -33,5 +33,9 @@ Family MakeServingFamily();
 Family MakeServingDisaggFamily();
 Family MakeNetworkFamily();
 Family MakeFig12Family();
+Family MakeDispatchFamily();
+Family MakePipelineDispatchFamily();
+Family MakeTrainingFamily();
+Family MakeClientsFamily();
 
 }  // namespace pw::scenario

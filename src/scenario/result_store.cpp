@@ -69,24 +69,34 @@ bool SegmentMatch(const std::string& pat, const std::string& seg) {
   return p == pat.size();
 }
 
-bool MatchFrom(const std::vector<std::string>& pat,
-               const std::vector<std::string>& path, std::size_t pi,
-               std::size_t si) {
-  if (pi == pat.size()) return si == path.size();
-  if (pat[pi] == "**") {
-    // Zero segments, or consume one and stay on the `**`.
-    if (MatchFrom(pat, path, pi + 1, si)) return true;
-    return si < path.size() && MatchFrom(pat, path, pi, si + 1);
+// Dynamic program over suffixes, one pattern segment at a time from the
+// back: next[j] says whether the segments after pattern segment i match
+// path[j..]. O(pattern x path) segment matches however many `**` there are.
+bool MatchSegments(const std::vector<std::string>& pat,
+                   const std::vector<std::string>& path) {
+  const std::size_t n = path.size();
+  std::vector<char> next(n + 1, 0), cur(n + 1, 0);
+  next[n] = 1;
+  for (std::size_t i = pat.size(); i-- > 0;) {
+    const bool stars = pat[i] == "**";
+    // A run of `**` matches what one does.
+    if (stars && i + 1 < pat.size() && pat[i + 1] == "**") continue;
+    // `**` matches zero segments, or consumes one and stays on the `**`.
+    cur[n] = stars && next[n];
+    for (std::size_t j = n; j-- > 0;) {
+      cur[j] = stars ? next[j] || cur[j + 1]
+                     : next[j + 1] && SegmentMatch(pat[i], path[j]);
+    }
+    next.swap(cur);
   }
-  if (si == path.size()) return false;
-  return SegmentMatch(pat[pi], path[si]) && MatchFrom(pat, path, pi + 1, si + 1);
+  return next[0] != 0;
 }
 
 }  // namespace
 
 bool ResultStore::GlobMatch(const std::string& pattern,
                             const std::string& path) {
-  return MatchFrom(SplitPath(pattern), SplitPath(path), 0, 0);
+  return MatchSegments(SplitPath(pattern), SplitPath(path));
 }
 
 bool ResultStore::IsGlob(const std::string& pattern) {

@@ -23,6 +23,10 @@ const std::vector<Family>& Registry() {
     v->push_back(MakeServingDisaggFamily());
     v->push_back(MakeNetworkFamily());
     v->push_back(MakeFig12Family());
+    v->push_back(MakeDispatchFamily());
+    v->push_back(MakePipelineDispatchFamily());
+    v->push_back(MakeTrainingFamily());
+    v->push_back(MakeClientsFamily());
     return v;
   }();
   return *families;

@@ -530,6 +530,33 @@ TEST(DispatchModeTest, ParallelBeatsSequentialOnPipelines) {
   EXPECT_LT(parallel.nanos(), sequential.nanos());
 }
 
+// ------------------------------------------------- Sharded buffers (§4.2) --
+
+TEST(ShardedBufferTest, LogicalBookkeepingCompletesWideProgramsSooner) {
+  // A gang-synchronized kernel over 2048 shards: every completion message
+  // arrives at once, putting the client's buffer bookkeeping on the
+  // critical path. Charging it per logical buffer rather than per shard
+  // must finish the same programs sooner.
+  auto run_programs = [](bool sharded_bookkeeping) {
+    PathwaysOptions options;
+    options.sharded_buffer_bookkeeping = sharded_bookkeeping;
+    World w(/*hosts=*/512, /*devices_per_host=*/4, 1, options);
+    Client* client = w.runtime->CreateClient();
+    ProgramBuilder pb("wide");
+    pb.Call(CompiledFunction::Synthetic("big", 2048, Duration::Millis(5),
+                                        net::CollectiveKind::kAllReduce, 4),
+            client->AllocateSlice(2048).value(), {});
+    PathwaysProgram prog = std::move(pb).Build();
+    for (int i = 0; i < 3; ++i) {
+      auto result = client->Run(&prog);
+      w.sim.RunUntilPredicate([&result] { return result.ready(); });
+      w.runtime->object_store().Release(result.value().outputs[0].id);
+    }
+    return w.sim.now();
+  };
+  EXPECT_LT(run_programs(true).nanos(), run_programs(false).nanos());
+}
+
 // ------------------------------------------- Data-dependent control flow --
 
 TEST(IrregularDispatchTest, IrregularNodeWaitsForProducers) {

@@ -4,6 +4,7 @@
 // determinism of RunScenario, and the path-addressed result store's glob
 // queries (docs/SCENARIOS.md).
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -754,6 +755,20 @@ TEST(ResultStore, GlobMatchIsSlashAware) {
                              "kv_scale=0.5/ttft_p99_us"));
   EXPECT_FALSE(ResultStore::GlobMatch("serving/**/p50_*",
                                       "serving/summary/deadlocks"));
+}
+
+TEST(ResultStore, ManyDoubleStarsMatchInPolynomialTime) {
+  // A backtracking matcher tries every split of the path between the
+  // `**`s: this select used to hang `pwsim query` for minutes.
+  std::string stars;
+  for (int i = 0; i < 40; ++i) stars += "**/";
+  const std::string path = "s/a=1/b=2/c=3/d/e/f/g/h/i/j/ttft_p99_us";
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ResultStore::GlobMatch(stars + "nope", path));
+  EXPECT_TRUE(ResultStore::GlobMatch(stars + "ttft_p99_us", path));
+  EXPECT_TRUE(ResultStore::GlobMatch("s/**/**/c=3/**/*_us", path));
+  EXPECT_FALSE(ResultStore::GlobMatch("s/**/**/c=3/**/x/*_us", path));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(ResultStore, LoadsBenchJsonIntoAddressedEntries) {
