@@ -76,9 +76,6 @@ class TimePoint {
  public:
   constexpr TimePoint() = default;
   static constexpr TimePoint FromNanos(std::int64_t n) { return TimePoint(n); }
-  // Sentinel for "unknown / unbounded" (e.g. DcnFabric::kHeldSentinel);
-  // compares greater than every reachable simulation time.
-  static constexpr TimePoint Max() { return TimePoint(INT64_MAX); }
 
   constexpr std::int64_t nanos() const { return ns_; }
   constexpr double ToSeconds() const { return static_cast<double>(ns_) / 1e9; }

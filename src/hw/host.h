@@ -58,9 +58,6 @@ class Host {
   void SendDcn(HostId dst, Bytes bytes, std::function<void()> on_delivered) {
     dcn_->Send(id_, dst, bytes, std::move(on_delivered));
   }
-  sim::SimFuture<sim::Unit> SendDcnAsync(HostId dst, Bytes bytes) {
-    return dcn_->SendAsync(id_, dst, bytes);
-  }
 
   net::Link& pcie(DeviceId device) {
     auto it = pcie_.find(device);

@@ -31,8 +31,8 @@ void DcnFabric::AddHost(HostId host) {
   if (flow_) clos_index_[host] = clos_->AddHost();
 }
 
-TimePoint DcnFabric::Send(HostId src, HostId dst, Bytes bytes,
-                          std::function<void()> on_delivered) {
+void DcnFabric::Send(HostId src, HostId dst, Bytes bytes,
+                     std::function<void()> on_delivered) {
   PW_CHECK(nics_.contains(src)) << "unknown src host " << src;
   PW_CHECK(nics_.contains(dst)) << "unknown dst host " << dst;
   // Counted at submission, held or not: throughput telemetry sampled during
@@ -40,7 +40,7 @@ TimePoint DcnFabric::Send(HostId src, HostId dst, Bytes bytes,
   // heal-time replay burst misattributed to the recovery period.
   ++messages_;
   bytes_ += bytes;
-  return Route(src, dst, bytes, std::move(on_delivered), kFreshSend);
+  Route(src, dst, bytes, std::move(on_delivered), kFreshSend);
 }
 
 void DcnFabric::Hold(std::vector<HeldMessage>* queue, HeldMessage m) {
@@ -54,16 +54,16 @@ void DcnFabric::Hold(std::vector<HeldMessage>* queue, HeldMessage m) {
   queue->insert(pos, std::move(m));
 }
 
-TimePoint DcnFabric::Route(HostId src, HostId dst, Bytes bytes,
-                           std::function<void()> on_delivered,
-                           std::uint64_t replay_seq) {
+void DcnFabric::Route(HostId src, HostId dst, Bytes bytes,
+                      std::function<void()> on_delivered,
+                      std::uint64_t replay_seq) {
   if (src == dst) {
     // Loopback: no NIC serialization, small fixed cost. Never held by a
     // partition — a partition cuts the fabric, and loopback traffic does
     // not touch the fabric.
-    const TimePoint at = sim_->now() + Duration::Micros(1);
-    sim_->ScheduleAt(at, std::move(on_delivered));
-    return at;
+    sim_->ScheduleAt(sim_->now() + Duration::Micros(1),
+                     std::move(on_delivered));
+    return;
   }
   if (!partitioned_.empty()) {
     auto hold = partitioned_.find(src);
@@ -73,28 +73,18 @@ TimePoint DcnFabric::Route(HostId src, HostId dst, Bytes bytes,
           replay_seq == kFreshSend ? next_hold_seq_++ : replay_seq;
       Hold(&hold->second,
            HeldMessage{src, dst, bytes, std::move(on_delivered), seq});
-      return kHeldSentinel;  // delivery time unknowable until the heal
+      return;
     }
   }
   const Bytes wire_bytes = bytes + params_.per_message_header;
   if (flow_) {
     // Flow-level Clos: the message contends on its real host→leaf→spine→
-    // leaf→host path. The returned estimate assumes an uncontended NIC
-    // (the fastest the flow could possibly finish); on_delivered carries
-    // the actual, contention-aware delivery.
+    // leaf→host path.
     flow_->StartFlow(clos_->Path(clos_index_.at(src), clos_index_.at(dst)),
                      wire_bytes, params_.latency, std::move(on_delivered));
-    return sim_->now() + params_.latency +
-           Duration::Seconds(static_cast<double>(wire_bytes) /
-                             params_.nic_bandwidth);
+  } else {
+    nics_[src]->Transfer(wire_bytes, std::move(on_delivered));
   }
-  return nics_[src]->Transfer(wire_bytes, std::move(on_delivered));
-}
-
-sim::SimFuture<sim::Unit> DcnFabric::SendAsync(HostId src, HostId dst, Bytes bytes) {
-  sim::SimPromise<sim::Unit> p(sim_);
-  Send(src, dst, bytes, [p]() mutable { p.Set(sim::Unit{}); });
-  return p.future();
 }
 
 void DcnFabric::SetNicBandwidthScale(HostId host, double scale) {
@@ -149,30 +139,6 @@ Bytes DcnFabric::held_bytes() const {
     for (const HeldMessage& m : queue) n += m.bytes;
   }
   return n;
-}
-
-void DcnBatcher::Send(HostId dst, Bytes bytes, std::function<void()> on_delivered) {
-  Pending& pend = pending_[dst];
-  pend.bytes += bytes;
-  pend.callbacks.push_back(std::move(on_delivered));
-  if (!pend.flush_scheduled) {
-    pend.flush_scheduled = true;
-    sim_->Schedule(window_, [this, dst] { Flush(dst); });
-  }
-}
-
-void DcnBatcher::Flush(HostId dst) {
-  auto it = pending_.find(dst);
-  if (it == pending_.end()) return;
-  Pending batch = std::move(it->second);
-  pending_.erase(it);
-  if (batch.callbacks.empty()) return;
-  ++flushes_;
-  auto callbacks = std::make_shared<std::vector<std::function<void()>>>(
-      std::move(batch.callbacks));
-  fabric_->Send(self_, dst, batch.bytes, [callbacks] {
-    for (auto& cb : *callbacks) cb();
-  });
 }
 
 }  // namespace pw::net

@@ -11,10 +11,6 @@
 //     Uplink oversubscription and incast at the destination's access link
 //     are first-class; a NIC-degrade fault scales that host's access
 //     edges, and a partition cuts real paths.
-// The fabric also offers a Batcher that coalesces small control messages
-// destined for the same host within a short window — the PLAQUE
-// requirement of "batch messages destined for the same host when high
-// throughput is required" (§4.3).
 #pragma once
 
 #include <cstdint>
@@ -58,14 +54,6 @@ struct DcnParams {
 
 class DcnFabric {
  public:
-  // Returned by Send() when the message was held by a partition: delivery
-  // time is unknowable until the heal, so no usable estimate exists.
-  // Callers must branch on it before scheduling anything (ScheduleAt on it
-  // dies on the far-future check). Audit note: every in-tree caller drives
-  // off on_delivered and ignores the return, which is why the sentinel is
-  // safe to introduce.
-  static constexpr TimePoint kHeldSentinel = TimePoint::Max();
-
   DcnFabric(sim::Simulator* sim, DcnParams params);
   ~DcnFabric();
 
@@ -79,16 +67,13 @@ class DcnFabric {
   // Sends `bytes` from src to dst; on_delivered runs at arrival. Local
   // (src == dst) messages are delivered after a loopback cost only. If
   // either endpoint is partitioned the message is held (FIFO, per
-  // partitioned host) and re-submitted when that host heals; the call then
-  // returns kHeldSentinel — there is no meaningful delivery estimate, and
-  // callers must not schedule on it. Held messages still count toward
-  // messages_sent()/bytes_sent() at submission time — traffic telemetry
-  // attributes load to when it was offered, not to the heal-time replay
-  // burst (held_bytes() exposes the in-limbo amount separately).
-  TimePoint Send(HostId src, HostId dst, Bytes bytes,
-                 std::function<void()> on_delivered);
-
-  sim::SimFuture<sim::Unit> SendAsync(HostId src, HostId dst, Bytes bytes);
+  // partitioned host) and re-submitted when that host heals. Held messages
+  // still count toward messages_sent()/bytes_sent() at submission time —
+  // traffic telemetry attributes load to when it was offered, not to the
+  // heal-time replay burst (held_bytes() exposes the in-limbo amount
+  // separately).
+  void Send(HostId src, HostId dst, Bytes bytes,
+            std::function<void()> on_delivered);
 
   // --- Fault-injection knobs (see docs/FAULTS.md) ---
   // Scales one host's NIC egress bandwidth (congestion injection). 1.0
@@ -135,8 +120,8 @@ class DcnFabric {
   // Send() minus the counting: used for heal-time replay, whose messages
   // were already counted when first submitted. `replay_seq` carries a held
   // message's original stamp through re-holds; kFreshSend for new traffic.
-  TimePoint Route(HostId src, HostId dst, Bytes bytes,
-                  std::function<void()> on_delivered, std::uint64_t replay_seq);
+  void Route(HostId src, HostId dst, Bytes bytes,
+             std::function<void()> on_delivered, std::uint64_t replay_seq);
 
   // Puts the message on `queue` in stamp order (O(1) for fresh sends, which
   // always carry the highest stamp so far).
@@ -158,38 +143,6 @@ class DcnFabric {
   std::uint64_t next_hold_seq_ = 0;
   std::int64_t messages_ = 0;
   Bytes bytes_ = 0;
-};
-
-// Coalesces messages to the same destination host: messages enqueued within
-// `window` of the first unflushed message are sent as one DCN message (sum
-// of payloads + one header), and their delivery callbacks all run on
-// arrival. Used by the PLAQUE runtime for high-fanout edges.
-class DcnBatcher {
- public:
-  DcnBatcher(sim::Simulator* sim, DcnFabric* fabric, HostId self,
-             Duration window)
-      : sim_(sim), fabric_(fabric), self_(self), window_(window) {}
-
-  void Send(HostId dst, Bytes bytes, std::function<void()> on_delivered);
-
-  // Number of physical DCN messages actually emitted.
-  std::int64_t flushes() const { return flushes_; }
-
- private:
-  struct Pending {
-    Bytes bytes = 0;
-    std::vector<std::function<void()>> callbacks;
-    bool flush_scheduled = false;
-  };
-
-  void Flush(HostId dst);
-
-  sim::Simulator* sim_;
-  DcnFabric* fabric_;
-  HostId self_;
-  Duration window_;
-  std::map<HostId, Pending> pending_;
-  std::int64_t flushes_ = 0;
 };
 
 }  // namespace pw::net

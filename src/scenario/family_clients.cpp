@@ -36,6 +36,17 @@ using pathways::PathwaysRuntime;
 constexpr Duration kWarmup = Duration::Millis(300);
 constexpr Duration kMeasure = Duration::Seconds(2);
 
+// The `policy` axis' values (see the header comment).
+struct Policy {
+  const char* name;
+  pathways::SchedulerPolicy policy;
+};
+
+constexpr Policy kPolicies[] = {
+    {"fifo", pathways::SchedulerPolicy::kFifo},
+    {"stride", pathways::SchedulerPolicy::kWeightedStride},
+};
+
 std::vector<double> Weights(const std::string& text, int clients) {
   std::vector<double> cycle;
   for (std::size_t pos = 0; pos <= text.size();) {
@@ -123,19 +134,16 @@ sweep::Metrics Measure(const Scenario& sc, bool, const sweep::ParamPoint& p) {
   using namespace pw::pathways;
   const int clients = static_cast<int>(p.GetInt("clients"));
   const Duration compute = Duration::Millis(p.GetDouble("compute_ms"));
-  const std::string& policy = p.GetString("policy");
-  PW_CHECK(policy == "fifo" || policy == "stride")
-      << "clients: unknown policy '" << policy << "' (known: fifo, stride)";
-  const bool stride = policy == "stride";
+  const SchedulerPolicy policy =
+      FindByName(kPolicies, p.GetString("policy")).policy;
+  const bool stride = policy == SchedulerPolicy::kWeightedStride;
   const std::vector<double> weights = Weights(p.GetString("weights"), clients);
 
   sim::Simulator sim;
   auto cluster = BuildCluster(&sim, sc.cluster, BaseSystemParams(sc.cluster));
   PathwaysOptions options;
-  if (stride) {
-    options.policy = SchedulerPolicy::kWeightedStride;
-    options.max_inflight_gangs = 2;
-  }
+  options.policy = policy;
+  if (stride) options.max_inflight_gangs = 2;
   PathwaysRuntime runtime(cluster.get(), options);
   const int shards = cluster->num_devices();
   std::vector<Client*> tenants;
@@ -228,7 +236,7 @@ Family MakeClientsFamily() {
       "JAX, utilization, proportional share";
   f.axes = {{"clients", AxisKind::kInt},
             {"compute_ms", AxisKind::kDouble},
-            {"policy", AxisKind::kString},
+            {"policy", AxisKind::kString, NamesOf(kPolicies)},
             {"weights", AxisKind::kString}};
   f.check_determinism = false;  // no summary reads it
   f.measure = Measure;

@@ -1,8 +1,12 @@
 // Internal helpers shared by the family_*.cpp measurement harnesses.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common/logging.h"
 #include "hw/cluster.h"
 #include "hw/system_params.h"
 #include "scenario/runner.h"
@@ -23,6 +27,26 @@ hw::SystemParams BaseSystemParams(const ClusterSpec& c);
 std::unique_ptr<hw::Cluster> BuildCluster(sim::Simulator* sim,
                                           const ClusterSpec& c,
                                           const hw::SystemParams& params);
+
+// The names of a constant table whose rows carry a `name`: the accepted
+// values of the string axis that selects a row (FamilyAxis::values).
+template <typename Row, std::size_t N>
+std::vector<std::string> NamesOf(const Row (&table)[N]) {
+  std::vector<std::string> names;
+  for (const Row& row : table) names.emplace_back(row.name);
+  return names;
+}
+
+// The row of `table` named `name`. ValidateForFamily has already rejected
+// names outside NamesOf(table), so a miss is a bug.
+template <typename Row, std::size_t N>
+const Row& FindByName(const Row (&table)[N], const std::string& name) {
+  for (const Row& row : table) {
+    if (name == row.name) return row;
+  }
+  PW_CHECK(false) << "no row named '" << name << "'";
+  return table[0];
+}
 
 // Family constructors, one per measurement harness (assembled into the
 // registry by runner.cpp).

@@ -61,17 +61,6 @@ constexpr Arm kArms[] = {
 // run at the ceiling (the row's measured_hosts says so).
 constexpr int kRayFleetHosts = 64;
 
-const Arm& FindArm(const std::string& name) {
-  std::string known;
-  for (const Arm& arm : kArms) {
-    if (name == arm.name) return arm;
-    known += std::string(known.empty() ? "" : ", ") + arm.name;
-  }
-  PW_CHECK(false) << "dispatch: unknown system '" << name << "' (known: "
-                  << known << ")";
-  return kArms[0];
-}
-
 // Computations/s of one arm on a fresh cluster. Ray runs on GPU VMs.
 double MeasureArm(const Scenario& sc, const Arm& arm, const std::string& preset,
                   int hosts, Duration compute) {
@@ -106,7 +95,7 @@ double MeasureArm(const Scenario& sc, const Arm& arm, const std::string& preset,
 }
 
 sweep::Metrics Measure(const Scenario& sc, bool, const sweep::ParamPoint& p) {
-  const Arm& arm = FindArm(p.GetString("system"));
+  const Arm& arm = FindByName(kArms, p.GetString("system"));
   const std::string& preset = p.GetString("preset");
   const int hosts = static_cast<int>(p.GetInt("hosts"));
   const Duration compute = Duration::Millis(p.GetDouble("compute_ms"));
@@ -121,7 +110,7 @@ sweep::Metrics Measure(const Scenario& sc, bool, const sweep::ParamPoint& p) {
                       {"measured_hosts", measured}};
   if (*arm.baseline != '\0') {
     const double base =
-        MeasureArm(sc, FindArm(arm.baseline), preset, hosts, compute);
+        MeasureArm(sc, FindByName(kArms, arm.baseline), preset, hosts, compute);
     m.emplace_back("baseline_computations_per_sec", base);
     m.emplace_back("over_baseline", rate / base);
   }
@@ -136,8 +125,8 @@ Family MakeDispatchFamily() {
   f.description =
       "Figs. 5-6: computations/s of the dispatch microbenchmark per system "
       "and enqueue mode, against a baseline system";
-  f.axes = {{"system", AxisKind::kString},
-            {"preset", AxisKind::kString},
+  f.axes = {{"system", AxisKind::kString, NamesOf(kArms)},
+            {"preset", AxisKind::kString, KnownPresets()},
             {"hosts", AxisKind::kInt},
             {"compute_ms", AxisKind::kDouble}};
   f.check_determinism = false;  // no summary reads it

@@ -29,26 +29,23 @@ using pathways::ProgramBuilder;
 using pathways::VirtualSlice;
 
 struct ModelPoint {
-  models::TransformerConfig config;
-  int cores_per_island = 0;
+  const char* name;
+  models::TransformerConfig (*config)();
+  int cores_per_island;
 };
 
-ModelPoint ModelFor(const std::string& name) {
-  if (name == "decoder64b") {
-    return {models::TransformerConfig::Decoder64B(), 512};
-  }
-  PW_CHECK(name == "decoder136b")
-      << "fig12_twoisland: unknown model '" << name
-      << "' (known: decoder64b, decoder136b)";
-  return {models::TransformerConfig::Decoder136B(), 1024};
-}
+constexpr ModelPoint kModels[] = {
+    {"decoder64b", &models::TransformerConfig::Decoder64B, 512},
+    {"decoder136b", &models::TransformerConfig::Decoder136B, 1024},
+};
 
 struct ArmResult {
   double tokens_per_sec = 0;
   double dcn_gb_per_step = 0;
 };
 
-ArmResult MeasureDataParallel(const Fig12Spec& spec, const ModelPoint& m,
+ArmResult MeasureDataParallel(const Fig12Spec& spec,
+                              const models::TransformerConfig& config,
                               int islands, int cores_per_island,
                               const hw::SystemParams& params) {
   using namespace pathways;
@@ -59,7 +56,7 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec, const ModelPoint& m,
   options.max_inflight_gangs = spec.max_inflight_gangs;
   PathwaysRuntime runtime(cluster.get(), options);
   Client* client = runtime.CreateClient();
-  models::StepBuilder builder(m.config, cluster->params());
+  models::StepBuilder builder(config, cluster->params());
 
   std::unique_ptr<PathwaysProgram> program;
   if (islands == 1) {
@@ -79,9 +76,8 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec, const ModelPoint& m,
     program = std::make_unique<PathwaysProgram>(builder.BuildMultiIslandStep(
         slices, spec.chunks, cluster->island(0).collectives()));
   }
-  const auto meas = models::MeasureTraining(client, program.get(),
-                                            m.config.tokens_per_batch,
-                                            spec.steps);
+  const auto meas = models::MeasureTraining(
+      client, program.get(), config.tokens_per_batch, spec.steps);
   ArmResult r;
   r.tokens_per_sec = meas.tokens_per_sec;
   r.dcn_gb_per_step = static_cast<double>(cluster->dcn().bytes_sent()) /
@@ -92,13 +88,14 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec, const ModelPoint& m,
 sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
   const Fig12Spec& spec = sc.fig12.For(quick);
-  const ModelPoint m = ModelFor(p.GetString("model"));
+  const ModelPoint& m = FindByName(kModels, p.GetString("model"));
+  const models::TransformerConfig config = m.config();
   const hw::SystemParams params = BaseSystemParams(sc.cluster);
 
   const ArmResult two =
-      MeasureDataParallel(spec, m, 2, m.cores_per_island, params);
+      MeasureDataParallel(spec, config, 2, m.cores_per_island, params);
   const ArmResult one =
-      MeasureDataParallel(spec, m, 1, 2 * m.cores_per_island, params);
+      MeasureDataParallel(spec, config, 1, 2 * m.cores_per_island, params);
 
   // Flow-level validation arm: single spine at R=1 is non-blocking, so the
   // pairwise cross-island gradient exchange is uncontended and must land on
@@ -110,7 +107,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   flow_params.dcn.clos.num_spines = 1;
   flow_params.dcn.clos.oversubscription = 1.0;
   const ArmResult flow =
-      MeasureDataParallel(spec, m, 2, m.cores_per_island, flow_params);
+      MeasureDataParallel(spec, config, 2, m.cores_per_island, flow_params);
 
   return {{"two_island_tokens_per_sec", two.tokens_per_sec},
           {"one_island_tokens_per_sec", one.tokens_per_sec},
@@ -147,7 +144,7 @@ Family MakeFig12Family() {
   f.description =
       "Fig. 12: data-parallel LM training over two islands vs one island "
       "with 2x devices, plus the flow-level Clos validation arm";
-  f.axes = {{"model", AxisKind::kString}};
+  f.axes = {{"model", AxisKind::kString, NamesOf(kModels)}};
   // Three full training measurements per point: too slow to rerun the whole
   // grid serially for the generic determinism check (the scenario's gates
   // bound the flow-vs-analytic ratio instead).

@@ -16,6 +16,17 @@
 namespace pw::scenario {
 namespace {
 
+// The `policy` axis' values: how a client's full admission queue sheds.
+struct Shed {
+  const char* name;
+  workload::ShedPolicy policy;
+};
+
+constexpr Shed kShedPolicies[] = {
+    {"drop-tail", workload::ShedPolicy::kDropTail},
+    {"reject-retry", workload::ShedPolicy::kRejectWithRetry},
+};
+
 bool Overloaded(double scale, int clients, const std::vector<double>& w) {
   // Proportional share only binds while every client is backlogged: the
   // largest-weight client must be offered more than its weighted share of
@@ -35,7 +46,8 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   const MultitenantSpec& spec = sc.multitenant.For(quick);
   const int clients = static_cast<int>(p.GetInt("clients"));
   const double scale = p.GetDouble("rate_scale");
-  const std::string& policy = p.GetString("policy");
+  const ShedPolicy policy =
+      FindByName(kShedPolicies, p.GetString("policy")).policy;
 
   sim::Simulator sim;
   auto cluster = BuildCluster(&sim, sc.cluster, BaseSystemParams(sc.cluster));
@@ -84,8 +96,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
     // Larger than max_inflight_gangs so the stride scheduler — not each
     // client's submit round-trip — is the bottleneck under overload.
     adm.max_outstanding = spec.max_outstanding;
-    adm.policy = policy == "reject-retry" ? ShedPolicy::kRejectWithRetry
-                                          : ShedPolicy::kDropTail;
+    adm.policy = policy;
     adm.retry.max_attempts = spec.retry_max_attempts;
     adm.retry.initial_backoff = Duration::Micros(spec.retry_initial_backoff_us);
     adm.retry.max_backoff = Duration::Millis(spec.retry_max_backoff_ms);
@@ -209,7 +220,7 @@ Family MakeMultitenantFamily() {
       "(proportional share under overload)";
   f.axes = {{"clients", AxisKind::kInt},
             {"rate_scale", AxisKind::kDouble},
-            {"policy", AxisKind::kString}};
+            {"policy", AxisKind::kString, NamesOf(kShedPolicies)}};
   f.check_determinism = true;
   f.measure = Measure;
   f.summarize = Summarize;

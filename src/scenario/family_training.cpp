@@ -44,17 +44,6 @@ constexpr Model kModels[] = {
     {"decoder3b", &TransformerConfig::Decoder3B, 128, -1},
 };
 
-const Model& FindModel(const std::string& name) {
-  std::string known;
-  for (const Model& m : kModels) {
-    if (name == m.name) return m;
-    known += std::string(known.empty() ? "" : ", ") + m.name;
-  }
-  PW_CHECK(false) << "training: unknown model '" << name << "' (known: "
-                  << known << ")";
-  return kModels[0];
-}
-
 // `islands` islands of 8-core hosts holding `cores` cores in total.
 std::unique_ptr<hw::Cluster> MakeCluster(sim::Simulator* sim,
                                          const hw::SystemParams& params,
@@ -164,7 +153,7 @@ double MeasurePipeline(const TransformerConfig& config,
 }
 
 sweep::Metrics Measure(const Scenario& sc, bool, const sweep::ParamPoint& p) {
-  const Model& model = FindModel(p.GetString("model"));
+  const Model& model = FindByName(kModels, p.GetString("model"));
   const int cores = static_cast<int>(p.GetInt("cores"));
   const int stages = static_cast<int>(p.GetInt("stages"));
   const int islands = static_cast<int>(p.GetInt("islands"));
@@ -204,7 +193,7 @@ Family MakeTrainingFamily() {
   f.description =
       "Tables 1-2, Fig. 10: LM training tokens/s as SPMD or a GPipe "
       "pipeline over islands, against the paper's baseline for the plan";
-  f.axes = {{"model", AxisKind::kString},
+  f.axes = {{"model", AxisKind::kString, NamesOf(kModels)},
             {"cores", AxisKind::kInt},
             {"stages", AxisKind::kInt},
             {"islands", AxisKind::kInt}};

@@ -174,6 +174,19 @@ bool ValidateForFamily(Scenario* s, DiagnosticEngine* diags) {
                                  fam->name + "' expects " +
                                  AxisKindName(spec->kind) + " values, got " +
                                  AxisKindName(have));
+    } else if (!spec->values.empty()) {
+      for (const auto* values : {&axis.values, &axis.quick_values}) {
+        for (const sweep::ParamValue& v : *values) {
+          const std::string& value = std::get<std::string>(v);
+          if (std::find(spec->values.begin(), spec->values.end(), value) ==
+              spec->values.end()) {
+            diags->Error(axis.loc, "axis '" + axis.name + "' of family '" +
+                                       fam->name + "' has no value '" + value +
+                                       "'" +
+                                       DidYouMeanSuffix(value, spec->values));
+          }
+        }
+      }
     }
   }
 

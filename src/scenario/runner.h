@@ -41,6 +41,9 @@ AxisKind KindOfValue(const sweep::ParamValue& v);
 struct FamilyAxis {
   std::string name;
   AxisKind kind = AxisKind::kInt;
+  // A string axis that selects a row of a fixed table accepts only that
+  // table's names (NamesOf in family_common.h); empty = any string.
+  std::vector<std::string> values = {};
 };
 
 struct Family {
@@ -71,9 +74,11 @@ std::vector<std::string> FamilyNames();
 
 // Family-aware validation: every scenario axis must be one the family
 // declares (with a "did you mean" over its axis names), every family axis
-// must be present, and value kinds must match — whole-number values of a
+// must be present, value kinds must match — whole-number values of a
 // double axis are promoted in place (so "values": [1, 4] works for
-// rate_scale). Reports into `diags`; returns diags->ok().
+// rate_scale) — and a string axis with declared values accepts only those
+// (with a "did you mean" over them). Reports into `diags`; returns
+// diags->ok().
 bool ValidateForFamily(Scenario* s, DiagnosticEngine* diags);
 
 struct RunOptions {

@@ -14,13 +14,14 @@
 #include "sweep/result_table.h"
 
 namespace pw::scenario {
-namespace {
 
 const std::vector<std::string>& KnownPresets() {
   static const std::vector<std::string> kPresets{"tpu_default", "gpu_vm",
                                                 "config_a", "config_b"};
   return kPresets;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Typed field extraction with unknown-key detection.

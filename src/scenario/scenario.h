@@ -71,6 +71,9 @@ struct ClusterSpec {
   bool operator==(const ClusterSpec&) const = default;
 };
 
+// The `preset` names above, in that order.
+const std::vector<std::string>& KnownPresets();
+
 // --- Family sections -------------------------------------------------------
 // Field defaults are the full-size values of the original hand-written
 // sweeps; shipped scenario files override via "quick" for smoke runs.

@@ -1,5 +1,9 @@
 #include "xlasim/compiled_function.h"
 
+#include <utility>
+
+#include "common/logging.h"
+
 namespace pw::xlasim {
 
 CompiledFunction CompiledFunction::Synthetic(
@@ -21,75 +25,6 @@ CompiledFunction CompiledFunction::Synthetic(
   }
   f.input_bytes_per_shard = io_bytes_per_shard;
   f.output_bytes_per_shard = io_bytes_per_shard;
-  return f;
-}
-
-CompiledFunction Compiler::Compile(const HloModule& module,
-                                   const ShardingSpec& sharding) const {
-  PW_CHECK_GE(sharding.num_shards, 1);
-  CompiledFunction f;
-  f.name = module.name();
-  f.num_shards = sharding.num_shards;
-
-  // Walk instructions in order: compute before the first collective
-  // accumulates into pre_collective_time, after it into post.
-  OpCost pre, post;
-  int pre_ops = 0, post_ops = 0;
-  bool seen_collective = false;
-  for (int i = 0; i < module.num_instructions(); ++i) {
-    const HloInstruction& instr = module.instruction(i);
-    switch (instr.opcode) {
-      case HloOpcode::kAllReduce:
-      case HloOpcode::kAllGather:
-      case HloOpcode::kReduceScatter: {
-        PW_CHECK(!seen_collective)
-            << module.name() << ": multiple collectives in one compiled "
-            << "function are not supported; split the program";
-        seen_collective = true;
-        f.collective = instr.opcode == HloOpcode::kAllReduce
-                           ? net::CollectiveKind::kAllReduce
-                       : instr.opcode == HloOpcode::kAllGather
-                           ? net::CollectiveKind::kAllGather
-                           : net::CollectiveKind::kReduceScatter;
-        // Payload per shard is the operand's per-shard size.
-        const Shape& payload = module.instruction(instr.operands[0]).shape;
-        f.collective_bytes_per_shard =
-            payload.byte_size() / sharding.num_shards;
-        break;
-      }
-      default: {
-        OpCost c = cost_model_.InstructionCost(module, i);
-        // SPMD: each shard handles 1/num_shards of the elements.
-        c.flops /= sharding.num_shards;
-        c.bytes /= sharding.num_shards;
-        if (c.flops == 0 && c.bytes == 0) break;
-        if (seen_collective) {
-          post.flops += c.flops;
-          post.bytes += c.bytes;
-          ++post_ops;
-        } else {
-          pre.flops += c.flops;
-          pre.bytes += c.bytes;
-          ++pre_ops;
-        }
-        break;
-      }
-    }
-  }
-  f.pre_collective_time = cost_model_.Time(pre, pre_ops);
-  f.post_collective_time =
-      post_ops > 0 ? cost_model_.Time(post, post_ops) : Duration::Zero();
-
-  // Static buffer assignment: parameters in, root out, both sharded.
-  Bytes in = 0;
-  for (const int p : module.parameters()) {
-    in += module.instruction(p).shape.byte_size();
-  }
-  f.input_bytes_per_shard = in / sharding.num_shards;
-  f.output_bytes_per_shard = module.root_shape().byte_size() / sharding.num_shards;
-  // Scratch: a conservative one-x of the live output (rematerialization
-  // keeps intermediates bounded on TPU; Appendix A.5).
-  f.scratch_bytes_per_shard = f.output_bytes_per_shard;
   return f;
 }
 

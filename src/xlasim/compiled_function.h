@@ -8,30 +8,20 @@
 // be allocated before predecessors execute.
 //
 // Two construction paths:
-//   * Compiler::Compile lowers an HloModule under a ShardingSpec, using the
-//     CostModel for device time (the "real" path used by the model layer);
+//   * models::StepBuilder fills the struct for model programs, timing each
+//     function from the transformer's FLOPs on hw::SystemParams at the
+//     config's effective MFU;
 //   * CompiledFunction::Synthetic builds one from explicit timings (used by
 //     micro-benchmarks that sweep computation duration, as the paper does).
 #pragma once
 
 #include <optional>
 #include <string>
-#include <utility>
 
-#include "common/logging.h"
 #include "common/units.h"
 #include "net/collective_model.h"
-#include "xlasim/cost_model.h"
-#include "xlasim/hlo.h"
 
 namespace pw::xlasim {
-
-// SPMD partitioning environment: how many shards, and which logical
-// dimension of the inputs/outputs is split (batch sharding by default).
-struct ShardingSpec {
-  int num_shards = 1;
-  int sharded_dim = 0;
-};
 
 struct CompiledFunction {
   std::string name;
@@ -63,24 +53,6 @@ struct CompiledFunction {
       std::string name, int num_shards, Duration compute_time,
       std::optional<net::CollectiveKind> collective = std::nullopt,
       Bytes collective_bytes_per_shard = 0, Bytes io_bytes_per_shard = 8);
-};
-
-class Compiler {
- public:
-  explicit Compiler(CostModel cost_model) : cost_model_(std::move(cost_model)) {}
-  Compiler() = default;
-
-  const CostModel& cost_model() const { return cost_model_; }
-
-  // Lowers `module` for SPMD execution over `sharding.num_shards` shards.
-  // Compute time is the per-shard roofline estimate; at most one collective
-  // is supported per function (XLA would fuse more — our model layer splits
-  // larger programs into one-collective functions).
-  CompiledFunction Compile(const HloModule& module,
-                           const ShardingSpec& sharding) const;
-
- private:
-  CostModel cost_model_;
 };
 
 }  // namespace pw::xlasim

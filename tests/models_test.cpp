@@ -83,6 +83,32 @@ TEST(StepBuilderTest, SpmdFunctionCarriesCollective) {
   EXPECT_GT(f.pre_collective_time.nanos(), b.ComputeTime(128).nanos());
 }
 
+// Sharding the SPMD step over more cores shrinks each shard's device time:
+// the FLOP roofline term divides by the shard count, on top of a
+// model-parallel collective-latency floor that only appears once sharded.
+class ShardingSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(ShardingSweep, PerShardTimeShrinksWithShards) {
+  const int shards = GetParam();
+  StepBuilder b(TransformerConfig::Decoder3B(), hw::SystemParams::TpuDefault());
+  net::CollectiveModel coll{net::CollectiveParams{}};
+  const auto whole = b.SpmdStepFunction(1, coll);
+  const auto sharded = b.SpmdStepFunction(shards, coll);
+  EXPECT_LE(sharded.total_compute_time().nanos(),
+            whole.total_compute_time().nanos());
+  const Duration floor =
+      shards == 1 ? Duration::Zero()
+                  : coll.Time(net::CollectiveKind::kAllReduce, 0, shards) *
+                        (b.config().num_layers *
+                         StepBuilderParams{}.collectives_per_layer);
+  const double expected =
+      static_cast<double>(whole.total_compute_time().nanos()) / shards;
+  EXPECT_NEAR(static_cast<double>((sharded.total_compute_time() - floor).nanos()),
+              expected, expected * 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardingSweep, ::testing::Values(1, 2, 4, 8, 16));
+
 // --------------------------------------------------- End-to-end training --
 
 struct TrainWorld {

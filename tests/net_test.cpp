@@ -202,38 +202,6 @@ TEST(DcnTest, MessageAndByteStats) {
   EXPECT_EQ(dcn.bytes_sent(), 300);
 }
 
-TEST(DcnBatcherTest, CoalescesWithinWindow) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  dcn.AddHost(HostId(0));
-  dcn.AddHost(HostId(1));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  for (int i = 0; i < 10; ++i) {
-    batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  }
-  sim.Run();
-  EXPECT_EQ(delivered, 10);
-  EXPECT_EQ(batcher.flushes(), 1);      // one physical message
-  EXPECT_EQ(dcn.messages_sent(), 1);
-}
-
-TEST(DcnBatcherTest, SeparateWindowsSeparateFlushes) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  dcn.AddHost(HostId(0));
-  dcn.AddHost(HostId(1));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  sim.Schedule(Duration::Micros(100), [&] {
-    batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  });
-  sim.Run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(batcher.flushes(), 2);
-}
-
 TEST(DcnFabricTest, HeldTrafficCountsAtSubmissionNotAtHeal) {
   // Partition-held messages are *offered* load: they must appear in
   // messages_sent()/bytes_sent() the moment Send() accepts them, or fault
@@ -321,26 +289,6 @@ TEST(DcnFabricTest, DualPartitionReplayPreservesSendOrder) {
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(deliveries[0], 'A') << "older message must replay first";
   EXPECT_EQ(deliveries[1], 'B');
-}
-
-TEST(DcnFabricTest, HeldSendReturnsSentinel) {
-  // Send()'s TimePoint is meaningless for a partition-held message — there
-  // is no delivery estimate until the heal — so the held path returns
-  // kHeldSentinel, which no caller can accidentally schedule on (ScheduleAt
-  // would die on the far-future check). The audit of in-tree callers found
-  // all of them callback-driven; this pins the contract for future ones.
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  dcn.AddHost(HostId(0));
-  dcn.AddHost(HostId(1));
-  const TimePoint unheld = dcn.Send(HostId(0), HostId(1), 100, [] {});
-  EXPECT_LT(unheld, DcnFabric::kHeldSentinel);
-  dcn.SetPartitioned(HostId(1), true);
-  const TimePoint held = dcn.Send(HostId(0), HostId(1), 100, [] {});
-  EXPECT_EQ(held, DcnFabric::kHeldSentinel);
-  EXPECT_EQ(held, TimePoint::Max());
-  dcn.SetPartitioned(HostId(1), false);
-  sim.Run();
 }
 
 // ------------------------------------------------- Partition/degrade fuzz --
@@ -431,19 +379,6 @@ TEST(DcnFabricFuzzTest, OrderedExactlyOnceUnderPartitionsClos) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     RunPartitionDegradeFuzz(seed, /*clos_mode=*/true);
   }
-}
-
-TEST(DcnBatcherTest, DistinctDestinationsDoNotCoalesce) {
-  sim::Simulator sim;
-  DcnFabric dcn(&sim, DcnParams{});
-  for (int h = 0; h < 3; ++h) dcn.AddHost(HostId(h));
-  DcnBatcher batcher(&sim, &dcn, HostId(0), Duration::Micros(5));
-  int delivered = 0;
-  batcher.Send(HostId(1), 64, [&] { ++delivered; });
-  batcher.Send(HostId(2), 64, [&] { ++delivered; });
-  sim.Run();
-  EXPECT_EQ(delivered, 2);
-  EXPECT_EQ(batcher.flushes(), 2);
 }
 
 }  // namespace

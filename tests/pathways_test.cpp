@@ -343,6 +343,109 @@ TEST(ProgramTest, DefaultResultIsLastNode) {
   EXPECT_TRUE(prog.IsResult(ValueRef::Node(0)));
 }
 
+TEST(ProgramTest, CompactRepresentationIndependentOfShardCount) {
+  // Paper §4.3: Arg -> A -> B -> Result is two computation nodes whether
+  // N = 1 or N = 2048. The slices are hand-built: the tracer only checks
+  // that each function's shard count matches its slice.
+  for (const int shards : {1, 16, 2048}) {
+    VirtualSlice slice;
+    slice.devices.resize(static_cast<std::size_t>(shards));
+    auto a = CompiledFunction::Synthetic("A", shards, Duration::Micros(10));
+    auto b = CompiledFunction::Synthetic("B", shards, Duration::Micros(10));
+    ProgramBuilder pb("chain");
+    const ValueRef arg = pb.Argument();
+    pb.Result(pb.Call(b, slice, {pb.Call(a, slice, {arg})}));
+    PathwaysProgram prog = std::move(pb).Build();
+    EXPECT_EQ(prog.num_nodes(), 2) << shards << " shards";
+    EXPECT_EQ(prog.num_arguments(), 1);
+    EXPECT_EQ(prog.ConsumersOf(0), (std::vector<int>{1}));
+    EXPECT_EQ(prog.results().size(), 1u);
+  }
+}
+
+TEST(ProgramTest, EdgeQueriesWork) {
+  World w;
+  Client* client = w.runtime->CreateClient();
+  auto slice = client->AllocateSlice(2).value();
+  auto fn = CompiledFunction::Synthetic("f", 2, Duration::Micros(1));
+  ProgramBuilder pb("g");
+  const ValueRef a = pb.Call(fn, slice, {});
+  const ValueRef b = pb.Call(fn, slice, {a});
+  const ValueRef c = pb.Call(fn, slice, {a, b});
+  PathwaysProgram prog = std::move(pb).Build();
+  // Out-edges: consumers of each node's output, in program order.
+  EXPECT_EQ(prog.ConsumersOf(a.index), (std::vector<int>{b.index, c.index}));
+  EXPECT_EQ(prog.ConsumersOf(b.index), (std::vector<int>{c.index}));
+  EXPECT_TRUE(prog.ConsumersOf(c.index).empty());
+  // In-edges: the node's operands, in operand order.
+  const std::vector<ValueRef>& in = prog.node(c.index).inputs;
+  ASSERT_EQ(in.size(), 2u);
+  EXPECT_EQ(in[0].kind, ValueRef::Kind::kNodeOutput);
+  EXPECT_EQ(in[0].index, a.index);
+  EXPECT_EQ(in[1].kind, ValueRef::Kind::kNodeOutput);
+  EXPECT_EQ(in[1].index, b.index);
+}
+
+// ---------------------------------------------------------- Dataflow runs --
+
+TEST(RuntimeTest, DataParallelChainDeliversOneTuplePerShardPair) {
+  // Paper §4.3: in data-parallel execution one shard of data flows between
+  // each adjacent pair of nodes. Co-located shards are handed off in place,
+  // so the chain moves nothing over the interconnect.
+  constexpr int kShards = 8;
+  World w(/*hosts=*/4, /*devices_per_host=*/2);
+  Client* client = w.runtime->CreateClient();
+  auto slice = client->AllocateSlice(kShards).value();
+  auto a = CompiledFunction::Synthetic("A", kShards, Duration::Micros(100),
+                                       std::nullopt, 0, KiB(64));
+  auto b = CompiledFunction::Synthetic("B", kShards, Duration::Micros(100),
+                                       std::nullopt, 0, KiB(64));
+  ProgramBuilder pb("chain");
+  pb.Result(pb.Call(b, slice, {pb.Call(a, slice, {})}));
+  PathwaysProgram prog = std::move(pb).Build();
+  auto result = client->Run(&prog);
+  w.sim.Run();
+  ASSERT_TRUE(result.ready());
+  ASSERT_EQ(result.value().outputs.size(), 1u);
+  EXPECT_EQ(result.value().outputs[0].num_shards(), kShards);
+  for (int d = 0; d < w.cluster->num_devices(); ++d) {
+    EXPECT_EQ(w.cluster->device(d).kernels_completed(), 2) << "device " << d;
+  }
+  EXPECT_EQ(w.cluster->island(0).ici_bytes_transferred(), 0);
+}
+
+TEST(RuntimeTest, FanInNodeWaitsForAllEdges) {
+  // join(x, y) runs on x's device; y is slow and on another device. join
+  // must not run until both of its input edges have delivered.
+  World w(/*hosts=*/2, /*devices_per_host=*/1);
+  Client* client = w.runtime->CreateClient();
+  auto sx = client->AllocateSlice(1).value();
+  auto sy = client->AllocateSlice(1).value();
+  auto fast = CompiledFunction::Synthetic("x", 1, Duration::Micros(10));
+  auto slow = CompiledFunction::Synthetic("y", 1, Duration::Millis(5));
+  auto join = CompiledFunction::Synthetic("join", 1, Duration::Micros(10));
+  ProgramBuilder pb("fanin");
+  const ValueRef x = pb.Call(fast, sx, {});
+  const ValueRef y = pb.Call(slow, sy, {});
+  pb.Result(pb.Call(join, sx, {x, y}));
+  PathwaysProgram prog = std::move(pb).Build();
+  auto result = client->Run(&prog);
+  auto kernels = [&] {
+    std::int64_t n = 0;
+    for (int d = 0; d < w.cluster->num_devices(); ++d) {
+      n += w.cluster->device(d).kernels_completed();
+    }
+    return n;
+  };
+  w.sim.RunFor(Duration::Millis(3));
+  EXPECT_EQ(kernels(), 1);  // x done, y still running: join must not fire
+  EXPECT_FALSE(result.ready());
+  w.sim.Run();
+  ASSERT_TRUE(result.ready());
+  EXPECT_EQ(kernels(), 3);
+  EXPECT_GE(w.sim.now().ToMillis(), 5.01);
+}
+
 // ------------------------------------------------------------- End-to-end --
 
 TEST(ExecutionTest, SingleNodeProgramCompletes) {

@@ -202,7 +202,8 @@ TEST(ScenarioParse, UnknownFamilyAxisSuggestsDeclaredAxis) {
       "  \"sweep\": { \"axes\": [\n"
       "    { \"name\": \"clientz\", \"values\": [2] },\n"
       "    { \"name\": \"rate_scale\", \"values\": [0.5] },\n"
-      "    { \"name\": \"policy\", \"values\": [\"drop-tail\"] }\n"
+      "    { \"name\": \"policy\", \"values\": [\"drop-tail\"],\n"
+      "      \"quick_values\": [\"reject-retyr\"] }\n"
       "  ] }\n"
       "}\n";
   diags = DiagnosticEngine("test.json", text);
@@ -212,6 +213,12 @@ TEST(ScenarioParse, UnknownFamilyAxisSuggestsDeclaredAxis) {
   EXPECT_NE(render.find("no axis 'clientz'"), std::string::npos);
   EXPECT_NE(render.find("did you mean 'clients'?"), std::string::npos);
   EXPECT_NE(render.find("test.json:5:"), std::string::npos);
+  // A table-backed string axis checks its quick values too.
+  EXPECT_NE(render.find("test.json:7:5: error: axis 'policy' of family "
+                        "'multitenant' has no value 'reject-retyr'; did you "
+                        "mean 'reject-retry'?"),
+            std::string::npos)
+      << render;
 }
 
 TEST(ScenarioParse, MissingFamilyAxisIsAnError) {

@@ -1,173 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "xlasim/compiled_function.h"
-#include "xlasim/cost_model.h"
-#include "xlasim/hlo.h"
-#include "xlasim/shape.h"
 
 namespace pw::xlasim {
 namespace {
-
-// ----------------------------------------------------------------- Shape --
-
-TEST(ShapeTest, ElementsAndBytes) {
-  Shape s(DType::kF32, {4, 8});
-  EXPECT_EQ(s.num_elements(), 32);
-  EXPECT_EQ(s.byte_size(), 128);
-  EXPECT_EQ(s.ToString(), "f32[4,8]");
-}
-
-TEST(ShapeTest, ScalarHasOneElement) {
-  Shape s = Shape::Scalar(DType::kBF16);
-  EXPECT_EQ(s.rank(), 0);
-  EXPECT_EQ(s.num_elements(), 1);
-  EXPECT_EQ(s.byte_size(), 2);
-}
-
-TEST(ShapeTest, ShardDimDividesEvenly) {
-  Shape s(DType::kF32, {128, 64});
-  Shape shard = s.ShardDim(0, 8);
-  EXPECT_EQ(shard.dims(), (std::vector<std::int64_t>{16, 64}));
-  EXPECT_EQ(shard.byte_size(), s.byte_size() / 8);
-}
-
-TEST(ShapeTest, DTypeSizes) {
-  EXPECT_EQ(DTypeSize(DType::kF32), 4);
-  EXPECT_EQ(DTypeSize(DType::kBF16), 2);
-  EXPECT_EQ(DTypeSize(DType::kS32), 4);
-  EXPECT_EQ(DTypeSize(DType::kPred), 1);
-}
-
-TEST(ShapeTest, Equality) {
-  EXPECT_EQ(Shape(DType::kF32, {2, 3}), Shape(DType::kF32, {2, 3}));
-  EXPECT_NE(Shape(DType::kF32, {2, 3}), Shape(DType::kBF16, {2, 3}));
-  EXPECT_NE(Shape(DType::kF32, {2, 3}), Shape(DType::kF32, {3, 2}));
-}
-
-// ------------------------------------------------------------------- HLO --
-
-TEST(HloBuilderTest, BuildsElementwiseChain) {
-  HloBuilder b("f");
-  const int x = b.Parameter(Shape(DType::kF32, {16}));
-  const int y = b.Add(x, x);
-  const int z = b.Multiply(y, y);
-  HloModule m = std::move(b).Build();
-  EXPECT_EQ(m.num_instructions(), 3);
-  EXPECT_EQ(m.root(), z);
-  EXPECT_EQ(m.root_shape(), Shape(DType::kF32, {16}));
-  EXPECT_EQ(m.parameters(), (std::vector<int>{x}));
-}
-
-TEST(HloBuilderTest, MatMulShapeInference) {
-  HloBuilder b("mm");
-  const int a = b.Parameter(Shape(DType::kBF16, {32, 64}));
-  const int w = b.Parameter(Shape(DType::kBF16, {64, 128}));
-  const int y = b.MatMul(a, w);
-  EXPECT_EQ(b.shape_of(y), Shape(DType::kBF16, {32, 128}));
-}
-
-TEST(HloBuilderTest, AllGatherGrowsGatherDim) {
-  HloBuilder b("ag");
-  const int x = b.Parameter(Shape(DType::kF32, {16, 8}));
-  const int y = b.AllGather(x, /*gather_dim=*/1, /*num_shards=*/4);
-  EXPECT_EQ(b.shape_of(y), Shape(DType::kF32, {16, 32}));
-}
-
-TEST(HloBuilderTest, ReduceScatterShrinksDim) {
-  HloBuilder b("rs");
-  const int x = b.Parameter(Shape(DType::kF32, {16, 8}));
-  const int y = b.ReduceScatter(x, /*scatter_dim=*/0, /*num_shards=*/4);
-  EXPECT_EQ(b.shape_of(y), Shape(DType::kF32, {4, 8}));
-}
-
-TEST(HloBuilderTest, EmbeddingLookupShape) {
-  HloBuilder b("emb");
-  const int ids = b.Parameter(Shape(DType::kS32, {256}));
-  const int table = b.Parameter(Shape(DType::kBF16, {32000, 1024}));
-  const int y = b.EmbeddingLookup(ids, table);
-  EXPECT_EQ(b.shape_of(y), Shape(DType::kBF16, {256, 1024}));
-}
-
-TEST(HloBuilderTest, OpcodeNames) {
-  EXPECT_EQ(HloOpcodeName(HloOpcode::kMatMul), "matmul");
-  EXPECT_EQ(HloOpcodeName(HloOpcode::kAllReduce), "all-reduce");
-}
-
-// ------------------------------------------------------------- CostModel --
-
-TEST(CostModelTest, MatMulFlopsDominateLargeShapes) {
-  CostParams p;
-  p.peak_flops = 100e12;
-  p.mfu = 0.5;
-  p.per_op_overhead = Duration::Zero();
-  CostModel cm(p);
-  // 4096^3 matmul: 2*4096^3 = 1.37e11 flops at 50e12 -> 2.75ms.
-  const Duration t = cm.MatMulTime(4096, 4096, 4096);
-  EXPECT_NEAR(t.ToMillis(), 2.75, 0.05);
-}
-
-TEST(CostModelTest, ElementwiseIsMemoryBound) {
-  CostParams p;
-  p.hbm_bandwidth = 1e12;
-  p.per_op_overhead = Duration::Zero();
-  CostModel cm(p);
-  HloBuilder b("ew");
-  const int x = b.Parameter(Shape(DType::kF32, {1 << 20}));
-  b.Add(x, x);
-  HloModule m = std::move(b).Build();
-  // Bytes = 2 inputs + 1 output = 12 MiB at 1 TB/s ~ 12.58 us.
-  const Duration t = cm.ModuleComputeTime(m);
-  EXPECT_NEAR(t.ToMicros(), 12.58, 0.2);
-}
-
-TEST(CostModelTest, CollectivesAreFreeOnCore) {
-  CostModel cm;
-  HloBuilder b("ar");
-  const int x = b.Parameter(Shape(DType::kF32, {1024}));
-  const int ar = b.AllReduce(x);
-  (void)ar;
-  HloModule m = std::move(b).Build();
-  const OpCost c = cm.InstructionCost(m, m.root());
-  EXPECT_EQ(c.flops, 0);
-  EXPECT_EQ(c.bytes, 0);
-}
-
-TEST(CostModelTest, PerOpOverheadScalesWithOpCount) {
-  CostParams p;
-  p.per_op_overhead = Duration::Micros(1);
-  CostModel cm(p);
-  OpCost zero;
-  EXPECT_DOUBLE_EQ(cm.Time(zero, 5).ToMicros(), 5.0);
-}
-
-// Property sweep: per-shard compute time decreases (weakly) with shards.
-class ShardingSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ShardingSweep, PerShardTimeShrinksWithShards) {
-  const int shards = GetParam();
-  Compiler compiler;
-  HloBuilder b("big");
-  const int a = b.Parameter(Shape(DType::kBF16, {4096, 4096}));
-  const int w = b.Parameter(Shape(DType::kBF16, {4096, 4096}));
-  b.MatMul(a, w);
-  HloModule m = std::move(b).Build();
-
-  const CompiledFunction whole = compiler.Compile(m, ShardingSpec{1, 0});
-  const CompiledFunction sharded = compiler.Compile(m, ShardingSpec{shards, 0});
-  EXPECT_LE(sharded.total_compute_time().nanos(),
-            whole.total_compute_time().nanos());
-  // Roofline scales linearly up to the per-op overhead floor.
-  EXPECT_NEAR(static_cast<double>(sharded.total_compute_time().nanos() -
-                                  compiler.cost_model().params().per_op_overhead.nanos()),
-              static_cast<double>(whole.total_compute_time().nanos() -
-                                  compiler.cost_model().params().per_op_overhead.nanos()) /
-                  shards,
-              1e6);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ShardingSweep, ::testing::Values(1, 2, 4, 8, 16));
-
-// ------------------------------------------------------ CompiledFunction --
 
 TEST(CompiledFunctionTest, SyntheticWithoutCollective) {
   auto f = CompiledFunction::Synthetic("tiny", 4, Duration::Millis(1));
@@ -183,34 +19,6 @@ TEST(CompiledFunctionTest, SyntheticWithCollectiveSplitsCompute) {
   EXPECT_EQ(*f.collective, net::CollectiveKind::kAllReduce);
   EXPECT_EQ(f.collective_bytes_per_shard, 4);
   EXPECT_DOUBLE_EQ((f.pre_collective_time + f.post_collective_time).ToMicros(), 10.0);
-}
-
-TEST(CompilerTest, CompilesAllReduceProgram) {
-  Compiler compiler;
-  HloBuilder b("grad_sync");
-  const int g = b.Parameter(Shape(DType::kF32, {1 << 20}));  // 4 MiB grads
-  const int ar = b.AllReduce(g);
-  const int out = b.Add(ar, ar);
-  (void)out;
-  HloModule m = std::move(b).Build();
-  const CompiledFunction f = compiler.Compile(m, ShardingSpec{4, 0});
-  ASSERT_TRUE(f.collective.has_value());
-  EXPECT_EQ(f.collective_bytes_per_shard, (1 << 22) / 4);
-  EXPECT_GT(f.post_collective_time.nanos(), 0);  // the add happens after
-  EXPECT_EQ(f.input_bytes_per_shard, (1 << 22) / 4);
-}
-
-TEST(CompilerTest, StaticBufferAssignmentCoversInputsAndOutputs) {
-  Compiler compiler;
-  HloBuilder b("mm");
-  const int a = b.Parameter(Shape(DType::kBF16, {64, 64}));
-  const int w = b.Parameter(Shape(DType::kBF16, {64, 64}));
-  b.MatMul(a, w);
-  HloModule m = std::move(b).Build();
-  const CompiledFunction f = compiler.Compile(m, ShardingSpec{1, 0});
-  EXPECT_EQ(f.input_bytes_per_shard, 2 * 64 * 64 * 2);
-  EXPECT_EQ(f.output_bytes_per_shard, 64 * 64 * 2);
-  EXPECT_GT(f.hbm_bytes_per_shard(), f.input_bytes_per_shard);
 }
 
 }  // namespace
