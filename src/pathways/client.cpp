@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <memory>
 
 #include "common/logging.h"
@@ -83,21 +82,20 @@ sim::SimFuture<ExecutionResult> Client::Run(const PathwaysProgram* program,
                                        runtime_->execution_ids().Next());
   ++programs_submitted_;
 
-  // Group the program's nodes by island, preserving program order: one
-  // subgraph RPC per island (parallel asynchronous dispatch sends a single
-  // message describing the entire subgraph, §4.5).
-  std::map<std::int64_t, std::vector<int>> by_island;
-  for (const ComputationNode& n : program->nodes()) {
-    by_island[n.slice.island.value()].push_back(n.id);
-  }
+  // One subgraph RPC per island, each listing that island's nodes in program
+  // order (parallel asynchronous dispatch sends a single message describing
+  // the entire subgraph, §4.5). The RPCs share the program's subgraph table.
   cpu_.Submit(runtime_->params().client_rpc_cost,
-              [this, exec, by_island = std::move(by_island)] {
-    for (const auto& [island, nodes] : by_island) {
-      GangScheduler& sched = runtime_->scheduler(hw::IslandId(island));
+              [this, exec, subgraphs = program->subgraphs()] {
+    for (const IslandSubgraph& sub : *subgraphs) {
+      GangScheduler& sched = runtime_->scheduler(sub.island);
       const Bytes rpc_bytes =
-          128 + 64 * static_cast<Bytes>(nodes.size());  // subgraph descriptor
+          128 + 64 * static_cast<Bytes>(sub.nodes.size());  // subgraph descriptor
+      std::shared_ptr<const std::vector<int>> nodes(subgraphs, &sub.nodes);
       host_->SendDcn(sched.home()->id(), rpc_bytes,
-                     [&sched, exec, nodes] { sched.SubmitSubgraph(exec, nodes); });
+                     [&sched, exec, nodes = std::move(nodes)] {
+                       sched.SubmitSubgraph(exec, nodes);
+                     });
     }
   });
   // Stream the per-shard fan-out work — launch descriptors and output-

@@ -1,7 +1,6 @@
 #include "pathways/execution.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -45,9 +44,10 @@ ProgramExecution::ProgramExecution(PathwaysRuntime* runtime, ClientId client,
 }
 
 void ProgramExecution::Lower() {
-  // Resolve virtual devices to physical (re-lowering happens per execution,
-  // so resource-manager remaps take effect here), create output buffers, and
-  // initialize per-shard dataflow state.
+  // Resolve virtual devices to physical (per execution, so resource-manager
+  // remaps take effect here), create output buffers, and initialize
+  // per-shard dataflow state. Everything that depends only on the program
+  // was computed when it was traced.
   sim::Simulator* sim = &runtime_->simulator();
   nodes_.resize(static_cast<std::size_t>(program_->num_nodes()));
   for (const ComputationNode& n : program_->nodes()) {
@@ -63,24 +63,13 @@ void ProgramExecution::Lower() {
         std::make_unique<sim::CountdownLatch>(sim, n.fn.num_shards);
     state.completion_latch =
         std::make_unique<sim::CountdownLatch>(sim, n.fn.num_shards);
-    state.consumers_remaining =
-        static_cast<int>(program_->ConsumersOf(n.id).size());
+    state.consumers_remaining = program_->num_consumers(n.id);
     state.shards.resize(static_cast<std::size_t>(n.fn.num_shards));
     for (ShardState& s : state.shards) {
       s.prep_done = std::make_unique<sim::SimPromise<sim::Unit>>(sim);
       s.output_ready = std::make_unique<sim::SimPromise<sim::Unit>>(sim);
       s.inputs.resize(n.inputs.size());
     }
-  }
-  // Completion accounting: one message per shard of each distinct result
-  // node arrives at the client.
-  std::set<int> result_nodes;
-  for (const ValueRef& r : program_->results()) {
-    if (r.kind == ValueRef::Kind::kNodeOutput) result_nodes.insert(r.index);
-  }
-  PW_CHECK(!result_nodes.empty()) << program_->name() << ": no computed results";
-  for (const int n : result_nodes) {
-    result_shard_messages_expected_ += program_->node(n).fn.num_shards;
   }
 }
 
@@ -145,13 +134,12 @@ void ProgramExecution::WireEdge(int consumer_node, int operand_index) {
       }
       const auto consumer_prepped =
           cstate.shards[static_cast<std::size_t>(j)].prep_done->future();
-      auto self = shared_from_this();
-      sim::WhenAll(sim, {producer_ready, consumer_prepped})
-          .Then([self, src_buf, src_shard = i, src_dev, dst_dev, piece_bytes,
-                 latch](const sim::Unit&) {
-            self->StartTransfer(src_buf, src_shard, src_dev, dst_dev,
-                                piece_bytes, latch);
-          });
+      sim::WhenBoth(sim, producer_ready, consumer_prepped,
+                    [self = shared_from_this(), src_buf, src_shard = i,
+                     src_dev, dst_dev, piece_bytes, latch] {
+                      self->StartTransfer(src_buf, src_shard, src_dev, dst_dev,
+                                          piece_bytes, latch);
+                    });
     }
   }
 }
@@ -259,21 +247,16 @@ void ProgramExecution::WireRelease() {
       // the per-consumer refcount dance below would double-free them.
       if (self->aborted_) return;
       // This node is done: credit each distinct producer it consumed.
-      std::set<int> producers;
-      for (const ValueRef& in : self->program_->node(node_id).inputs) {
-        if (in.kind == ValueRef::Kind::kNodeOutput) producers.insert(in.index);
-      }
-      for (const int p : producers) {
+      const PathwaysProgram& program = *self->program_;
+      for (const int p : program.producers(node_id)) {
         NodeState& pstate = self->nodes_[static_cast<std::size_t>(p)];
-        if (--pstate.consumers_remaining == 0 &&
-            !self->program_->IsResult(ValueRef::Node(p))) {
+        if (--pstate.consumers_remaining == 0 && !program.is_result(p)) {
           self->runtime_->object_store().Release(pstate.output.id);
         }
       }
       // A sink node that is not a result frees its own output immediately.
       NodeState& own = self->nodes_[static_cast<std::size_t>(node_id)];
-      if (own.consumers_remaining == 0 &&
-          !self->program_->IsResult(ValueRef::Node(node_id))) {
+      if (own.consumers_remaining == 0 && !program.is_result(node_id)) {
         self->runtime_->object_store().Release(own.output.id);
       }
     });
@@ -294,10 +277,6 @@ void ProgramExecution::AssignGangTicket(int node) {
   store.RegisterTicket(state.ticket, id_.value(),
                        "exec " + std::to_string(id_.value()));
   store.SetBufferTicket(state.output.id, state.ticket);
-}
-
-bool ProgramExecution::IsResultNode(int node) const {
-  return program_->IsResult(ValueRef::Node(node));
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::ReserveOutputShard(int node,
@@ -407,7 +386,7 @@ void ProgramExecution::OnResultShardMessage() {
     if (self->aborted_) return;
     ++self->result_shard_messages_received_;
     if (self->result_shard_messages_received_ <
-        self->result_shard_messages_expected_) {
+        self->program_->result_shard_messages()) {
       return;
     }
     const Duration logical_cost =

@@ -67,9 +67,6 @@ class ProgramExecution
 
   // --- Lowered placement (physical devices, resolved at creation) ---
   hw::DeviceId DeviceFor(int node, int shard) const;
-  // True if this node's output is a program result (its shards report
-  // completion to the client).
-  bool IsResultNode(int node) const;
 
   // --- Executor-facing state transitions ---
   // Reserves HBM for one output shard (called from executor prep; lazy so
@@ -187,7 +184,6 @@ class ProgramExecution
   // actually being moved.
   std::vector<std::pair<LogicalBufferId, int>> outstanding_reads_;
   std::unique_ptr<sim::SimPromise<ExecutionResult>> done_promise_;
-  int result_shard_messages_expected_ = 0;
   int result_shard_messages_received_ = 0;
   bool finished_ = false;
   bool aborted_ = false;

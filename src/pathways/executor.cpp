@@ -39,8 +39,8 @@ void DeviceExecutor::Dispatch(std::shared_ptr<ProgramExecution> exec, int node,
         auto scratch = runtime_->object_store().AllocateScratch(
             device_->id(), staging, exec->gang_ticket(node));
         auto output_reserved = exec->ReserveOutputShard(node, shard);
-        sim::WhenAll(&runtime_->simulator(), {scratch, output_reserved})
-            .Then([this, exec, node, shard, seq, staging](const sim::Unit&) {
+        sim::WhenBoth(&runtime_->simulator(), scratch, output_reserved,
+            [this, exec, node, shard, seq, staging] {
               exec->MarkPrepDone(node, shard);
               EnqueueInOrder(seq, [this, exec, node, shard, staging] {
                 if (exec->aborted()) {
@@ -65,9 +65,9 @@ void DeviceExecutor::Dispatch(std::shared_ptr<ProgramExecution> exec, int node,
                       runtime_->object_store().FreeScratch(device_->id(),
                                                            staging);
                       exec->MarkShardComplete(node, shard);
-                      // Aborted first: IsResultNode reads the program, which
-                      // may be gone once done() resolved with failure.
-                      if (!exec->aborted() && exec->IsResultNode(node)) {
+                      // Aborted first: the program may be gone once done()
+                      // resolved with failure.
+                      if (!exec->aborted() && exec->program().is_result(node)) {
                         host_->SendDcn(exec->client_host(), /*bytes=*/64,
                                        [exec] { exec->OnResultShardMessage(); });
                       }

@@ -19,8 +19,8 @@ GangScheduler::GangScheduler(PathwaysRuntime* runtime, hw::Island* island,
 hw::IslandId GangScheduler::island_id() const { return island_->id(); }
 
 void GangScheduler::SubmitSubgraph(std::shared_ptr<ProgramExecution> exec,
-                                   std::vector<int> nodes) {
-  PW_CHECK(!nodes.empty());
+                                   std::shared_ptr<const std::vector<int>> nodes) {
+  PW_CHECK(nodes != nullptr && !nodes->empty());
   // FIFO policy uses one shared queue; stride keeps one queue per client.
   const std::int64_t key =
       runtime_->options().policy == SchedulerPolicy::kFifo
@@ -142,7 +142,7 @@ void GangScheduler::DispatchGang(Entry entry) {
     Pump();
     return;
   }
-  const int node = entry.nodes[entry.next_node];
+  const int node = (*entry.nodes)[entry.next_node];
   auto exec = entry.exec;
   const ComputationNode& cn = exec->program().node(node);
   const int num_shards = cn.fn.num_shards;
@@ -236,7 +236,7 @@ void GangScheduler::DispatchGang(Entry entry) {
     entry.picked_wait = Duration::Zero();
     ++entry.next_node;
     auto exec2 = entry.exec;
-    const bool more = entry.next_node < entry.nodes.size();
+    const bool more = entry.next_node < entry.nodes->size();
     auto continue_pumping = [this, entry = std::move(entry), more]() mutable {
       if (more) {
         const std::int64_t key =

@@ -43,7 +43,7 @@ class GangScheduler {
   // Called when a program's subgraph RPC arrives: `nodes` are the program's
   // node ids placed on this island, in program (topological) order.
   void SubmitSubgraph(std::shared_ptr<ProgramExecution> exec,
-                      std::vector<int> nodes);
+                      std::shared_ptr<const std::vector<int>> nodes);
 
   // Rebases every queue's pass by the minimum pass among backlogged queues,
   // clamping at zero. Pass values only matter relative to each other, so
@@ -89,7 +89,7 @@ class GangScheduler {
  private:
   struct Entry {
     std::shared_ptr<ProgramExecution> exec;
-    std::vector<int> nodes;
+    std::shared_ptr<const std::vector<int>> nodes;
     std::size_t next_node = 0;
     // Set every time the entry (re)enters a queue. Pump accrues the
     // elapsed time into picked_wait, which is committed to the owning

@@ -47,19 +47,34 @@ constexpr Policy kPolicies[] = {
     {"stride", pathways::SchedulerPolicy::kWeightedStride},
 };
 
-std::vector<double> Weights(const std::string& text, int clients) {
-  std::vector<double> cycle;
+// Parses `weights` into one cycle of per-client weights; returns what is
+// wrong with the text, or "" if every item is a finite positive number.
+// `pwsim validate` runs it on every value (the axis' FamilyAxis::check).
+std::string ParseWeights(const std::string& text, std::vector<double>* cycle) {
   for (std::size_t pos = 0; pos <= text.size();) {
     const std::size_t end = std::min(text.find(':', pos), text.size());
     const std::string item = text.substr(pos, end - pos);
     char* stop = nullptr;
     const double w = std::strtod(item.c_str(), &stop);
-    PW_CHECK(!item.empty() && *stop == '\0' && w > 0)
-        << "clients: weights '" << text
-        << "' are not positive numbers separated by ':'";
-    cycle.push_back(w);
+    if (item.empty() || *stop != '\0' || !std::isfinite(w) || w <= 0) {
+      return "weights '" + text +
+             "' are not finite positive numbers separated by ':'";
+    }
+    cycle->push_back(w);
     pos = end + 1;
   }
+  return "";
+}
+
+std::string CheckWeights(const std::string& text) {
+  std::vector<double> cycle;
+  return ParseWeights(text, &cycle);
+}
+
+std::vector<double> Weights(const std::string& text, int clients) {
+  std::vector<double> cycle;
+  const std::string problem = ParseWeights(text, &cycle);
+  PW_CHECK(problem.empty()) << "clients: " << problem;
   std::vector<double> weights;
   for (int c = 0; c < clients; ++c) {
     weights.push_back(cycle[static_cast<std::size_t>(c) % cycle.size()]);
@@ -237,7 +252,7 @@ Family MakeClientsFamily() {
   f.axes = {{"clients", AxisKind::kInt},
             {"compute_ms", AxisKind::kDouble},
             {"policy", AxisKind::kString, NamesOf(kPolicies)},
-            {"weights", AxisKind::kString}};
+            {"weights", AxisKind::kString, {}, CheckWeights}};
   f.check_determinism = false;  // no summary reads it
   f.measure = Measure;
   return f;

@@ -174,16 +174,20 @@ bool ValidateForFamily(Scenario* s, DiagnosticEngine* diags) {
                                  fam->name + "' expects " +
                                  AxisKindName(spec->kind) + " values, got " +
                                  AxisKindName(have));
-    } else if (!spec->values.empty()) {
+    } else if (have == AxisKind::kString) {
       for (const auto* values : {&axis.values, &axis.quick_values}) {
         for (const sweep::ParamValue& v : *values) {
           const std::string& value = std::get<std::string>(v);
-          if (std::find(spec->values.begin(), spec->values.end(), value) ==
-              spec->values.end()) {
-            diags->Error(axis.loc, "axis '" + axis.name + "' of family '" +
-                                       fam->name + "' has no value '" + value +
-                                       "'" +
+          const std::string where =
+              "axis '" + axis.name + "' of family '" + fam->name + "'";
+          if (!spec->values.empty() &&
+              std::find(spec->values.begin(), spec->values.end(), value) ==
+                  spec->values.end()) {
+            diags->Error(axis.loc, where + " has no value '" + value + "'" +
                                        DidYouMeanSuffix(value, spec->values));
+          } else if (spec->check != nullptr) {
+            const std::string problem = spec->check(value);
+            if (!problem.empty()) diags->Error(axis.loc, where + ": " + problem);
           }
         }
       }

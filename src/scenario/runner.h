@@ -44,6 +44,9 @@ struct FamilyAxis {
   // A string axis that selects a row of a fixed table accepts only that
   // table's names (NamesOf in family_common.h); empty = any string.
   std::vector<std::string> values = {};
+  // Optional check of each value of a free-form string axis: returns what
+  // is wrong with the value, or "" if the family can run it.
+  std::string (*check)(const std::string& value) = nullptr;
 };
 
 struct Family {

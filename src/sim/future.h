@@ -108,6 +108,28 @@ SimFuture<T> ReadyFuture(Simulator* sim, T value) {
 // An empty set completes immediately.
 SimFuture<Unit> WhenAll(Simulator* sim, const std::vector<SimFuture<Unit>>& futures);
 
+// Runs `fn` once both `a` and `b` have completed. Event-for-event the same as
+// WhenAll(sim, {a, b}).Then(fn) — one zero-delay event per input as it
+// completes, then one zero-delay event running `fn` — but the join is one
+// shared allocation instead of a vector, a latch, its future state and
+// callback vector.
+template <typename Fn>
+void WhenBoth(Simulator* sim, const SimFuture<Unit>& a,
+              const SimFuture<Unit>& b, Fn fn) {
+  struct Join {
+    int remaining;
+    Fn fn;
+  };
+  auto join = std::make_shared<Join>(Join{2, std::move(fn)});
+  auto arrive = [sim, join](const Unit&) {
+    if (--join->remaining == 0) {
+      sim->Schedule(Duration::Zero(), [join] { join->fn(); });
+    }
+  };
+  a.Then(arrive);
+  b.Then(std::move(arrive));
+}
+
 // Counts down to zero; exposes a Unit future that fires at zero.
 // Useful for joining N independent completions without materializing their
 // futures (e.g. all shards of a gang finishing).

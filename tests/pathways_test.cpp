@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "pathways/pathways.h"
@@ -305,6 +308,11 @@ TEST(ObjectStoreTest, BackPressureDelaysReservation) {
 
 // -------------------------------------------------------------- Program IR --
 
+std::vector<int> Producers(const PathwaysProgram& prog, int node) {
+  const auto p = prog.producers(node);
+  return {p.begin(), p.end()};
+}
+
 TEST(ProgramTest, TracerBuildsFig2StyleDag) {
   World w;
   Client* client = w.runtime->CreateClient();
@@ -326,9 +334,11 @@ TEST(ProgramTest, TracerBuildsFig2StyleDag) {
   EXPECT_EQ(prog.num_arguments(), 1);
   EXPECT_EQ(prog.results().size(), 2u);
   // x (node 0) feeds b (node 1) and c (node 2).
-  EXPECT_EQ(prog.ConsumersOf(0), (std::vector<int>{1, 2}));
-  EXPECT_TRUE(prog.IsResult(y));
-  EXPECT_FALSE(prog.IsResult(x));
+  EXPECT_EQ(prog.num_consumers(0), 2);
+  EXPECT_EQ(Producers(prog, 1), (std::vector<int>{0}));
+  EXPECT_EQ(Producers(prog, 2), (std::vector<int>{0}));
+  EXPECT_TRUE(prog.is_result(y.index));
+  EXPECT_FALSE(prog.is_result(x.index));
 }
 
 TEST(ProgramTest, DefaultResultIsLastNode) {
@@ -340,7 +350,7 @@ TEST(ProgramTest, DefaultResultIsLastNode) {
   pb.Call(f, slice, {});
   PathwaysProgram prog = std::move(pb).Build();
   ASSERT_EQ(prog.results().size(), 1u);
-  EXPECT_TRUE(prog.IsResult(ValueRef::Node(0)));
+  EXPECT_TRUE(prog.is_result(0));
 }
 
 TEST(ProgramTest, CompactRepresentationIndependentOfShardCount) {
@@ -358,7 +368,8 @@ TEST(ProgramTest, CompactRepresentationIndependentOfShardCount) {
     PathwaysProgram prog = std::move(pb).Build();
     EXPECT_EQ(prog.num_nodes(), 2) << shards << " shards";
     EXPECT_EQ(prog.num_arguments(), 1);
-    EXPECT_EQ(prog.ConsumersOf(0), (std::vector<int>{1}));
+    EXPECT_EQ(prog.num_consumers(0), 1);
+    EXPECT_EQ(Producers(prog, 1), (std::vector<int>{0}));
     EXPECT_EQ(prog.results().size(), 1u);
   }
 }
@@ -373,10 +384,14 @@ TEST(ProgramTest, EdgeQueriesWork) {
   const ValueRef b = pb.Call(fn, slice, {a});
   const ValueRef c = pb.Call(fn, slice, {a, b});
   PathwaysProgram prog = std::move(pb).Build();
-  // Out-edges: consumers of each node's output, in program order.
-  EXPECT_EQ(prog.ConsumersOf(a.index), (std::vector<int>{b.index, c.index}));
-  EXPECT_EQ(prog.ConsumersOf(b.index), (std::vector<int>{c.index}));
-  EXPECT_TRUE(prog.ConsumersOf(c.index).empty());
+  // Out-edges: how many distinct nodes read each node's output.
+  EXPECT_EQ(prog.num_consumers(a.index), 2);
+  EXPECT_EQ(prog.num_consumers(b.index), 1);
+  EXPECT_EQ(prog.num_consumers(c.index), 0);
+  // Distinct producers of each node, ascending.
+  EXPECT_EQ(Producers(prog, a.index), (std::vector<int>{}));
+  EXPECT_EQ(Producers(prog, b.index), (std::vector<int>{a.index}));
+  EXPECT_EQ(Producers(prog, c.index), (std::vector<int>{a.index, b.index}));
   // In-edges: the node's operands, in operand order.
   const std::vector<ValueRef>& in = prog.node(c.index).inputs;
   ASSERT_EQ(in.size(), 2u);
@@ -384,6 +399,96 @@ TEST(ProgramTest, EdgeQueriesWork) {
   EXPECT_EQ(in[0].index, a.index);
   EXPECT_EQ(in[1].kind, ValueRef::Kind::kNodeOutput);
   EXPECT_EQ(in[1].index, b.index);
+}
+
+// Every table the tracer fills while appending nodes matches a brute-force
+// recomputation from the finished node list, on random DAGs with repeated
+// operands, argument operands, repeated and argument results, several
+// islands and the default (last-node) result.
+TEST(ProgramTest, TracedTablesMatchBruteForceOnRandomDags) {
+  constexpr int kNumTimes = 300;
+  std::uint64_t lcg = 0x5eed;
+  auto next = [&lcg](int bound) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int>((lcg >> 33) % static_cast<std::uint64_t>(bound));
+  };
+  for (int trial = 0; trial < kNumTimes; ++trial) {
+    const int num_islands = 1 + next(4);
+    const int num_nodes = 1 + next(40);
+    ProgramBuilder pb("random");
+    const int num_args = next(3);
+    for (int a = 0; a < num_args; ++a) pb.Argument();
+    for (int n = 0; n < num_nodes; ++n) {
+      const int shards = 1 + next(4);
+      VirtualSlice slice;
+      slice.island = hw::IslandId(next(num_islands));
+      slice.devices.resize(static_cast<std::size_t>(shards));
+      std::vector<ValueRef> inputs;
+      const int num_inputs = next(5);
+      for (int i = 0; i < num_inputs; ++i) {
+        if (n > 0 && (num_args == 0 || next(4) != 0)) {
+          inputs.push_back(ValueRef::Node(next(n)));  // repeats allowed
+        } else if (num_args > 0) {
+          inputs.push_back(ValueRef::Arg(next(num_args)));
+        }
+      }
+      pb.Call(CompiledFunction::Synthetic("f", shards, Duration::Micros(1)),
+              slice, std::move(inputs));
+    }
+    // No explicit results a third of the time: Build() picks the last node.
+    const int num_results = next(3) == 0 ? 0 : 1 + next(4);
+    for (int r = 0; r < num_results; ++r) {
+      if (num_args > 0 && next(4) == 0) {
+        pb.Result(ValueRef::Arg(next(num_args)));
+      } else {
+        pb.Result(ValueRef::Node(next(num_nodes)));
+      }
+    }
+    if (num_results > 0) pb.Result(ValueRef::Node(next(num_nodes)));
+    const PathwaysProgram prog = std::move(pb).Build();
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+
+    std::set<int> result_nodes;
+    for (const ValueRef& r : prog.results()) {
+      if (r.kind == ValueRef::Kind::kNodeOutput) result_nodes.insert(r.index);
+    }
+    int expected_messages = 0;
+    for (const int r : result_nodes) {
+      expected_messages += prog.node(r).fn.num_shards;
+    }
+    EXPECT_EQ(prog.result_shard_messages(), expected_messages);
+    std::map<std::int64_t, std::vector<int>> by_island;
+    for (const ComputationNode& node : prog.nodes()) {
+      const int id = node.id;
+      std::set<int> producers;
+      for (const ValueRef& in : node.inputs) {
+        if (in.kind == ValueRef::Kind::kNodeOutput) producers.insert(in.index);
+      }
+      EXPECT_EQ(Producers(prog, id),
+                std::vector<int>(producers.begin(), producers.end()));
+      int consumers = 0;
+      for (const ComputationNode& other : prog.nodes()) {
+        for (const ValueRef& in : other.inputs) {
+          if (in.kind == ValueRef::Kind::kNodeOutput && in.index == id) {
+            ++consumers;
+            break;
+          }
+        }
+      }
+      EXPECT_EQ(prog.num_consumers(id), consumers) << "node " << id;
+      EXPECT_EQ(prog.is_result(id), result_nodes.count(id) == 1)
+          << "node " << id;
+      by_island[node.slice.island.value()].push_back(id);
+    }
+    const auto subgraphs = prog.subgraphs();
+    ASSERT_EQ(subgraphs->size(), by_island.size());
+    auto expected = by_island.begin();
+    for (const IslandSubgraph& sub : *subgraphs) {
+      EXPECT_EQ(sub.island.value(), expected->first);
+      EXPECT_EQ(sub.nodes, expected->second);
+      ++expected;
+    }
+  }
 }
 
 // ---------------------------------------------------------- Dataflow runs --

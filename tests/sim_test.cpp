@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -169,6 +171,94 @@ TEST(FutureTest, WhenAllWaitsForEveryInput) {
   c.Set(Unit{});
   sim.Run();
   EXPECT_TRUE(all.ready());
+}
+
+// Runs one two-input join and returns the order in which every callback and
+// event fired, tagged with its time, plus the executed-event count. Input a
+// is a 2-count latch's future (so ForceComplete is covered), b a promise's.
+// Steps in `before` run before the join is registered; each step in `after`
+// runs in its own event, 1 us apart, between unrelated zero-delay events.
+// Steps: 'a' counts a down to zero, 'h' counts it down once, 'f'
+// force-completes it, 'b' sets b.
+std::vector<std::string> JoinFiringOrder(bool when_both,
+                                         const std::string& before,
+                                         const std::string& after) {
+  Simulator sim;
+  std::vector<std::string> log;
+  CountdownLatch a(&sim, 2);
+  SimPromise<Unit> b(&sim);
+  auto note = [&](const std::string& tag) {
+    log.push_back(tag + "@" + std::to_string(sim.now().ToMicros()));
+  };
+  auto unrelated = [&](const std::string& tag) {
+    sim.Schedule(Duration::Zero(), [&note, tag] { note(tag); });
+  };
+  auto step = [&](char c) {
+    if (c == 'a') {
+      a.CountDown();
+      a.CountDown();
+    } else if (c == 'h') {
+      a.CountDown();
+    } else if (c == 'f') {
+      a.ForceComplete();
+    } else {
+      b.Set(Unit{});
+    }
+  };
+  a.done().Then([&](const Unit&) { note("a-earlier"); });
+  for (const char c : before) step(c);
+  unrelated("u-before");
+  if (when_both) {
+    WhenBoth(&sim, a.done(), b.future(), [&] { note("join"); });
+  } else {
+    WhenAll(&sim, {a.done(), b.future()}).Then([&](const Unit&) {
+      note("join");
+    });
+  }
+  b.future().Then([&](const Unit&) { note("b-later"); });
+  unrelated("u-after");
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    const char c = after[i];
+    const std::string tag(1, c);
+    sim.Schedule(Duration::Micros(static_cast<std::int64_t>(i) + 1),
+                 [&, c, tag] {
+                   unrelated("u-pre-" + tag);
+                   note("step-" + tag);
+                   step(c);
+                   unrelated("u-post-" + tag);
+                 });
+  }
+  sim.Run();
+  log.push_back("events=" + std::to_string(sim.events_executed()));
+  return log;
+}
+
+TEST(FutureTest, WhenBothFiresInWhenAllOrder) {
+  const struct {
+    const char* before;
+    const char* after;
+  } kCases[] = {
+      {"", "ab"},    // a set first
+      {"", "ba"},    // b set first
+      {"ab", ""},    // both already ready
+      {"a", "b"},    // a already ready
+      {"b", "a"},    // b already ready
+      {"", "hfb"},   // a force-completed with one count left, then b
+      {"b", "hf"},   // b ready, a force-completed later
+      {"f", "b"},    // a force-completed before the join
+      {"", "bfa"},   // counting down a force-completed latch is a no-op
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(testing::Message()
+                 << "before '" << c.before << "' after '" << c.after << "'");
+    const auto both = JoinFiringOrder(true, c.before, c.after);
+    EXPECT_EQ(both, JoinFiringOrder(false, c.before, c.after));
+    EXPECT_EQ(std::count_if(both.begin(), both.end(),
+                            [](const std::string& s) {
+                              return s.rfind("join@", 0) == 0;
+                            }),
+              1);
+  }
 }
 
 TEST(CountdownLatchTest, FiresAtZero) {
