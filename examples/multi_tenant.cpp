@@ -21,6 +21,7 @@ int main() {
 
   sim::Simulator sim;
   auto cluster = hw::Cluster::ConfigB(&sim, /*hosts=*/2);  // 16 TPUs
+  cluster->EnableTrace();  // the shares and Gantt chart read kernel spans
   PathwaysOptions options;
   options.policy = SchedulerPolicy::kWeightedStride;
   options.max_inflight_gangs = 2;

@@ -83,8 +83,7 @@ Cluster::Cluster(sim::Simulator* sim, const SystemParams& params, int islands,
       for (int d = 0; d < devices_per_host; ++d) {
         auto dev = std::make_unique<Device>(sim, device_ids.Next(), IslandId(isl),
                                             params_.hbm_capacity,
-                                            params_.kernel_launch_overhead,
-                                            &trace_);
+                                            params_.kernel_launch_overhead);
         host->AttachDevice(dev.get());
         island->AddDevice(dev.get());
         host_of_.push_back(host.get());
@@ -95,6 +94,10 @@ Cluster::Cluster(sim::Simulator* sim, const SystemParams& params, int islands,
     island->Finalize();  // builds the flow-level ICI once devices exist
     islands_.push_back(std::move(island));
   }
+}
+
+void Cluster::EnableTrace() {
+  for (auto& d : devices_) d->set_trace(&trace_);
 }
 
 std::unique_ptr<Cluster> Cluster::ConfigA(sim::Simulator* sim, int hosts,

@@ -115,6 +115,12 @@ class Cluster {
   sim::Simulator& simulator() { return *sim_; }
   const SystemParams& params() const { return params_; }
   net::DcnFabric& dcn() { return dcn_; }
+
+  // Kernel spans (one per completed kernel, resource "dev<id>") are opt-in:
+  // devices record into trace() only after EnableTrace(), so untraced runs
+  // pay nothing for them. Call it before running anything whose spans you
+  // read; until then trace() is an empty recorder.
+  void EnableTrace();
   sim::TraceRecorder& trace() { return trace_; }
 
   int num_islands() const { return static_cast<int>(islands_.size()); }

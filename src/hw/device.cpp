@@ -5,14 +5,12 @@
 namespace pw::hw {
 
 Device::Device(sim::Simulator* sim, DeviceId id, IslandId island,
-               Bytes hbm_capacity, Duration launch_overhead,
-               sim::TraceRecorder* trace)
+               Bytes hbm_capacity, Duration launch_overhead)
     : sim_(sim),
       id_(id),
       island_(island),
       hbm_(sim, hbm_capacity),
-      launch_overhead_(launch_overhead),
-      trace_(trace) {
+      launch_overhead_(launch_overhead) {
   sim_->RegisterBlockedProbe([this] { return BlockedReason(); });
 }
 

@@ -66,7 +66,7 @@ enum class DeviceHealth { kHealthy, kFailed };
 class Device {
  public:
   Device(sim::Simulator* sim, DeviceId id, IslandId island, Bytes hbm_capacity,
-         Duration launch_overhead, sim::TraceRecorder* trace = nullptr);
+         Duration launch_overhead);
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -110,6 +110,7 @@ class Device {
   // Simulator deadlock probes.
   std::string BlockedReason() const;
 
+  // Records a span per completed kernel into `trace` (null: no recording).
   void set_trace(sim::TraceRecorder* trace) { trace_ = trace; }
 
  private:
@@ -130,7 +131,7 @@ class Device {
   IslandId island_;
   HbmAllocator hbm_;
   Duration launch_overhead_;
-  sim::TraceRecorder* trace_;
+  sim::TraceRecorder* trace_ = nullptr;
 
   std::deque<QueuedKernel> queue_;
   bool executing_ = false;        // head kernel occupies the core

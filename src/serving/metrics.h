@@ -7,12 +7,22 @@
 //
 // ServingTrace is the serving analogue of sim::Trace for golden tests: an
 // append-only log of semantic events (arrive/admit/shed/prefill/token/
-// finish/abort/requeue) with an FNV-1a checksum, so any change to batching
-// or KV-cache semantics moves a pinned constant in tests/serving_test.cpp.
+// finish/abort/requeue, plus the disaggregated handoff/kv_* kinds) with an
+// FNV-1a checksum, so any change to batching or KV-cache semantics moves a
+// pinned constant in tests/serving_test.cpp. Long serving runs log hundreds
+// of thousands of events, so the log is a compact byte stream — per event a
+// zigzag varint of the at_ns delta, a one-byte id into an interned table of
+// kind names, and zigzag varints of request and detail.
+// events() decodes it on the fly; Checksum() hashes the decoded events
+// exactly as a plain vector of them would be hashed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.h"
@@ -24,22 +34,60 @@ class ServingTrace {
  public:
   struct Event {
     std::int64_t at_ns = 0;
-    std::string kind;
+    std::string_view kind;  // valid for the trace's lifetime
     std::int64_t request = -1;
     std::int64_t detail = 0;
   };
 
-  void Record(std::int64_t at_ns, std::string kind, std::int64_t request,
-              std::int64_t detail = 0) {
-    events_.push_back(Event{at_ns, std::move(kind), request, detail});
-  }
+  // Forward iteration over the log, decoding one event per step.
+  class EventView {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Event;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Event;
 
-  const std::vector<Event>& events() const { return events_; }
+      Event operator*() const { return event_; }
+      iterator& operator++();
+      bool operator==(const iterator& o) const { return pos_ == o.pos_; }
+
+     private:
+      friend class EventView;
+      iterator(const ServingTrace* trace, std::size_t pos);
+      void Decode();
+
+      const ServingTrace* trace_;
+      std::size_t pos_;   // offset of event_ in the log
+      std::size_t next_;  // offset of the event after it
+      Event event_;
+    };
+
+    std::size_t size() const { return trace_->count_; }
+    iterator begin() const { return iterator(trace_, 0); }
+    iterator end() const { return iterator(trace_, trace_->log_.size()); }
+
+   private:
+    friend class ServingTrace;
+    explicit EventView(const ServingTrace* trace) : trace_(trace) {}
+    const ServingTrace* trace_;
+  };
+
+  void Record(std::int64_t at_ns, std::string_view kind, std::int64_t request,
+              std::int64_t detail = 0);
+
+  EventView events() const { return EventView(this); }
   std::uint64_t Checksum() const;
-  std::string ToString() const;
 
  private:
-  std::vector<Event> events_;
+  std::uint8_t KindId(std::string_view kind);
+
+  std::vector<std::uint8_t> log_;
+  std::deque<std::string> kinds_;  // indexed by kind id; never reallocates
+  std::size_t count_ = 0;
+  std::int64_t last_at_ns_ = 0;
 };
 
 class ServingMetrics {

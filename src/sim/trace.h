@@ -29,7 +29,6 @@ class TraceRecorder {
               TimePoint start, TimePoint end);
 
   const std::vector<TraceSpan>& spans() const { return spans_; }
-  void Clear() { spans_.clear(); }
 
   // Fraction of [begin, end) during which `resource` was busy.
   double Utilization(const std::string& resource, TimePoint begin, TimePoint end) const;

@@ -13,8 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/fault_injector.h"
@@ -104,19 +106,20 @@ struct DisaggWorld {
   std::unique_ptr<DisaggRouter> router;
 };
 
-const ServingTrace::Event* Find(const ServingTrace& trace,
-                                const std::string& kind, std::int64_t request) {
-  for (const auto& e : trace.events()) {
-    if (e.kind == kind && e.request == request) return &e;
+std::optional<ServingTrace::Event> Find(const ServingTrace& trace,
+                                        std::string_view kind,
+                                        std::int64_t request) {
+  for (const ServingTrace::Event& e : trace.events()) {
+    if (e.kind == kind && e.request == request) return e;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::vector<std::string> KindsFor(const ServingTrace& trace,
                                   std::int64_t request) {
   std::vector<std::string> kinds;
   for (const auto& e : trace.events()) {
-    if (e.request == request) kinds.push_back(e.kind);
+    if (e.request == request) kinds.emplace_back(e.kind);
   }
   return kinds;
 }
@@ -152,10 +155,10 @@ TEST(DisaggLifecycleTest, SingleRequestPrefillsTransfersDecodesFinishes) {
 
   // The KV crossed a real DCN: transfer completion is at least one fabric
   // latency after it started.
-  const auto* send = Find(w.trace, "kv_send", 1);
-  const auto* ready = Find(w.trace, "kv_ready", 1);
-  ASSERT_NE(send, nullptr);
-  ASSERT_NE(ready, nullptr);
+  const auto send = Find(w.trace, "kv_send", 1);
+  const auto ready = Find(w.trace, "kv_ready", 1);
+  ASSERT_TRUE(send.has_value());
+  ASSERT_TRUE(ready.has_value());
   EXPECT_GE(ready->at_ns - send->at_ns,
             DisaggWorld::DefaultParams().dcn.latency.nanos());
   EXPECT_EQ(r.bytes_transferred(),
@@ -180,8 +183,8 @@ TEST(DisaggRouterTest, DecodeImpossibleRequestShedAtOffer) {
   EXPECT_EQ(w.metrics.arrivals(), 1);
   EXPECT_EQ(w.metrics.sheds(), 1);
   EXPECT_EQ(w.prefill->iterations(), 0);
-  const auto* shed = Find(w.trace, "shed", 7);
-  ASSERT_NE(shed, nullptr);
+  const auto shed = Find(w.trace, "shed", 7);
+  ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->detail, 2);  // decode-side impossibility, not 0/1
 
   // A request within the decode budget passes through to the prefill
@@ -337,8 +340,8 @@ TEST(DisaggCrashTest, CrashMidTransferReleasesBothIslandsAndReprefills) {
       w.sim.RunUntilPredicate([&] { return r.transfers_failed() == 1; }));
   EXPECT_FALSE(w.decode->kv().Contains(1));
   EXPECT_EQ(w.decode->kv().live_bytes_per_shard(), 0);
-  const auto* fail = Find(w.trace, "kv_fail", 1);
-  ASSERT_NE(fail, nullptr);
+  const auto fail = Find(w.trace, "kv_fail", 1);
+  ASSERT_TRUE(fail.has_value());
 
   w.sim.Run();
   EXPECT_FALSE(w.sim.Deadlocked());
@@ -346,8 +349,8 @@ TEST(DisaggCrashTest, CrashMidTransferReleasesBothIslandsAndReprefills) {
   EXPECT_EQ(w.metrics.finished(), 1);
   EXPECT_EQ(r.reprefills(), 1);
   EXPECT_GE(r.transfers_completed(), 1);
-  const auto* requeue = Find(w.trace, "requeue", 1);
-  ASSERT_NE(requeue, nullptr);
+  const auto requeue = Find(w.trace, "requeue", 1);
+  ASSERT_TRUE(requeue.has_value());
   EXPECT_GE(requeue->detail, 2);  // attempts after the re-prefill
   EXPECT_GE(w.metrics.handoffs(), 2);  // prefilled twice
   EXPECT_EQ(w.metrics.prefills(), 1);  // but exactly one first token
@@ -426,10 +429,10 @@ TEST(DisaggTtftTest, TtftStampedAtFirstDecodeTokenNotPrefillCompletion) {
   ASSERT_EQ(w.metrics.handoffs(), 1);
   ASSERT_EQ(w.metrics.prefills(), 1);
 
-  const auto* prefill_done = Find(w.trace, "prefill", 1);
-  const auto* first_token = Find(w.trace, "first_token", 1);
-  ASSERT_NE(prefill_done, nullptr);
-  ASSERT_NE(first_token, nullptr);
+  const auto prefill_done = Find(w.trace, "prefill", 1);
+  const auto first_token = Find(w.trace, "first_token", 1);
+  ASSERT_TRUE(prefill_done.has_value());
+  ASSERT_TRUE(first_token.has_value());
 
   // TTFT equals the first decode token's timestamp (arrival was t=0)...
   EXPECT_NEAR(w.metrics.TtftUs(50),

@@ -104,6 +104,7 @@ ScenarioResult RunScenario(std::uint64_t seed, bool include_crashes,
   auto cluster = std::make_unique<hw::Cluster>(&sim, params, /*islands=*/2,
                                                /*hosts_per_island=*/2,
                                                /*devices_per_host=*/2);
+  cluster->EnableTrace();
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
   Client* client = runtime.CreateClient();
   auto slice = client->AllocateSlice(4, hw::IslandId(0)).value();

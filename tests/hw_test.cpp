@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/cluster.h"
@@ -352,7 +354,8 @@ TEST(DeviceTest, ConsistentCollectiveOrderCompletes) {
 TEST(DeviceTest, TraceSpansRecorded) {
   sim::Simulator sim;
   sim::TraceRecorder trace;
-  Device dev(&sim, DeviceId(3), IslandId(0), GiB(16), Duration::Zero(), &trace);
+  Device dev(&sim, DeviceId(3), IslandId(0), GiB(16), Duration::Zero());
+  dev.set_trace(&trace);
   KernelDesc k = SimpleKernel(Duration::Micros(10), "step");
   k.client = 5;
   dev.Enqueue(std::move(k));
@@ -468,6 +471,85 @@ TEST(ClusterTest, IslandOfResolvesIslandMembership) {
   auto cluster = Cluster::ConfigC(&sim);
   EXPECT_EQ(cluster->island_of(DeviceId(0)).id(), IslandId(0));
   EXPECT_EQ(cluster->island_of(DeviceId(127)).id(), IslandId(3));
+}
+
+// A completed kernel as its own completion future saw it.
+struct Completion {
+  std::int64_t device;
+  std::int64_t client;
+  std::string label;
+  TimePoint end;
+};
+
+struct TracedRun {
+  std::vector<Completion> completions;  // in completion order
+  std::vector<sim::TraceSpan> spans;
+  std::vector<Duration> busy;  // per device
+  std::int64_t events = 0;
+};
+
+// Four devices each run three kernels; device 1's last kernel also waits on
+// device 0's first, so the run crosses devices.
+TracedRun RunSmallProgram(bool enable_trace) {
+  sim::Simulator sim;
+  auto cluster = Cluster::ConfigA(&sim, /*hosts=*/1);
+  if (enable_trace) cluster->EnableTrace();
+  TracedRun run;
+  sim::SimFuture<sim::Unit> first_on_dev0;
+  for (int k = 0; k < 3; ++k) {
+    for (int d = 0; d < cluster->num_devices(); ++d) {
+      KernelDesc desc = SimpleKernel(Duration::Micros(5 * (d + 1) + k),
+                                     "k" + std::to_string(k));
+      desc.client = d % 2;
+      if (d == 1 && k == 2) desc.inputs.push_back(first_on_dev0);
+      Completion c{d, desc.client, desc.label, TimePoint()};
+      auto done = cluster->device(d).Enqueue(std::move(desc));
+      if (d == 0 && k == 0) first_on_dev0 = done;
+      done.Then([&run, &sim, c](const sim::Unit&) mutable {
+        c.end = sim.now();
+        run.completions.push_back(std::move(c));
+      });
+    }
+  }
+  sim.Run();
+  run.spans = cluster->trace().spans();
+  for (int d = 0; d < cluster->num_devices(); ++d) {
+    run.busy.push_back(cluster->device(d).busy_time());
+  }
+  run.events = sim.events_executed();
+  return run;
+}
+
+TEST(ClusterTest, NoSpansUnlessTraceEnabled) {
+  const TracedRun off = RunSmallProgram(/*enable_trace=*/false);
+  const TracedRun on = RunSmallProgram(/*enable_trace=*/true);
+  EXPECT_TRUE(off.spans.empty());
+  ASSERT_EQ(off.completions.size(), 12u);
+
+  // Tracing observes the run without perturbing it.
+  EXPECT_EQ(on.events, off.events);
+  ASSERT_EQ(on.completions.size(), off.completions.size());
+  for (std::size_t i = 0; i < off.completions.size(); ++i) {
+    EXPECT_EQ(on.completions[i].device, off.completions[i].device) << i;
+    EXPECT_EQ(on.completions[i].end, off.completions[i].end) << i;
+  }
+
+  // One span per completed kernel, in completion order, ending when the
+  // kernel's future fired; per device the spans add up to its busy time.
+  ASSERT_EQ(on.spans.size(), on.completions.size());
+  std::vector<Duration> span_busy(on.busy.size(), Duration::Zero());
+  for (std::size_t i = 0; i < on.spans.size(); ++i) {
+    const sim::TraceSpan& s = on.spans[i];
+    const Completion& c = on.completions[i];
+    EXPECT_EQ(s.resource, "dev" + std::to_string(c.device)) << i;
+    EXPECT_EQ(s.client, c.client) << i;
+    EXPECT_EQ(s.label, c.label) << i;
+    EXPECT_EQ(s.end, c.end) << i;
+    EXPECT_LT(s.start, s.end) << i;
+    span_busy[static_cast<std::size_t>(c.device)] += s.end - s.start;
+  }
+  EXPECT_EQ(span_busy, on.busy);
+  EXPECT_EQ(on.busy, off.busy);
 }
 
 }  // namespace

@@ -455,6 +455,7 @@ struct SpillScenarioOutcome {
 
 SpillScenarioOutcome RunSpillScenario() {
   SpillWorld w;
+  w.cluster->EnableTrace();
   ShardedBuffer weights = w.client->TransferToDevice(w.slice, MiB(6));
   w.sim.Run();
   PathwaysProgram big = w.MakeBig();

@@ -832,6 +832,7 @@ TEST(FairnessTest, WeightedStrideApproximatesProportionalShare) {
   // Shallow in-flight window so the policy has a backlog to arbitrate.
   options.max_inflight_gangs = 2;
   World w(/*hosts=*/2, /*devices_per_host=*/2, 1, options);
+  w.cluster->EnableTrace();  // shares are read from the kernel spans
   Client* c1 = w.runtime->CreateClient(/*weight=*/1.0);
   Client* c2 = w.runtime->CreateClient(/*weight=*/3.0);
 
@@ -894,6 +895,7 @@ TEST(FairnessTest, AgedPassesKeepProportionalShare) {
   options.policy = SchedulerPolicy::kWeightedStride;
   options.max_inflight_gangs = 2;
   World w(/*hosts=*/2, /*devices_per_host=*/2, 1, options);
+  w.cluster->EnableTrace();  // shares are read from the kernel spans
   Client* c1 = w.runtime->CreateClient(/*weight=*/1.0);
   Client* c2 = w.runtime->CreateClient(/*weight=*/3.0);
 
@@ -936,6 +938,7 @@ TEST(FairnessTest, IdleClientReEntryGetsNoCatchUpBurst) {
   options.policy = SchedulerPolicy::kWeightedStride;
   options.max_inflight_gangs = 2;
   World w(/*hosts=*/2, /*devices_per_host=*/2, 1, options);
+  w.cluster->EnableTrace();  // shares are read from the kernel spans
   Client* steady = w.runtime->CreateClient(/*weight=*/1.0);
   Client* late = w.runtime->CreateClient(/*weight=*/1.0);
 

@@ -11,9 +11,12 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "faults/fault_injector.h"
@@ -69,20 +72,21 @@ struct World {
   std::unique_ptr<Batcher> batcher;
 };
 
-// First trace event of `kind` for `request`, or nullptr.
-const ServingTrace::Event* Find(const ServingTrace& trace,
-                                const std::string& kind, std::int64_t request) {
-  for (const auto& e : trace.events()) {
-    if (e.kind == kind && e.request == request) return &e;
+// First trace event of `kind` for `request`, if any.
+std::optional<ServingTrace::Event> Find(const ServingTrace& trace,
+                                        std::string_view kind,
+                                        std::int64_t request) {
+  for (const ServingTrace::Event& e : trace.events()) {
+    if (e.kind == kind && e.request == request) return e;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::vector<std::string> KindsFor(const ServingTrace& trace,
                                   std::int64_t request) {
   std::vector<std::string> kinds;
   for (const auto& e : trace.events()) {
-    if (e.request == request) kinds.push_back(e.kind);
+    if (e.request == request) kinds.emplace_back(e.kind);
   }
   return kinds;
 }
@@ -300,10 +304,10 @@ TEST(BatcherAdmissionTest, ContinuousAdmitsOnlyAtIterationBoundaries) {
   // B joins at the next boundary — after A's first iteration completed.
   ASSERT_TRUE(w.sim.RunUntilPredicate([&] { return b.running() == 2; }));
   EXPECT_EQ(b.iterations(), 2);
-  const auto* prefill_a = Find(w.trace, "prefill", 1);
-  const auto* admit_b = Find(w.trace, "admit", 2);
-  ASSERT_NE(prefill_a, nullptr);
-  ASSERT_NE(admit_b, nullptr);
+  const auto prefill_a = Find(w.trace, "prefill", 1);
+  const auto admit_b = Find(w.trace, "admit", 2);
+  ASSERT_TRUE(prefill_a.has_value());
+  ASSERT_TRUE(admit_b.has_value());
   EXPECT_GE(admit_b->at_ns, prefill_a->at_ns);
 
   w.sim.Run();
@@ -334,12 +338,12 @@ TEST(BatcherAdmissionTest, StaticBaselineDrainsBeforeRefill) {
   EXPECT_EQ(b.finished(), 4);
   // Static batching: request 3 waits for the whole batch {1, 2} — including
   // the straggler — even though request 2 finished long before.
-  const auto* finish_1 = Find(w.trace, "finish", 1);
-  const auto* finish_2 = Find(w.trace, "finish", 2);
-  const auto* admit_3 = Find(w.trace, "admit", 3);
-  ASSERT_NE(finish_1, nullptr);
-  ASSERT_NE(finish_2, nullptr);
-  ASSERT_NE(admit_3, nullptr);
+  const auto finish_1 = Find(w.trace, "finish", 1);
+  const auto finish_2 = Find(w.trace, "finish", 2);
+  const auto admit_3 = Find(w.trace, "admit", 3);
+  ASSERT_TRUE(finish_1.has_value());
+  ASSERT_TRUE(finish_2.has_value());
+  ASSERT_TRUE(admit_3.has_value());
   EXPECT_LT(finish_2->at_ns, finish_1->at_ns);
   EXPECT_GE(admit_3->at_ns, finish_1->at_ns);
 }
@@ -355,12 +359,12 @@ TEST(BatcherAdmissionTest, ContinuousBackfillsTheStragglersSlot) {
   EXPECT_EQ(b.finished(), 4);
   // Continuous batching backfills request 2's slot with request 3 while the
   // straggler still runs.
-  const auto* finish_1 = Find(w.trace, "finish", 1);
-  const auto* finish_2 = Find(w.trace, "finish", 2);
-  const auto* admit_3 = Find(w.trace, "admit", 3);
-  ASSERT_NE(finish_1, nullptr);
-  ASSERT_NE(finish_2, nullptr);
-  ASSERT_NE(admit_3, nullptr);
+  const auto finish_1 = Find(w.trace, "finish", 1);
+  const auto finish_2 = Find(w.trace, "finish", 2);
+  const auto admit_3 = Find(w.trace, "admit", 3);
+  ASSERT_TRUE(finish_1.has_value());
+  ASSERT_TRUE(finish_2.has_value());
+  ASSERT_TRUE(admit_3.has_value());
   EXPECT_GE(admit_3->at_ns, finish_2->at_ns);
   EXPECT_LT(admit_3->at_ns, finish_1->at_ns);
 }
@@ -378,10 +382,10 @@ TEST(BatcherAdmissionTest, TokenBudgetDefersPromptToNextBoundary) {
   EXPECT_EQ(b.finished(), 2);
   // Iteration 1 holds only request 1 (6 + 6 > 8); request 2's prompt fits
   // beside the now-decoding request 1 (1 + 6 <= 8) at the next boundary.
-  const auto* prefill_1 = Find(w.trace, "prefill", 1);
-  const auto* admit_2 = Find(w.trace, "admit", 2);
-  ASSERT_NE(prefill_1, nullptr);
-  ASSERT_NE(admit_2, nullptr);
+  const auto prefill_1 = Find(w.trace, "prefill", 1);
+  const auto admit_2 = Find(w.trace, "admit", 2);
+  ASSERT_TRUE(prefill_1.has_value());
+  ASSERT_TRUE(admit_2.has_value());
   EXPECT_GE(admit_2->at_ns, prefill_1->at_ns);
 }
 
@@ -409,8 +413,8 @@ TEST(BatcherAdmissionTest, KvBudgetShedsOversizedAndSerializesTheRest) {
   // Projected KV = prefill + decode - 1 tokens. 8 + 5 - 1 = 12 > 10: shed.
   EXPECT_FALSE(b.Offer(w.Req(7, /*prefill=*/8, /*decode=*/5)));
   EXPECT_EQ(b.shed(), 1);
-  const auto* shed = Find(w.trace, "shed", 7);
-  ASSERT_NE(shed, nullptr);
+  const auto shed = Find(w.trace, "shed", 7);
+  ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->detail, 1);  // shed for size, not queue overflow
 
   // Two 6-token-KV requests (3 + 4 - 1): 12 > 10, so the second waits for
@@ -419,10 +423,10 @@ TEST(BatcherAdmissionTest, KvBudgetShedsOversizedAndSerializesTheRest) {
   ASSERT_TRUE(b.Offer(w.Req(2, 3, 4)));
   w.sim.Run();
   EXPECT_EQ(b.finished(), 2);
-  const auto* finish_1 = Find(w.trace, "finish", 1);
-  const auto* admit_2 = Find(w.trace, "admit", 2);
-  ASSERT_NE(finish_1, nullptr);
-  ASSERT_NE(admit_2, nullptr);
+  const auto finish_1 = Find(w.trace, "finish", 1);
+  const auto admit_2 = Find(w.trace, "admit", 2);
+  ASSERT_TRUE(finish_1.has_value());
+  ASSERT_TRUE(admit_2.has_value());
   EXPECT_GE(admit_2->at_ns, finish_1->at_ns);
   EXPECT_EQ(w.metrics.sheds(), 1);
   EXPECT_EQ(w.runtime->object_store().live_buffers(), 0);
@@ -442,8 +446,8 @@ TEST(BatcherAdmissionTest, QueueOverflowSheds) {
   w.sim.Run();
   EXPECT_EQ(b.finished(), 3);
   EXPECT_EQ(b.shed(), 1);
-  const auto* shed = Find(w.trace, "shed", 4);
-  ASSERT_NE(shed, nullptr);
+  const auto shed = Find(w.trace, "shed", 4);
+  ASSERT_TRUE(shed.has_value());
   EXPECT_EQ(shed->detail, 0);  // overflow, not size
 }
 
@@ -474,8 +478,8 @@ TEST(ServingFaultTest, CrashMidDecodeReleasesKvAndCompletesViaRemap) {
   EXPECT_TRUE(b.idle());
 
   // The request went back to the queue and re-prefilled from scratch.
-  const auto* requeue = Find(w.trace, "requeue", 1);
-  ASSERT_NE(requeue, nullptr);
+  const auto requeue = Find(w.trace, "requeue", 1);
+  ASSERT_TRUE(requeue.has_value());
   EXPECT_GE(requeue->detail, 2);  // attempts
   EXPECT_GE(w.metrics.prefills(), 2);
 
@@ -491,6 +495,109 @@ TEST(ServingFaultTest, CrashMidDecodeReleasesKvAndCompletesViaRemap) {
     EXPECT_EQ(store.logical_live_bytes(hw::DeviceId(d)), 0);
     EXPECT_EQ(store.hbm_used(hw::DeviceId(d)), 0);
   }
+}
+
+// ------------------------------------------------------- compact trace log --
+
+struct PlainEvent {
+  std::int64_t at_ns;
+  std::string kind;
+  std::int64_t request;
+  std::int64_t detail;
+};
+
+// ServingTrace's checksum as computed over a plain vector of events, before
+// the trace became a byte log. The pinned goldens below depend on the byte
+// log hashing exactly this way.
+std::uint64_t ReferenceChecksum(const std::vector<PlainEvent>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto bytes = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto i64 = [&bytes](std::int64_t v) { bytes(&v, sizeof(v)); };
+  i64(static_cast<std::int64_t>(events.size()));
+  for (const PlainEvent& e : events) {
+    i64(e.at_ns);
+    i64(static_cast<std::int64_t>(e.kind.size()));
+    bytes(e.kind.data(), e.kind.size());
+    i64(e.request);
+    i64(e.detail);
+  }
+  return h;
+}
+
+TEST(ServingTraceTest, CompactLogRoundTripsAndKeepsChecksum) {
+  const std::vector<std::string> kinds = {
+      "arrive", "shed",    "enqueue", "admit",   "prefill", "first_token",
+      "token",  "finish",  "abort",   "requeue", "handoff", "kv_send",
+      "kv_ready", "kv_fail"};
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kTiB = std::int64_t{1} << 40;
+
+  // Extremes first: the at_ns delta wraps across the whole int64 range.
+  std::vector<PlainEvent> want = {
+      {0, "arrive", -1, 0},
+      {kMax, "kv_send", kMin, kMax},
+      {kMin, "kv_fail", kMax, kMin},
+      {kMin, "token", -1, -1},
+      {-5, "abort", -1, kTiB + 3},
+  };
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    want.push_back({1000, kinds[k], static_cast<std::int64_t>(k), -1});
+  }
+  // Then a fixed-seed LCG walk: repeated, rising and falling timestamps,
+  // request -1 or small ids, details from 0 up past kv_send byte counts.
+  std::uint64_t x = 42;
+  auto next = [&x] {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    return x >> 11;
+  };
+  std::int64_t at = 1'000'000;
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t r = next();
+    const auto u = [r](int shift, std::uint64_t mod) {
+      return static_cast<std::int64_t>((r >> shift) % mod);
+    };
+    switch (r % 4) {
+      case 0: break;                          // repeated
+      case 1: at -= u(2, 1000); break;        // decreasing
+      default: at += u(2, 5'000'000); break;  // rising
+    }
+    const std::int64_t request = u(24, 7) == 0 ? -1 : u(27, 100'000);
+    std::int64_t detail = 0;
+    switch (u(44, 4)) {
+      case 0: detail = kTiB + u(20, kTiB); break;
+      case 1: detail = -u(20, 3); break;
+      case 2: detail = u(20, 4096); break;
+      default: detail = u(10, 1ULL << 40) << 8; break;
+    }
+    want.push_back({at, kinds[static_cast<std::size_t>(u(4, kinds.size()))],
+                    request, detail});
+  }
+
+  ServingTrace trace;
+  for (const PlainEvent& e : want) {
+    // A temporary kind string: the trace must keep its own copy.
+    trace.Record(e.at_ns, std::string(e.kind), e.request, e.detail);
+  }
+  ASSERT_EQ(trace.events().size(), want.size());
+  std::size_t i = 0;
+  for (const ServingTrace::Event& e : trace.events()) {
+    ASSERT_LT(i, want.size());
+    EXPECT_EQ(e.at_ns, want[i].at_ns) << i;
+    EXPECT_EQ(e.kind, want[i].kind) << i;
+    EXPECT_EQ(e.request, want[i].request) << i;
+    EXPECT_EQ(e.detail, want[i].detail) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, want.size());
+  EXPECT_EQ(trace.Checksum(), ReferenceChecksum(want));
+  EXPECT_EQ(ServingTrace().Checksum(), ReferenceChecksum({}));
 }
 
 // ------------------------------------------------------------ golden trace --

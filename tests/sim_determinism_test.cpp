@@ -102,6 +102,7 @@ ScenarioOutcome RunScenario(
   auto cluster = std::make_unique<hw::Cluster>(
       &sim, hw::SystemParams::TpuDefault(), /*islands=*/2,
       /*hosts_per_island=*/2, /*devices_per_host=*/4);
+  cluster->EnableTrace();  // the golden hashes every kernel span
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
   std::unique_ptr<faults::FaultInjector> injector;
   if (plan.has_value()) {
