@@ -70,19 +70,20 @@ void Device::MaybeStart() {
   if (executing_ || waiting_inputs_ || failed() || queue_.empty()) return;
   QueuedKernel& head = queue_.front();
   // Gate on inputs (DMA completions). Futures are one-shot, so re-checking
-  // after WhenAll fires is cheap and exact.
-  std::vector<sim::SimFuture<sim::Unit>> pending;
-  for (const auto& f : head.desc.inputs) {
-    if (!f.ready()) pending.push_back(f);
-  }
-  if (!pending.empty()) {
+  // after the join fires is cheap and exact.
+  int pending = 0;
+  for (const auto& f : head.desc.inputs) pending += f.ready() ? 0 : 1;
+  if (pending > 0) {
     waiting_inputs_ = true;
     const std::uint64_t ep = epoch_;
-    sim::WhenAll(sim_, pending).Then([this, ep](const sim::Unit&) {
+    auto arrive = sim::JoinOf(sim_, pending, [this, ep] {
       if (ep != epoch_) return;
       waiting_inputs_ = false;
       MaybeStart();
     });
+    for (const auto& f : head.desc.inputs) {
+      if (!f.ready()) f.Then(arrive);
+    }
     return;
   }
   RunHead();

@@ -15,7 +15,7 @@ Status HbmAllocator::Allocate(Bytes bytes) {
 }
 
 sim::SimFuture<sim::Unit> HbmAllocator::AllocateAsync(
-    Bytes bytes, MemoryTicket ticket, std::function<void()> on_admit) {
+    Bytes bytes, MemoryTicket ticket, sim::InlineFunction<void()> on_admit) {
   PW_CHECK_GE(bytes, 0);
   PW_CHECK_LE(bytes, capacity_) << "allocation can never fit in HBM";
   sim::SimPromise<sim::Unit> p(sim_);

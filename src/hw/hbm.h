@@ -57,7 +57,7 @@ class HbmAllocator {
   // it to retire declared demand without an extra event.
   sim::SimFuture<sim::Unit> AllocateAsync(
       Bytes bytes, MemoryTicket ticket = kUnticketed,
-      std::function<void()> on_admit = nullptr);
+      sim::InlineFunction<void()> on_admit = nullptr);
 
   void Free(Bytes bytes);
 
@@ -92,7 +92,7 @@ class HbmAllocator {
     MemoryTicket ticket;
     std::uint64_t seq;  // arrival order, the FIFO tie-break
     sim::SimPromise<sim::Unit> promise;
-    std::function<void()> on_admit;
+    sim::InlineFunction<void()> on_admit;
   };
 
   void Admit(Bytes bytes);

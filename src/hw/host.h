@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -43,7 +42,7 @@ class Host {
   sim::SerialResource& cpu() { return cpu_; }
 
   // Runs `fn` after `cost` of CPU time (queued FIFO on the dispatch thread).
-  void RunOnCpu(Duration cost, std::function<void()> fn) {
+  void RunOnCpu(Duration cost, sim::InlineFunction<void()> fn) {
     cpu_.Submit(cost, std::move(fn));
   }
 
@@ -55,7 +54,8 @@ class Host {
 
   // Sends `bytes` to another host over the DCN; `on_delivered` runs at the
   // destination's arrival time.
-  void SendDcn(HostId dst, Bytes bytes, std::function<void()> on_delivered) {
+  void SendDcn(HostId dst, Bytes bytes,
+               sim::InlineFunction<void()> on_delivered) {
     dcn_->Send(id_, dst, bytes, std::move(on_delivered));
   }
 

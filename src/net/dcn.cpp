@@ -32,7 +32,7 @@ void DcnFabric::AddHost(HostId host) {
 }
 
 void DcnFabric::Send(HostId src, HostId dst, Bytes bytes,
-                     std::function<void()> on_delivered) {
+                     sim::InlineFunction<void()> on_delivered) {
   PW_CHECK(nics_.contains(src)) << "unknown src host " << src;
   PW_CHECK(nics_.contains(dst)) << "unknown dst host " << dst;
   // Counted at submission, held or not: throughput telemetry sampled during
@@ -55,7 +55,7 @@ void DcnFabric::Hold(std::vector<HeldMessage>* queue, HeldMessage m) {
 }
 
 void DcnFabric::Route(HostId src, HostId dst, Bytes bytes,
-                      std::function<void()> on_delivered,
+                      sim::InlineFunction<void()> on_delivered,
                       std::uint64_t replay_seq) {
   if (src == dst) {
     // Loopback: no NIC serialization, small fixed cost. Never held by a

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -26,6 +25,7 @@
 #include "net/flow.h"
 #include "net/link.h"
 #include "net/topology.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace pw::net {
@@ -73,7 +73,7 @@ class DcnFabric {
   // heal-time replay burst (held_bytes() exposes the in-limbo amount
   // separately).
   void Send(HostId src, HostId dst, Bytes bytes,
-            std::function<void()> on_delivered);
+            sim::InlineFunction<void()> on_delivered);
 
   // --- Fault-injection knobs (see docs/FAULTS.md) ---
   // Scales one host's NIC egress bandwidth (congestion injection). 1.0
@@ -106,7 +106,7 @@ class DcnFabric {
     HostId src;
     HostId dst;
     Bytes bytes;
-    std::function<void()> on_delivered;
+    sim::InlineFunction<void()> on_delivered;
     // Fabric-wide submission stamp, assigned when the message is first
     // held. The heal replays each queue in stamp order, and a message
     // re-held on its peer's queue keeps its stamp and is inserted in stamp
@@ -121,7 +121,8 @@ class DcnFabric {
   // were already counted when first submitted. `replay_seq` carries a held
   // message's original stamp through re-holds; kFreshSend for new traffic.
   void Route(HostId src, HostId dst, Bytes bytes,
-             std::function<void()> on_delivered, std::uint64_t replay_seq);
+             sim::InlineFunction<void()> on_delivered,
+             std::uint64_t replay_seq);
 
   // Puts the message on `queue` in stamp order (O(1) for fresh sends, which
   // always carry the highest stamp so far).

@@ -105,7 +105,7 @@ std::vector<double> MaxMinFairRates(
 
 void FlowNetwork::StartFlow(std::vector<LinkIndex> path, Bytes bytes,
                             Duration delivery_latency,
-                            std::function<void()> on_delivered) {
+                            sim::InlineFunction<void()> on_delivered) {
   PW_CHECK(!path.empty()) << "flow needs a non-empty path";
   PW_CHECK_GE(bytes, 0);
   Flow& flow = flows_.emplace_back();

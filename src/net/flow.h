@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "common/units.h"
 #include "net/collective_model.h"
 #include "net/topology.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace pw::net {
@@ -84,7 +84,8 @@ class FlowNetwork {
   // (serialization finish + propagation, the flow-level analogue of
   // Link::Transfer's store-and-forward accounting).
   void StartFlow(std::vector<LinkIndex> path, Bytes bytes,
-                 Duration delivery_latency, std::function<void()> on_delivered);
+                 Duration delivery_latency,
+                 sim::InlineFunction<void()> on_delivered);
 
   // Call after Topology::SetLinkScale so active flows re-share the new
   // capacities from now() onward (bytes already moved stay moved).
@@ -100,7 +101,7 @@ class FlowNetwork {
     double remaining = 0;  // bytes left to drain
     double rate = 0;       // current fair share, bytes/sec
     Duration latency;
-    std::function<void()> on_delivered;
+    sim::InlineFunction<void()> on_delivered;
   };
 
   // Advances progress to now(), delivers ripe flows, re-solves the fair

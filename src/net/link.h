@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -55,7 +54,7 @@ class Link {
 
   // Starts a transfer now; `on_delivered` runs when the last byte arrives at
   // the receiver. Returns the delivery time.
-  TimePoint Transfer(Bytes bytes, std::function<void()> on_delivered) {
+  TimePoint Transfer(Bytes bytes, sim::InlineFunction<void()> on_delivered) {
     const TimePoint start = std::max(sim_->now(), busy_until_);
     const TimePoint tx_done = start + SerializationTime(bytes);
     busy_until_ = tx_done;

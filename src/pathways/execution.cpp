@@ -36,11 +36,10 @@ ProgramExecution::ProgramExecution(PathwaysRuntime* runtime, ClientId client,
       client_cpu_(client_cpu),
       program_(program),
       args_(std::move(args)),
-      id_(id) {
+      id_(id),
+      done_promise_(&runtime->simulator()) {
   PW_CHECK_EQ(static_cast<int>(args_.size()), program_->num_arguments())
       << program_->name() << ": argument count mismatch";
-  done_promise_ = std::make_unique<sim::SimPromise<ExecutionResult>>(
-      &runtime_->simulator());
 }
 
 void ProgramExecution::Lower() {
@@ -49,26 +48,26 @@ void ProgramExecution::Lower() {
   // per-shard dataflow state. Everything that depends only on the program
   // was computed when it was traced.
   sim::Simulator* sim = &runtime_->simulator();
-  nodes_.resize(static_cast<std::size_t>(program_->num_nodes()));
+  // Reserved up front: the per-node promises and latches live in place,
+  // and nothing resizes nodes_ after this loop.
+  nodes_.reserve(static_cast<std::size_t>(program_->num_nodes()));
   for (const ComputationNode& n : program_->nodes()) {
-    NodeState& state = nodes_[static_cast<std::size_t>(n.id)];
+    PW_CHECK_EQ(static_cast<std::size_t>(n.id), nodes_.size());
+    NodeState& state = nodes_.emplace_back(sim, n.fn.num_shards);
     state.devices.reserve(n.slice.devices.size());
     for (const VirtualDevice& v : n.slice.devices) {
       state.devices.push_back(runtime_->resource_manager().Lookup(v.id));
     }
     state.output = runtime_->object_store().CreateBufferDeferred(
         client_, id_, state.devices, n.fn.output_bytes_per_shard);
-    state.client_release = std::make_unique<sim::SimPromise<sim::Unit>>(sim);
-    state.enqueue_latch =
-        std::make_unique<sim::CountdownLatch>(sim, n.fn.num_shards);
-    state.completion_latch =
-        std::make_unique<sim::CountdownLatch>(sim, n.fn.num_shards);
     state.consumers_remaining = program_->num_consumers(n.id);
-    state.shards.resize(static_cast<std::size_t>(n.fn.num_shards));
-    for (ShardState& s : state.shards) {
-      s.prep_done = std::make_unique<sim::SimPromise<sim::Unit>>(sim);
-      s.output_ready = std::make_unique<sim::SimPromise<sim::Unit>>(sim);
-      s.inputs.resize(n.inputs.size());
+    state.shards.reserve(static_cast<std::size_t>(n.fn.num_shards));
+    for (int i = 0; i < n.fn.num_shards; ++i) {
+      state.shards.push_back(
+          ShardState{sim::SimPromise<sim::Unit>(sim),
+                     sim::SimPromise<sim::Unit>(sim),
+                     std::vector<std::shared_ptr<sim::CountdownLatch>>(
+                         n.inputs.size())});
     }
   }
 }
@@ -123,7 +122,7 @@ void ProgramExecution::WireEdge(int consumer_node, int operand_index) {
       if (src.kind == ValueRef::Kind::kNodeOutput) {
         NodeState& pstate = nodes_[static_cast<std::size_t>(src.index)];
         producer_ready =
-            pstate.shards[static_cast<std::size_t>(i)].output_ready->future();
+            pstate.shards[static_cast<std::size_t>(i)].output_ready.future();
         src_dev = pstate.devices[static_cast<std::size_t>(i)];
         src_buf = pstate.output.id;
       } else {
@@ -133,7 +132,7 @@ void ProgramExecution::WireEdge(int consumer_node, int operand_index) {
         src_buf = arg.id;
       }
       const auto consumer_prepped =
-          cstate.shards[static_cast<std::size_t>(j)].prep_done->future();
+          cstate.shards[static_cast<std::size_t>(j)].prep_done.future();
       sim::WhenBoth(sim, producer_ready, consumer_prepped,
                     [self = shared_from_this(), src_buf, src_shard = i,
                      src_dev, dst_dev, piece_bytes, latch] {
@@ -242,7 +241,7 @@ void ProgramExecution::WireRelease() {
   for (const ComputationNode& n : program_->nodes()) {
     NodeState& state = nodes_[static_cast<std::size_t>(n.id)];
     const int node_id = n.id;
-    state.completion_latch->done().Then([self, node_id](const sim::Unit&) {
+    state.completion_latch.done().Then([self, node_id](const sim::Unit&) {
       // An aborted execution's buffers are collected wholesale by Abort();
       // the per-consumer refcount dance below would double-free them.
       if (self->aborted_) return;
@@ -275,7 +274,7 @@ void ProgramExecution::AssignGangTicket(int node) {
   ObjectStore& store = runtime_->object_store();
   state.ticket = store.NextTicket();
   store.RegisterTicket(state.ticket, id_.value(),
-                       "exec " + std::to_string(id_.value()));
+                       ObjectStore::TicketKind::kExec, id_.value());
   store.SetBufferTicket(state.output.id, state.ticket);
 }
 
@@ -294,23 +293,23 @@ void ProgramExecution::MarkPrepDone(int node, int shard) {
   if (aborted_) return;
   nodes_.at(static_cast<std::size_t>(node))
       .shards.at(static_cast<std::size_t>(shard))
-      .prep_done->Set(sim::Unit{});
+      .prep_done.Set(sim::Unit{});
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::PrepDone(int node, int shard) const {
   return nodes_.at(static_cast<std::size_t>(node))
       .shards.at(static_cast<std::size_t>(shard))
-      .prep_done->future();
+      .prep_done.future();
 }
 
 void ProgramExecution::MarkEnqueued(int node, int shard) {
   if (aborted_) return;
   (void)shard;
-  nodes_.at(static_cast<std::size_t>(node)).enqueue_latch->CountDown();
+  nodes_.at(static_cast<std::size_t>(node)).enqueue_latch.CountDown();
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::NodeEnqueued(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).enqueue_latch->done();
+  return nodes_.at(static_cast<std::size_t>(node)).enqueue_latch.done();
 }
 
 void ProgramExecution::MarkShardComplete(int node, int shard) {
@@ -320,27 +319,27 @@ void ProgramExecution::MarkShardComplete(int node, int shard) {
   // The output exists from here on, which is what makes the output shard a
   // spill candidate while it waits (refcount-held, idle) for consumers.
   runtime_->object_store().MarkShardContentReady(state.output.id, shard);
-  ss.output_ready->Set(sim::Unit{});
-  state.completion_latch->CountDown();
+  ss.output_ready.Set(sim::Unit{});
+  state.completion_latch.CountDown();
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::OutputReady(int node, int shard) const {
   return nodes_.at(static_cast<std::size_t>(node))
       .shards.at(static_cast<std::size_t>(shard))
-      .output_ready->future();
+      .output_ready.future();
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::NodeComplete(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).completion_latch->done();
+  return nodes_.at(static_cast<std::size_t>(node)).completion_latch.done();
 }
 
 void ProgramExecution::MarkClientReleased(int node) {
   if (aborted_) return;
-  nodes_.at(static_cast<std::size_t>(node)).client_release->Set(sim::Unit{});
+  nodes_.at(static_cast<std::size_t>(node)).client_release.Set(sim::Unit{});
 }
 
 sim::SimFuture<sim::Unit> ProgramExecution::ClientReleased(int node) const {
-  return nodes_.at(static_cast<std::size_t>(node)).client_release->future();
+  return nodes_.at(static_cast<std::size_t>(node)).client_release.future();
 }
 
 std::vector<sim::SimFuture<sim::Unit>> ProgramExecution::InputFutures(
@@ -412,7 +411,7 @@ void ProgramExecution::OnResultShardMessage() {
       for (const NodeState& node : self->nodes_) {
         self->runtime_->object_store().FinishTicket(node.ticket);
       }
-      self->done_promise_->Set(std::move(result));
+      self->done_promise_.Set(std::move(result));
       self->runtime_->OnExecutionFinished(self->id_, /*success=*/true);
     });
   });
@@ -436,13 +435,13 @@ void ProgramExecution::Abort() {
     // Release devices parked at (or later arriving at) this gang's
     // rendezvous — their peer on the failed device is never coming.
     if (node.group != nullptr) node.group->Abort();
-    if (!node.client_release->fulfilled()) node.client_release->Set(sim::Unit{});
-    node.enqueue_latch->ForceComplete();
+    if (!node.client_release.fulfilled()) node.client_release.Set(sim::Unit{});
+    node.enqueue_latch.ForceComplete();
     // NodeComplete() observers (gang-scheduler admission slots) fire here.
-    node.completion_latch->ForceComplete();
+    node.completion_latch.ForceComplete();
     for (ShardState& shard : node.shards) {
-      if (!shard.prep_done->fulfilled()) shard.prep_done->Set(sim::Unit{});
-      if (!shard.output_ready->fulfilled()) shard.output_ready->Set(sim::Unit{});
+      if (!shard.prep_done.fulfilled()) shard.prep_done.Set(sim::Unit{});
+      if (!shard.output_ready.fulfilled()) shard.output_ready.Set(sim::Unit{});
       for (auto& input : shard.inputs) {
         if (input != nullptr) input->ForceComplete();
       }
@@ -462,7 +461,7 @@ void ProgramExecution::Abort() {
   for (const NodeState& node : nodes_) {
     runtime_->object_store().FinishTicket(node.ticket);
   }
-  done_promise_->Set(ExecutionResult{.outputs = {}, .failed = true});
+  done_promise_.Set(ExecutionResult{.outputs = {}, .failed = true});
   runtime_->OnExecutionFinished(id_, /*success=*/false);
 }
 

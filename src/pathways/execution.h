@@ -101,7 +101,7 @@ class ProgramExecution
   sim::SimFuture<sim::Unit> ClientReleased(int node) const;
 
   // --- Completion ---
-  sim::SimFuture<ExecutionResult> done() const { return done_promise_->future(); }
+  sim::SimFuture<ExecutionResult> done() const { return done_promise_.future(); }
   // Called on the client host when a result-shard completion message lands.
   void OnResultShardMessage();
   bool finished() const { return finished_; }
@@ -149,20 +149,25 @@ class ProgramExecution
   void WireRelease();
 
   struct ShardState {
-    std::unique_ptr<sim::SimPromise<sim::Unit>> prep_done;
-    std::unique_ptr<sim::SimPromise<sim::Unit>> output_ready;
+    sim::SimPromise<sim::Unit> prep_done;
+    sim::SimPromise<sim::Unit> output_ready;
     // One latch per operand; input future = latch.done().
     std::vector<std::shared_ptr<sim::CountdownLatch>> inputs;
   };
   struct NodeState {
+    NodeState(sim::Simulator* sim, int num_shards)
+        : client_release(sim),
+          enqueue_latch(sim, num_shards),
+          completion_latch(sim, num_shards) {}
+
     std::vector<ShardState> shards;
     std::vector<hw::DeviceId> devices;  // lowered placement per shard
     ShardedBuffer output;               // deferred: shards reserved at prep
     // Gang-wide reservation ticket, drawn at scheduler dispatch.
     hw::MemoryTicket ticket = hw::kUnticketed;
-    std::unique_ptr<sim::SimPromise<sim::Unit>> client_release;
-    std::unique_ptr<sim::CountdownLatch> enqueue_latch;
-    std::unique_ptr<sim::CountdownLatch> completion_latch;
+    sim::SimPromise<sim::Unit> client_release;
+    sim::CountdownLatch enqueue_latch;
+    sim::CountdownLatch completion_latch;
     std::shared_ptr<hw::CollectiveGroup> group;
     int consumers_remaining = 0;
   };
@@ -183,7 +188,7 @@ class ProgramExecution
   // host DRAM, so idle data stays evictable right up to the moment it is
   // actually being moved.
   std::vector<std::pair<LogicalBufferId, int>> outstanding_reads_;
-  std::unique_ptr<sim::SimPromise<ExecutionResult>> done_promise_;
+  sim::SimPromise<ExecutionResult> done_promise_;
   int result_shard_messages_received_ = 0;
   bool finished_ = false;
   bool aborted_ = false;

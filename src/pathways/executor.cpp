@@ -79,7 +79,7 @@ void DeviceExecutor::Dispatch(std::shared_ptr<ProgramExecution> exec, int node,
 }
 
 void DeviceExecutor::EnqueueInOrder(std::uint64_t seq,
-                                    std::function<void()> enqueue_fn) {
+                                    sim::InlineFunction<void()> enqueue_fn) {
   // Kernels must join the device stream in scheduler order even when preps
   // complete out of order (jitter, HBM back-pressure): stash until every
   // earlier dispatch has enqueued.
@@ -91,7 +91,7 @@ void DeviceExecutor::DrainReady() {
   while (true) {
     auto it = ready_.find(next_enqueue_seq_);
     if (it == ready_.end()) return;
-    std::function<void()> fn = std::move(it->second);
+    sim::InlineFunction<void()> fn = std::move(it->second);
     ready_.erase(it);
     ++next_enqueue_seq_;
     fn();

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 
@@ -40,7 +39,8 @@ class DeviceExecutor {
   std::int64_t kernels_enqueued() const { return next_enqueue_seq_; }
 
  private:
-  void EnqueueInOrder(std::uint64_t seq, std::function<void()> enqueue_fn);
+  void EnqueueInOrder(std::uint64_t seq,
+                      sim::InlineFunction<void()> enqueue_fn);
   void DrainReady();
 
   PathwaysRuntime* runtime_;
@@ -48,7 +48,7 @@ class DeviceExecutor {
   hw::Host* host_;
   std::uint64_t next_arrival_seq_ = 0;
   std::uint64_t next_enqueue_seq_ = 0;
-  std::map<std::uint64_t, std::function<void()>> ready_;
+  std::map<std::uint64_t, sim::InlineFunction<void()>> ready_;
 };
 
 }  // namespace pw::pathways

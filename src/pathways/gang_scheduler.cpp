@@ -156,28 +156,32 @@ void GangScheduler::DispatchGang(Entry entry) {
   //    so its host-side work cannot be pre-run — the traditional
   //    (sequential) model applies to that node only.
   {
-    std::vector<sim::SimFuture<sim::Unit>> preds;
-    auto released = exec->ClientReleased(node);
-    if (!released.ready()) preds.push_back(released);
-    if (cn.irregular) {
+    const auto released = exec->ClientReleased(node);
+    // Calls fn(pred) on every predecessor still pending.
+    auto for_each_pending = [&](auto fn) {
+      if (!released.ready()) fn(released);
+      if (!cn.irregular) return;
       for (const ValueRef& in : cn.inputs) {
-        if (in.kind == ValueRef::Kind::kNodeOutput) {
-          auto done = exec->NodeComplete(in.index);
-          if (!done.ready()) preds.push_back(done);
-        }
+        if (in.kind != ValueRef::Kind::kNodeOutput) continue;
+        const auto done = exec->NodeComplete(in.index);
+        if (!done.ready()) fn(done);
       }
-    }
-    if (!preds.empty()) {
-      auto shared_entry = std::make_shared<Entry>(std::move(entry));
-      sim::WhenAll(&runtime_->simulator(), preds)
-          .Then([this, shared_entry](const sim::Unit&) {
+    };
+    int pending = 0;
+    for_each_pending([&](const sim::SimFuture<sim::Unit>&) { ++pending; });
+    if (pending > 0) {
+      auto arrive = sim::JoinOf(
+          &runtime_->simulator(), pending,
+          [this, parked = std::move(entry)]() mutable {
             const std::int64_t key =
                 runtime_->options().policy == SchedulerPolicy::kFifo
                     ? 0
-                    : shared_entry->exec->client().value();
-            Enqueue(key, std::move(*shared_entry), /*front=*/true);
+                    : parked.exec->client().value();
+            Enqueue(key, std::move(parked), /*front=*/true);
             Pump();
           });
+      for_each_pending(
+          [&](const sim::SimFuture<sim::Unit>& pred) { pred.Then(arrive); });
       pumping_ = false;
       Pump();  // serve other tenants while this entry waits
       return;

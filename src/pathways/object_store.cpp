@@ -19,8 +19,21 @@ std::int64_t EntityOf(ExecutionId producer, LogicalBufferId id) {
 }  // namespace
 
 void ObjectStore::RegisterTicket(hw::MemoryTicket ticket, std::int64_t entity,
-                                 std::string name) {
-  tickets_[ticket] = TicketInfo{entity, std::move(name)};
+                                 TicketKind kind, std::int64_t id, int shard) {
+  tickets_[ticket] = TicketInfo{entity, kind, shard, id};
+}
+
+std::string ObjectStore::LabelOf(const TicketInfo& info) {
+  switch (info.kind) {
+    case TicketKind::kExec:
+      return "exec " + std::to_string(info.id);
+    case TicketKind::kStagedBuffer:
+      return "staged buffer " + std::to_string(info.id);
+    case TicketKind::kGrow:
+      return "grow buffer " + std::to_string(info.id) + "/" +
+             std::to_string(info.shard);
+  }
+  return "";
 }
 
 void ObjectStore::FinishTicket(hw::MemoryTicket ticket) {
@@ -36,7 +49,7 @@ void ObjectStore::SetBufferTicket(LogicalBufferId id, hw::MemoryTicket ticket) {
 
 std::string ObjectStore::TicketName(hw::MemoryTicket ticket) const {
   auto it = tickets_.find(ticket);
-  if (it != tickets_.end()) return it->second.name;
+  if (it != tickets_.end()) return LabelOf(it->second);
   std::ostringstream os;
   if (ticket == hw::kUnticketed) {
     os << "unticketed";
@@ -66,11 +79,8 @@ ShardedBuffer ObjectStore::CreateBuffer(
   }
   entry.states.assign(devices.size(), ShardState{});
   const LogicalBufferId id = logical_ids_.Next();
-  {
-    std::ostringstream os;
-    os << "staged buffer " << id;
-    RegisterTicket(entry.ticket, EntityOf(producer, id), os.str());
-  }
+  RegisterTicket(entry.ticket, EntityOf(producer, id),
+                 TicketKind::kStagedBuffer, id.value());
   ShardedBuffer handle;
   handle.id = id;
   handle.shards = entry.shards;
@@ -218,72 +228,72 @@ sim::SimFuture<sim::Unit> ObjectStore::GrowShard(LogicalBufferId id, int shard,
   ++state.pins;  // spill-protect the shard while the delta is queued
   Touch(state);
   const hw::MemoryTicket ticket = NextTicket();
-  {
-    std::ostringstream os;
-    os << "grow buffer " << id << "/" << shard;
-    RegisterTicket(ticket, EntityOf(entry.producer, id), os.str());
-  }
+  const std::int64_t entity = EntityOf(entry.producer, id);
   sim::SimPromise<sim::Unit> granted(&cluster_->simulator());
   auto fut = granted.future();
-  cluster_->device(dev)
-      .hbm()
-      .AllocateAsync(
-          request, ticket,
-          [this, id, shard, dev, delta, request, ticket, forced_restore] {
-            FinishTicket(ticket);
-            auto it2 = entries_.find(id);
-            if (it2 == entries_.end()) {
-              // Buffer released while the grow queued (fault unwinding):
-              // hand the grant straight back. Deferred to its own event —
-              // admission runs inside the allocator's serve loop, which
-              // must not re-enter itself.
-              cluster_->simulator().Schedule(
-                  Duration::Zero(), [this, dev, request] {
-                    cluster_->device(dev).hbm().Free(request);
-                  });
-              return;
+  auto grant = cluster_->device(dev).hbm().AllocateAsync(
+      request, ticket,
+      [this, id, shard, dev, delta, request, ticket, forced_restore] {
+        FinishTicket(ticket);
+        auto it2 = entries_.find(id);
+        if (it2 == entries_.end()) {
+          // Buffer released while the grow queued (fault unwinding):
+          // hand the grant straight back. Deferred to its own event —
+          // admission runs inside the allocator's serve loop, which
+          // must not re-enter itself.
+          cluster_->simulator().Schedule(
+              Duration::Zero(), [this, dev, request] {
+                cluster_->device(dev).hbm().Free(request);
+              });
+          return;
+        }
+        Entry& e = it2->second;
+        ShardBuffer& sb2 = e.shards[static_cast<std::size_t>(shard)];
+        ShardState& st = e.states[static_cast<std::size_t>(shard)];
+        if (forced_restore) {
+          if (st.residency == ShardResidency::kHostDram) {
+            // The expected case: flip residency to the fresh HBM copy
+            // and return the DRAM side.
+            cluster_->host_of(dev).dram().Free(sb2.bytes);
+            st.residency = ShardResidency::kHbm;
+            sb2.location = BufferLocation::kHbm;
+            ++fills_completed_;
+            for (const hw::Device* hd : cluster_->host_of(dev).devices()) {
+              MaybeKickSpiller(hd->id());
             }
-            Entry& e = it2->second;
-            ShardBuffer& sb2 = e.shards[static_cast<std::size_t>(shard)];
-            ShardState& st = e.states[static_cast<std::size_t>(shard)];
-            if (forced_restore) {
-              if (st.residency == ShardResidency::kHostDram) {
-                // The expected case: flip residency to the fresh HBM copy
-                // and return the DRAM side.
-                cluster_->host_of(dev).dram().Free(sb2.bytes);
-                st.residency = ShardResidency::kHbm;
-                sb2.location = BufferLocation::kHbm;
-                ++fills_completed_;
-                for (const hw::Device* hd : cluster_->host_of(dev).devices()) {
-                  MaybeKickSpiller(hd->id());
-                }
-              } else {
-                // A same-device read restored the shard while our grown-size
-                // reservation queued; only the delta is still needed, so the
-                // redundant old-size portion goes back (deferred, as above).
-                const Bytes extra = request - delta;
-                cluster_->simulator().Schedule(
-                    Duration::Zero(), [this, dev, extra] {
-                      cluster_->device(dev).hbm().Free(extra);
-                    });
-              }
-            }
-            sb2.bytes += delta;
-            const int d2 = static_cast<int>(dev.value());
-            logical_live_[d2] += delta;
-            logical_peak_[d2] = std::max(logical_peak_[d2], logical_live_[d2]);
-            ++grows_completed_;
-            grown_bytes_total_ += delta;
-            Touch(st);
-          })
-      .Then([this, id, shard, granted](const sim::Unit&) mutable {
-        // Drop the grow pin through UnpinShard so a stalled spiller is
-        // re-kicked, then complete the caller's future. A vacuous grant on
-        // a released buffer still fires — callers unwind through their own
-        // aborted-state checks, exactly like ReserveShard.
-        UnpinShard(id, shard);
-        granted.Set(sim::Unit{});
+          } else {
+            // A same-device read restored the shard while our grown-size
+            // reservation queued; only the delta is still needed, so the
+            // redundant old-size portion goes back (deferred, as above).
+            const Bytes extra = request - delta;
+            cluster_->simulator().Schedule(
+                Duration::Zero(), [this, dev, extra] {
+                  cluster_->device(dev).hbm().Free(extra);
+                });
+          }
+        }
+        sb2.bytes += delta;
+        const int d2 = static_cast<int>(dev.value());
+        logical_live_[d2] += delta;
+        logical_peak_[d2] = std::max(logical_peak_[d2], logical_live_[d2]);
+        ++grows_completed_;
+        grown_bytes_total_ += delta;
+        Touch(st);
       });
+  // Only a queued grow can be a stalled front waiter, the one thing the
+  // ticket registry is read for; a grow granted on the spot (the common
+  // case) was retired by its own admission and is never registered.
+  if (!grant.ready()) {
+    RegisterTicket(ticket, entity, TicketKind::kGrow, id.value(), shard);
+  }
+  grant.Then([this, id, shard, granted](const sim::Unit&) mutable {
+    // Drop the grow pin through UnpinShard so a stalled spiller is
+    // re-kicked, then complete the caller's future. A vacuous grant on
+    // a released buffer still fires — callers unwind through their own
+    // aborted-state checks, exactly like ReserveShard.
+    UnpinShard(id, shard);
+    granted.Set(sim::Unit{});
+  });
   return fut;
 }
 
@@ -471,7 +481,7 @@ std::string ObjectStore::DescribeReservationCycle() const {
     auto tick_it = tickets_.find(waiting);
     if (tick_it == tickets_.end()) continue;  // unattributable waiter
     const std::int64_t waiter_entity = tick_it->second.entity;
-    names[waiter_entity] = tick_it->second.name;
+    names[waiter_entity] = LabelOf(tick_it->second);
     std::ostringstream label;
     label << "dev" << d << " HBM";
     for (const auto& [id, entry] : entries_) {

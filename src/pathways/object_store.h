@@ -86,10 +86,20 @@ class ObjectStore : public memory::SpillBackend {
   // gang scheduler draws at dispatch, which makes ticket order coincide
   // with per-device gang arrival order.
   hw::MemoryTicket NextTicket() { return next_ticket_++; }
-  // Names the entity behind a ticket ("exec 3") for deadlock diagnostics.
-  // `entity` keys the wait-for graph; executions use their id value.
+  // What a ticket reserves for, as its diagnostics label names it.
+  enum class TicketKind : std::uint8_t {
+    kExec,          // a gang's dispatch ticket: "exec <id>"
+    kStagedBuffer,  // an eager buffer's creation: "staged buffer <id>"
+    kGrow,          // one shard's in-place grow: "grow buffer <id>/<shard>"
+  };
+  // Records the entity behind a ticket for deadlock diagnostics. `entity`
+  // keys the wait-for graph; executions use their id value. Only the record
+  // is stored; the label ("exec 3") is rendered when a report asks for it.
   void RegisterTicket(hw::MemoryTicket ticket, std::int64_t entity,
-                      std::string name);
+                      TicketKind kind, std::int64_t id, int shard = 0);
+  // The label of a registered ticket ("staged buffer 7", "grow buffer 7/1",
+  // "exec 3"); "ticket <n>" once retired, "unticketed" for kUnticketed.
+  std::string TicketName(hw::MemoryTicket ticket) const;
   // Drops a retired ticket from the diagnostics registry.
   void FinishTicket(hw::MemoryTicket ticket);
   // Stamps a deferred buffer with its gang's dispatch ticket; subsequent
@@ -266,7 +276,6 @@ class ObjectStore : public memory::SpillBackend {
   // DRAM freed) — those produce no HBM activity, so the allocator's own
   // stall observer would never re-fire.
   void MaybeKickSpiller(hw::DeviceId device);
-  std::string TicketName(hw::MemoryTicket ticket) const;
 
   hw::Cluster* cluster_;
   memory::Spiller* spiller_ = nullptr;
@@ -277,8 +286,11 @@ class ObjectStore : public memory::SpillBackend {
   hw::MemoryTicket next_ticket_ = 1;
   struct TicketInfo {
     std::int64_t entity;
-    std::string name;
+    TicketKind kind;
+    int shard;
+    std::int64_t id;
   };
+  static std::string LabelOf(const TicketInfo& info);
   std::map<hw::MemoryTicket, TicketInfo> tickets_;
 
   std::map<int, Bytes> logical_live_;

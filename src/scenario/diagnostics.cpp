@@ -5,6 +5,9 @@
 namespace pw::scenario {
 namespace {
 
+// Columns of source shown either side of the caret.
+constexpr std::size_t kExcerptRadius = 40;
+
 const char* SeverityName(Diagnostic::Severity s) {
   switch (s) {
     case Diagnostic::Severity::kError: return "error";
@@ -62,13 +65,21 @@ std::string DiagnosticEngine::Render(const Diagnostic& d) const {
   }
   std::size_t end = source_.find('\n', start);
   if (end == std::string::npos) end = source_.size();
-  const std::string text = source_.substr(start, end - start);
-  out += "  " + text + "\n";
-  std::string caret = "  ";
-  for (int i = 1; i < d.loc.col && static_cast<std::size_t>(i) <= text.size();
-       ++i) {
+  const std::size_t length = end - start;
+  const std::size_t caret_at = std::min<std::size_t>(
+      d.loc.col > 1 ? static_cast<std::size_t>(d.loc.col) - 1 : 0, length);
+  // A long line (a minified one-line file) is clipped around the caret,
+  // with "..." where text was cut.
+  const std::size_t from =
+      caret_at > kExcerptRadius ? caret_at - kExcerptRadius : 0;
+  const std::size_t to = std::min(length, caret_at + kExcerptRadius);
+  const std::string text = source_.substr(start + from, to - from);
+  const std::string lead = from > 0 ? "..." : "";
+  out += "  " + lead + text + (to < length ? "..." : "") + "\n";
+  std::string caret = "  " + std::string(lead.size(), ' ');
+  for (std::size_t i = 0; i < caret_at - from; ++i) {
     // Keep tabs so the caret lines up under tab-indented sources.
-    caret += text[static_cast<std::size_t>(i) - 1] == '\t' ? '\t' : ' ';
+    caret += text[i] == '\t' ? '\t' : ' ';
   }
   caret += "^";
   out += caret + "\n";

@@ -56,7 +56,8 @@ class DiagnosticEngine {
 
   // Every diagnostic, clang-style: header line, source line, caret line.
   std::string Render() const;
-  // One diagnostic rendered with its source excerpt.
+  // One diagnostic rendered with its source excerpt: the offending line,
+  // clipped to 40 columns either side of the error column.
   std::string Render(const Diagnostic& d) const;
 
  private:

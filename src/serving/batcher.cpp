@@ -1,6 +1,5 @@
 #include "serving/batcher.h"
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -279,7 +278,7 @@ void Batcher::OnIterationDone(const pathways::ExecutionResult& result) {
   const TimePoint now = sim_->now();
   int finished_this_iteration = 0;
   std::vector<Request> handed_off;
-  std::vector<std::int64_t> to_grow;
+  grow_ids_.clear();
   for (auto it = running_.begin(); it != running_.end();) {
     Request& req = it->second;
     if (req.state == RequestState::kPrefill) {
@@ -333,7 +332,7 @@ void Batcher::OnIterationDone(const pathways::ExecutionResult& result) {
       ++finished_this_iteration;
       it = running_.erase(it);
     } else {
-      to_grow.push_back(req.id);
+      grow_ids_.push_back(req.id);
       ++it;
     }
   }
@@ -352,23 +351,18 @@ void Batcher::OnIterationDone(const pathways::ExecutionResult& result) {
   // its sequence while the reservation waits, so with one grow in flight
   // at a time every *other* sequence stays an eligible spill victim and
   // the boundary cannot wedge even with HBM packed full of KV.
-  auto ids = std::make_shared<std::vector<std::int64_t>>(std::move(to_grow));
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  // The function holds only a weak self-reference (no shared_ptr cycle);
-  // each pending Then callback keeps the chain alive until it fires.
-  std::weak_ptr<std::function<void(std::size_t)>> weak_step = step;
-  *step = [this, ids, weak_step](std::size_t i) {
-    if (i == ids->size()) {
-      iteration_inflight_ = false;
-      MaybeStartIteration();
-      return;
-    }
-    kv_.Append((*ids)[i], 1)
-        .Then([strong = weak_step.lock(), i](const sim::Unit&) {
-          (*strong)(i + 1);
-        });
-  };
-  (*step)(0);
+  GrowNext(0);
+}
+
+void Batcher::GrowNext(std::size_t i) {
+  if (i == grow_ids_.size()) {
+    iteration_inflight_ = false;
+    MaybeStartIteration();
+    return;
+  }
+  kv_.Append(grow_ids_[i], 1).Then([this, i](const sim::Unit&) {
+    GrowNext(i + 1);
+  });
 }
 
 void Batcher::HandleAbort() {

@@ -176,6 +176,9 @@ class Batcher {
   void StartIteration();
   void AdmitFromQueue();
   void OnIterationDone(const pathways::ExecutionResult& result);
+  // Appends one KV token to grow_ids_[i], then to the next id once its
+  // grants land; past the last id, releases the iteration boundary.
+  void GrowNext(std::size_t i);
   void HandleAbort();
   // Per-shard KV this request charges against kv_budget_per_device while it
   // is admitted: its projected *full* KV, except on a prefill island where
@@ -207,6 +210,9 @@ class Batcher {
   // Program of the in-flight iteration (must outlive its execution).
   std::unique_ptr<pathways::PathwaysProgram> current_program_;
   bool iteration_inflight_ = false;
+  // Sequences growing at the current boundary. One boundary at a time:
+  // iteration_inflight_ stays set until GrowNext walks past the last id.
+  std::vector<std::int64_t> grow_ids_;
   int consecutive_aborts_ = 0;
   std::int64_t iterations_ = 0;
   std::int64_t finished_ = 0;

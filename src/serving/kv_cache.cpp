@@ -51,16 +51,23 @@ sim::SimFuture<sim::Unit> KvCache::Append(std::int64_t seq, int tokens) {
   Seq& s = it->second;
   const Bytes delta = BytesForTokens(tokens);
   pathways::ObjectStore& store = runtime_->object_store();
-  std::vector<sim::SimFuture<sim::Unit>> grants;
-  grants.reserve(s.handle.shards.size());
   for (std::size_t i = 0; i < s.handle.shards.size(); ++i) {
-    grants.push_back(store.GrowShard(s.handle.id, static_cast<int>(i), delta));
+    grants_.push_back(store.GrowShard(s.handle.id, static_cast<int>(i), delta));
     s.handle.shards[i].bytes += delta;  // mirror; consumed only post-grant
   }
   s.tokens += tokens;
   live_bytes_per_shard_ += delta;
   ++appends_;
-  return sim::WhenAll(&runtime_->simulator(), grants);
+  // Join the grants only after every shard's grow is issued: a grant that is
+  // already ready schedules its countdown on registration, and that event
+  // must follow whatever the later grows schedule.
+  auto granted = std::make_shared<sim::CountdownLatch>(
+      &runtime_->simulator(), static_cast<int>(grants_.size()));
+  for (const auto& grant : grants_) {
+    grant.Then([granted](const sim::Unit&) { granted->CountDown(); });
+  }
+  grants_.clear();
+  return granted->done();
 }
 
 void KvCache::Pin(std::int64_t seq) {

@@ -101,6 +101,9 @@ class KvCache {
   std::map<std::int64_t, Seq> seqs_;
   Bytes live_bytes_per_shard_ = 0;
   std::int64_t appends_ = 0;
+  // Append's grant futures, reused across calls so an append allocates no
+  // vector.
+  std::vector<sim::SimFuture<sim::Unit>> grants_;
 };
 
 }  // namespace pw::serving

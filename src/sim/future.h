@@ -6,15 +6,24 @@
 // futures are the "buffer futures" of the paper's data plane: executors
 // enqueue kernels whose inputs are futures, and network sends are triggered
 // by future completion.
+//
+// Where continuations live: a pending future keeps its continuations in one
+// vector of InlineFunction<void(const T&)> inside the shared FutureState;
+// a capture of up to InlineFunction::kInlineBytes (40 B) is stored in place,
+// a larger one in a single heap object. Set() moves each continuation, in
+// registration order, into its own zero-delay event. For a Unit future that
+// event is the 48-byte continuation alone, which fits the simulator's
+// inline event slot, so firing a continuation allocates nothing.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace pw::sim {
@@ -30,8 +39,28 @@ struct FutureState {
 
   Simulator* sim;
   std::optional<T> value;
-  std::vector<std::function<void(const T&)>> callbacks;
+  std::vector<InlineFunction<void(const T&)>> callbacks;
 };
+
+// Schedules `fn` as a zero-delay event that runs it on the state's value.
+// A Unit payload carries no data, so the event holds the callable alone;
+// any other payload keeps the state alive until the event has run.
+static_assert(sizeof(InlineFunction<void(const Unit&)>) <=
+                  PooledCallback::kInlineBytes,
+              "a Unit continuation's event must fit the inline event slot");
+
+template <typename T, typename Fn>
+void ScheduleContinuation(const std::shared_ptr<FutureState<T>>& st, Fn&& fn) {
+  if constexpr (std::is_same_v<T, Unit>) {
+    st->sim->Schedule(Duration::Zero(),
+                      [fn = std::forward<Fn>(fn)]() mutable { fn(Unit{}); });
+  } else {
+    st->sim->Schedule(Duration::Zero(),
+                      [st, fn = std::forward<Fn>(fn)]() mutable {
+                        fn(*st->value);
+                      });
+  }
+}
 
 }  // namespace internal
 
@@ -50,14 +79,15 @@ class SimFuture {
 
   // Registers a continuation; runs as a zero-delay event once the value is
   // set (immediately scheduled if already set).
-  void Then(std::function<void(const T&)> fn) const {
+  template <typename Fn>
+  void Then(Fn&& fn) const {
+    static_assert(std::is_invocable_v<std::decay_t<Fn>&, const T&>,
+                  "continuation must be callable as fn(const T&)");
     PW_CHECK(valid());
     if (state_->value.has_value()) {
-      auto st = state_;
-      state_->sim->Schedule(Duration::Zero(),
-                            [st, fn = std::move(fn)] { fn(*st->value); });
+      internal::ScheduleContinuation(state_, std::forward<Fn>(fn));
     } else {
-      state_->callbacks.push_back(std::move(fn));
+      state_->callbacks.emplace_back(std::forward<Fn>(fn));
     }
   }
 
@@ -84,12 +114,10 @@ class SimPromise {
   void Set(T value) {
     PW_CHECK(!state_->value.has_value()) << "SimPromise::Set called twice";
     state_->value = std::move(value);
-    auto st = state_;
-    for (auto& cb : st->callbacks) {
-      st->sim->Schedule(Duration::Zero(),
-                        [st, cb = std::move(cb)] { cb(*st->value); });
+    for (auto& cb : state_->callbacks) {
+      internal::ScheduleContinuation(state_, std::move(cb));
     }
-    st->callbacks.clear();
+    state_->callbacks.clear();
   }
 
  private:
@@ -108,24 +136,41 @@ SimFuture<T> ReadyFuture(Simulator* sim, T value) {
 // An empty set completes immediately.
 SimFuture<Unit> WhenAll(Simulator* sim, const std::vector<SimFuture<Unit>>& futures);
 
-// Runs `fn` once both `a` and `b` have completed. Event-for-event the same as
-// WhenAll(sim, {a, b}).Then(fn) — one zero-delay event per input as it
-// completes, then one zero-delay event running `fn` — but the join is one
+namespace internal {
+
+template <typename Fn>
+struct Join {
+  Simulator* sim;
+  int remaining;
+  Fn fn;
+};
+
+}  // namespace internal
+
+// Returns the arrival continuation of a join of `n` (> 0) completions: call
+// it (or register it with Then()) once per completion, and the n-th call
+// schedules `fn` as its own zero-delay event. Event-for-event the same as
+// WhenAll(sim, inputs).Then(fn) over n unready inputs, but the join is one
 // shared allocation instead of a vector, a latch, its future state and
 // callback vector.
 template <typename Fn>
-void WhenBoth(Simulator* sim, const SimFuture<Unit>& a,
-              const SimFuture<Unit>& b, Fn fn) {
-  struct Join {
-    int remaining;
-    Fn fn;
-  };
-  auto join = std::make_shared<Join>(Join{2, std::move(fn)});
-  auto arrive = [sim, join](const Unit&) {
+auto JoinOf(Simulator* sim, int n, Fn fn) {
+  PW_CHECK_GT(n, 0);
+  auto join = std::make_shared<internal::Join<Fn>>(
+      internal::Join<Fn>{sim, n, std::move(fn)});
+  return [join](const Unit&) {
     if (--join->remaining == 0) {
-      sim->Schedule(Duration::Zero(), [join] { join->fn(); });
+      join->sim->Schedule(Duration::Zero(), [join] { join->fn(); });
     }
   };
+}
+
+// Runs `fn` once both `a` and `b` have completed; the same events as
+// WhenAll(sim, {a, b}).Then(fn).
+template <typename Fn>
+void WhenBoth(Simulator* sim, const SimFuture<Unit>& a,
+              const SimFuture<Unit>& b, Fn fn) {
+  auto arrive = JoinOf(sim, 2, std::move(fn));
   a.Then(arrive);
   b.Then(std::move(arrive));
 }

@@ -11,11 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "common/units.h"
+#include "sim/inline_function.h"
 #include "sim/simulator.h"
 
 namespace pw::sim {
@@ -31,7 +31,7 @@ class SerialResource {
   // Submits a work item costing `cost` of this resource's time. `fn` runs
   // when the work *completes* (at the timestamp the resource frees up).
   // Returns the completion time.
-  TimePoint Submit(Duration cost, std::function<void()> fn) {
+  TimePoint Submit(Duration cost, InlineFunction<void()> fn) {
     const TimePoint start = std::max(sim_->now(), busy_until_);
     const TimePoint done = start + cost;
     busy_until_ = done;

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "pathways/pathways.h"
@@ -304,6 +305,52 @@ TEST(ObjectStoreTest, BackPressureDelaysReservation) {
   store.Release(big.id);
   w.sim.Run();
   EXPECT_TRUE(blocked.ready.ready());
+}
+
+TEST(ObjectStore, TicketNamesMatchEagerLabels) {
+  // Ticket labels are rendered on demand from {entity, kind, id, shard};
+  // they must read exactly as the strings formatted at registration did.
+  hw::SystemParams params;
+  params.hbm_capacity = MiB(100);
+  World w(1, 1, 1, {}, params);
+  ObjectStore& store = w.runtime->object_store();
+  std::vector<hw::DeviceId> devices{w.cluster->device(0).id()};
+  const hw::MemoryTicket unregistered = store.NextTicket();
+  ShardedBuffer staged =
+      store.CreateBuffer(ClientId(0), ExecutionId(), devices, MiB(60));
+  ShardedBuffer hog =
+      store.CreateBuffer(ClientId(0), ExecutionId(), devices, MiB(30));
+  w.sim.Run();
+  const std::string id = std::to_string(staged.id.value());
+  EXPECT_EQ(store.TicketName(unregistered + 1), "staged buffer " + id);
+
+  auto grow = store.GrowShard(staged.id, 0, MiB(20));  // cannot fit: queues
+  w.sim.Run();
+  EXPECT_FALSE(grow.ready());
+  EXPECT_EQ(store.TicketName(unregistered + 3), "grow buffer " + id + "/0");
+  EXPECT_NE(store.BlockedReservationReason(devices[0])
+                .find("front grow buffer " + id + "/0 wants"),
+            std::string::npos)
+      << store.BlockedReservationReason(devices[0]);
+
+  const hw::MemoryTicket exec = store.NextTicket();
+  store.RegisterTicket(exec, 12345, ObjectStore::TicketKind::kExec, 12345);
+  EXPECT_EQ(store.TicketName(exec), "exec 12345");
+  store.RegisterTicket(exec, 7, ObjectStore::TicketKind::kGrow, 7, 3);
+  EXPECT_EQ(store.TicketName(exec), "grow buffer 7/3");
+  store.FinishTicket(exec);
+  EXPECT_EQ(store.TicketName(exec), "ticket " + std::to_string(exec));
+  EXPECT_EQ(store.TicketName(unregistered),
+            "ticket " + std::to_string(unregistered));
+  EXPECT_EQ(store.TicketName(hw::kUnticketed), "unticketed");
+
+  store.Release(hog.id);  // admits the grow, which retires its ticket
+  w.sim.Run();
+  EXPECT_TRUE(grow.ready());
+  EXPECT_EQ(store.TicketName(unregistered + 3),
+            "ticket " + std::to_string(unregistered + 3));
+  store.Release(staged.id);
+  EXPECT_EQ(store.hbm_used(devices[0]), 0);
 }
 
 // -------------------------------------------------------------- Program IR --

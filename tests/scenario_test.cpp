@@ -58,6 +58,33 @@ TEST(Diagnostics, HeaderCarriesFileLineCol) {
   EXPECT_FALSE(diags.ok());
 }
 
+TEST(Diagnostics, LongLineExcerptIsClippedAroundTheCaret) {
+  // A minified one-line file: the excerpt shows a window around the error
+  // column, not the whole line, and the caret stays under that column.
+  std::string line(200000, 'x');
+  line[100000] = '!';
+  DiagnosticEngine diags("big.json", line);
+  diags.Error({1, 100001}, "unexpected '!'");
+  const std::string render = diags.Render();
+  EXPECT_LT(render.size(), 512u) << render.size();
+  const std::size_t excerpt = render.find('\n') + 1;
+  const std::size_t caret_line = render.find('\n', excerpt) + 1;
+  const std::string text = render.substr(excerpt, caret_line - 1 - excerpt);
+  const std::string caret =
+      render.substr(caret_line, render.find('\n', caret_line) - caret_line);
+  EXPECT_EQ(text.substr(0, 5), "  ...");
+  EXPECT_EQ(text.substr(text.size() - 3), "...");
+  ASSERT_EQ(caret.back(), '^');
+  EXPECT_EQ(text[caret.size() - 1], '!');
+  // Near the start of the line only the tail is cut.
+  DiagnosticEngine head("big.json", line);
+  head.Error({1, 3}, "bad");
+  const std::string head_render = head.Render();
+  EXPECT_NE(head_render.find("\n  xxx"), std::string::npos);
+  EXPECT_NE(head_render.find("...\n    ^\n"), std::string::npos);
+  EXPECT_LT(head_render.size(), 512u);
+}
+
 TEST(Diagnostics, NumbersThatOverflowAreRejected) {
   const std::pair<const char*, const char*> cases[] = {
       {"1e999", "number out of range"},

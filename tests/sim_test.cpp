@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/future.h"
@@ -259,6 +262,125 @@ TEST(FutureTest, WhenBothFiresInWhenAllOrder) {
                             }),
               1);
   }
+}
+
+// ------------------------------------------------------------- SimFuture --
+
+TEST(SimFuture, ContinuationsFireInRegistrationOrder) {
+  // The order std::function continuations produced: Set() schedules the
+  // pending continuations, in registration order, at the point of the
+  // Set(); a continuation added to a ready future is scheduled at the point
+  // of its Then(). Both payload paths are covered (Unit and int).
+  Simulator sim;
+  std::vector<std::string> log;
+  auto note = [&log](std::string tag) {
+    return [&log, tag = std::move(tag)] { log.push_back(tag); };
+  };
+  SimPromise<Unit> u(&sim);
+  SimPromise<int> n(&sim);
+  u.future().Then([&](const Unit&) { log.push_back("u1"); });
+  sim.Schedule(Duration::Zero(), note("e1"));
+  n.future().Then(
+      [&](const int& v) { log.push_back("n1=" + std::to_string(v)); });
+  u.future().Then([&](const Unit&) { log.push_back("u2"); });
+  sim.Schedule(Duration::Zero(), [&] {
+    log.push_back("e2");
+    n.Set(7);
+    sim.Schedule(Duration::Zero(), note("e3"));
+    n.future().Then(
+        [&](const int& v) { log.push_back("n2=" + std::to_string(v)); });
+  });
+  u.Set(Unit{});
+  sim.Schedule(Duration::Zero(), note("e4"));
+  u.future().Then([&](const Unit&) { log.push_back("u3"); });
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"e1", "e2", "u1", "u2", "e4", "u3",
+                                           "n1=7", "e3", "n2=7"}));
+  EXPECT_EQ(sim.events_executed(), 9);
+}
+
+// Counts the moves and the destruction of one live instance; moved-from
+// copies count nothing.
+struct CaptureProbe {
+  struct Counts {
+    int moves = 0;
+    int destroyed = 0;
+  };
+  explicit CaptureProbe(Counts* c) : counts(c) {}
+  CaptureProbe(CaptureProbe&& other) noexcept
+      : counts(std::exchange(other.counts, nullptr)) {
+    if (counts != nullptr) ++counts->moves;
+  }
+  CaptureProbe(const CaptureProbe&) = delete;
+  CaptureProbe& operator=(const CaptureProbe&) = delete;
+  CaptureProbe& operator=(CaptureProbe&&) = delete;
+  ~CaptureProbe() {
+    if (counts != nullptr) ++counts->destroyed;
+  }
+  Counts* counts;
+};
+
+TEST(SimFuture, MoveOnlyAndOversizedCaptures) {
+  using Continuation = InlineFunction<void(const Unit&)>;
+  Simulator sim;
+  SimPromise<Unit> p(&sim);
+  int calls = 0;
+  int seen = 0;
+  p.future().Then([token = std::make_unique<int>(42), &calls,
+                   &seen](const Unit&) {
+    ++calls;
+    seen = *token;
+  });
+
+  // Same continuation shape, inline-sized and oversized.
+  CaptureProbe::Counts small_counts;
+  CaptureProbe::Counts big_counts;
+  std::array<unsigned char, 256> pad{};
+  pad.back() = 3;
+  auto small = [probe = CaptureProbe(&small_counts), &calls](const Unit&) {
+    ++calls;
+  };
+  auto big = [probe = CaptureProbe(&big_counts), pad, &calls](const Unit&) {
+    calls += pad.back();
+  };
+  static_assert(sizeof(small) <= Continuation::kInlineBytes);
+  static_assert(sizeof(big) > Continuation::kInlineBytes);
+  p.future().Then(std::move(small));
+  p.future().Then(std::move(big));
+  const int small_moves = small_counts.moves;
+  const int big_moves = big_counts.moves;
+  // Regrow the callback vector, then hand every continuation to an event.
+  for (int i = 0; i < 8; ++i) p.future().Then([](const Unit&) {});
+  p.Set(Unit{});
+  sim.Run();
+
+  EXPECT_EQ(calls, 1 + 1 + 3);
+  EXPECT_EQ(seen, 42);
+  // Inline storage relocates the capture itself; the heap fallback moves
+  // only its pointer, so the 256-byte capture is never moved again.
+  EXPECT_GT(small_counts.moves, small_moves);
+  EXPECT_EQ(big_counts.moves, big_moves);
+  EXPECT_EQ(small_counts.destroyed, 1);
+  EXPECT_EQ(big_counts.destroyed, 1);
+}
+
+TEST(SimFuture, UnfulfilledPromiseReleasesContinuations) {
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  {
+    SimPromise<Unit> p(&sim);
+    SimFuture<Unit> f = p.future();
+    std::array<unsigned char, 128> pad{};
+    f.Then([token](const Unit&) {});
+    f.Then([token, pad](const Unit&) { (void)pad; });  // heap fallback
+    SimPromise<int> q(&sim);
+    q.future().Then([token](const int&) {});
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  // The last handles died with nothing fired: every capture is gone.
+  EXPECT_EQ(token.use_count(), 1);
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 0);
 }
 
 TEST(CountdownLatchTest, FiresAtZero) {
