@@ -5,7 +5,7 @@ namespace pw::memory {
 void Spiller::OnStall(int device) {
   if (!options_.enabled) return;
   if (kick_pending_[device]) return;
-  if (inflight_[device] >= options_.max_concurrent_per_device) return;
+  if (migrating_[device]) return;
   kick_pending_[device] = true;
   sim_->Schedule(Duration::Zero(), [this, device] {
     kick_pending_[device] = false;
@@ -14,25 +14,21 @@ void Spiller::OnStall(int device) {
 }
 
 void Spiller::OnSpillComplete(int device) {
-  --inflight_[device];
-  PW_CHECK_GE(inflight_[device], 0);
+  PW_CHECK(migrating_[device]);
+  migrating_[device] = false;
   if (backend_->HasStalledReservation(device)) OnStall(device);
 }
 
 void Spiller::Kick(int device) {
   ++stall_kicks_;
-  while (backend_->HasStalledReservation(device) &&
-         inflight_[device] < options_.max_concurrent_per_device) {
-    if (backend_->StartSpill(device)) {
-      ++inflight_[device];
-      ++spills_started_;
-      continue;
-    }
-    // Nothing spillable right now: running kernels or in-flight migrations
-    // will free memory and re-trigger us. If nothing ever does, quiescence
-    // reports the wedge (blocked probes / CheckNoReservationWedge).
-    return;
+  if (migrating_[device] || !backend_->HasStalledReservation(device)) return;
+  if (backend_->StartSpill(device)) {
+    migrating_[device] = true;
+    ++spills_started_;
   }
+  // Otherwise nothing is spillable right now: running kernels or in-flight
+  // migrations will free memory and re-trigger us. If nothing ever does,
+  // quiescence reports the wedge (blocked probes / CheckNoReservationWedge).
 }
 
 }  // namespace pw::memory

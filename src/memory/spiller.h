@@ -7,9 +7,9 @@
 // residency transitions, PCIe modeling, allocator accounting — lives behind
 // the SpillBackend interface (implemented by pathways::ObjectStore), which
 // keeps this module free of upper-layer types. Per device the spiller keeps
-// at most `max_concurrent_per_device` migrations in flight; every spill
-// completion re-checks the stall and kicks again, so a deep waiter queue
-// drains one LRU victim at a time.
+// at most one migration in flight; every spill completion re-checks the
+// stall and kicks again, so a deep waiter queue drains one LRU victim at a
+// time.
 //
 // A stall with nothing left to spill is left alone: mid-run it is usually a
 // plain capacity wait that running kernels or in-flight migrations relieve
@@ -47,13 +47,11 @@ class Spiller {
  public:
   struct Options {
     bool enabled = true;
-    int max_concurrent_per_device = 1;
   };
 
   Spiller(sim::Simulator* sim, SpillBackend* backend, Options options)
       : sim_(sim), backend_(backend), options_(options) {
     PW_CHECK(sim != nullptr && backend != nullptr);
-    PW_CHECK_GT(options_.max_concurrent_per_device, 0);
   }
 
   Spiller(const Spiller&) = delete;
@@ -79,7 +77,7 @@ class Spiller {
   sim::Simulator* sim_;
   SpillBackend* backend_;
   Options options_;
-  std::map<int, int> inflight_;       // migrations in flight per device
+  std::map<int, bool> migrating_;     // a migration is in flight
   std::map<int, bool> kick_pending_;  // a zero-delay Kick is scheduled
   std::int64_t spills_started_ = 0;
   std::int64_t stall_kicks_ = 0;

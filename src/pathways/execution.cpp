@@ -149,81 +149,16 @@ void ProgramExecution::StartTransfer(LogicalBufferId src_buffer, int src_shard,
                                      std::shared_ptr<sim::CountdownLatch> latch) {
   if (aborted_) return;  // input latches were force-completed by Abort()
   ObjectStore& store = runtime_->object_store();
-  hw::Cluster& cluster = runtime_->cluster();
-  auto self = shared_from_this();
   // Pin the source shard for the duration of the read (spill victims must
-  // not be mid-read). Spilled sources are *read through* from host DRAM
-  // into the consumer's input staging — consumption never re-acquires HBM,
-  // which is what keeps spilling deadlock-free against the non-preemptible
-  // in-order device streams (docs/MEMORY.md).
+  // not be mid-read); the store picks the route (docs/MEMORY.md).
   store.PinShard(src_buffer, src_shard);
   outstanding_reads_.emplace_back(src_buffer, src_shard);
-  if (store.ShardInDram(src_buffer, src_shard)) {
-    hw::Host& src_host = cluster.host_of(src);
-    hw::Host& dst_host = cluster.host_of(dst);
-    ++transfers_;
-    store.NoteDramRead(bytes);
-    if (src == dst) {
-      // Paging the bytes back to their own device: if idle HBM is free this
-      // doubles as a restore (the shard becomes resident again — the
-      // "spilled argument paged back in before its gang runs" path).
-      store.TryRestoreShard(src_buffer, src_shard);
-      dst_host.pcie(dst).Transfer(bytes, [self, src_buffer, src_shard, latch] {
+  store.ReadShard(
+      src_buffer, src_shard, src, dst, bytes,
+      [self = shared_from_this(), src_buffer, src_shard] {
         self->FinishRead(src_buffer, src_shard);
-        latch->CountDown();
-      });
-      return;
-    }
-    if (src_host.id() == dst_host.id()) {
-      // DRAM → destination device over the destination's PCIe link.
-      dst_host.pcie(dst).Transfer(bytes, [self, src_buffer, src_shard, latch] {
-        self->FinishRead(src_buffer, src_shard);
-        latch->CountDown();
-      });
-      return;
-    }
-    // DRAM → DCN → destination host → destination device.
-    src_host.SendDcn(dst_host.id(), bytes, [self, src_buffer, src_shard,
-                                            &dst_host, dst, bytes, latch] {
-      self->FinishRead(src_buffer, src_shard);
-      dst_host.pcie(dst).Transfer(bytes, [latch] { latch->CountDown(); });
-    });
-    return;
-  }
-  if (src == dst) {
-    // Producer output is directly addressable and the consumer's prep
-    // staging already covers input_bytes_per_shard: the operand is handed
-    // off in place, completing this read immediately.
-    FinishRead(src_buffer, src_shard);
-    latch->CountDown();
-    return;
-  }
-  ++transfers_;
-  const hw::IslandId src_island = cluster.device(src).island();
-  const hw::IslandId dst_island = cluster.device(dst).island();
-  if (src_island == dst_island) {
-    // Device-to-device over the island's private interconnect; the read
-    // completes once the data has landed.
-    cluster.island_of(src).Transfer(src, dst, bytes).Then(
-        [self, src_buffer, src_shard, latch](const sim::Unit&) {
-          self->FinishRead(src_buffer, src_shard);
-          latch->CountDown();
-        });
-    return;
-  }
-  // Cross-island: PCIe device→host, DCN host→host, PCIe host→device. The
-  // read completes after the first hop — the bytes have left the source
-  // device.
-  hw::Host& src_host = cluster.host_of(src);
-  hw::Host& dst_host = cluster.host_of(dst);
-  src_host.pcie(src).Transfer(
-      bytes, [self, src_buffer, src_shard, &src_host, &dst_host, dst, bytes,
-              latch] {
-        self->FinishRead(src_buffer, src_shard);
-        src_host.SendDcn(dst_host.id(), bytes, [&dst_host, dst, bytes, latch] {
-          dst_host.pcie(dst).Transfer(bytes, [latch] { latch->CountDown(); });
-        });
-      });
+      },
+      [latch = std::move(latch)] { latch->CountDown(); });
 }
 
 void ProgramExecution::FinishRead(LogicalBufferId buffer, int shard) {

@@ -119,9 +119,6 @@ class ProgramExecution
   void Abort();
   bool aborted() const { return aborted_; }
 
-  // Stats.
-  std::int64_t transfers_started() const { return transfers_; }
-
  private:
   // One wired-but-unconsumed read of a source shard finished (the data was
   // handed off / left the source device): drops the spill-protection pin.
@@ -138,10 +135,8 @@ class ProgramExecution
   void Lower();
   void WireTransfers();
   void WireEdge(int consumer_node, int operand_index);
-  // Schedules the physical movement for one (src,dst) shard pair; fulfills
-  // `done_latch` when the data lands in the consumer's input buffer. A
-  // spilled source shard is read through from host DRAM (and restored to
-  // HBM opportunistically when it is headed back to its own device); the
+  // Reads one (src,dst) shard pair through ObjectStore::ReadShard; fulfills
+  // `done_latch` when the data lands in the consumer's input buffer. The
   // source stays pinned while it is being read.
   void StartTransfer(LogicalBufferId src_buffer, int src_shard,
                      hw::DeviceId src, hw::DeviceId dst, Bytes bytes,
@@ -192,7 +187,6 @@ class ProgramExecution
   int result_shard_messages_received_ = 0;
   bool finished_ = false;
   bool aborted_ = false;
-  std::int64_t transfers_ = 0;
 };
 
 }  // namespace pw::pathways

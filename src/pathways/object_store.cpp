@@ -1,6 +1,7 @@
 #include "pathways/object_store.h"
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 
 #include "memory/wait_graph.h"
@@ -358,16 +359,16 @@ bool ObjectStore::ShardInDram(LogicalBufferId id, int shard) const {
          ShardResidency::kHostDram;
 }
 
-bool ObjectStore::TryRestoreShard(LogicalBufferId id, int shard) {
+void ObjectStore::TryRestoreShard(LogicalBufferId id, int shard) {
   auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
+  if (it == entries_.end()) return;
   Entry& entry = it->second;
   ShardBuffer& sb = entry.shards.at(static_cast<std::size_t>(shard));
   ShardState& state = entry.states.at(static_cast<std::size_t>(shard));
-  if (state.residency != ShardResidency::kHostDram) return false;
+  if (state.residency != ShardResidency::kHostDram) return;
   // Allocate() refuses while waiters queue, so a restore never jumps the
   // reservation order — it only soaks up genuinely idle capacity.
-  if (!cluster_->device(sb.device).hbm().Allocate(sb.bytes).ok()) return false;
+  if (!cluster_->device(sb.device).hbm().Allocate(sb.bytes).ok()) return;
   state.residency = ShardResidency::kHbm;
   sb.location = BufferLocation::kHbm;
   cluster_->host_of(sb.device).dram().Free(sb.bytes);
@@ -378,7 +379,81 @@ bool ObjectStore::TryRestoreShard(LogicalBufferId id, int shard) {
   for (const hw::Device* dev : cluster_->host_of(sb.device).devices()) {
     MaybeKickSpiller(dev->id());
   }
-  return true;
+}
+
+namespace {
+
+// One ReadShard's two continuations, carried through its hops in a single
+// heap block: every hop closure then captures a pointer and a few scalars,
+// small enough for InlineFunction's inline storage.
+struct ShardRead {
+  sim::InlineFunction<void()> on_read;
+  sim::InlineFunction<void()> on_landed;
+};
+
+}  // namespace
+
+void ObjectStore::ReadShard(LogicalBufferId id, int shard, hw::DeviceId src,
+                            hw::DeviceId dst, Bytes bytes,
+                            sim::InlineFunction<void()> on_read,
+                            sim::InlineFunction<void()> on_landed) {
+  const bool in_dram = ShardInDram(id, shard);
+  if (!in_dram && src == dst) {
+    // The resident shard is directly addressable by its own device and the
+    // consumer's input staging already covers it: handed off in place.
+    on_read();
+    on_landed();
+    return;
+  }
+  auto read = std::make_unique<ShardRead>(
+      ShardRead{std::move(on_read), std::move(on_landed)});
+  hw::Host& src_host = cluster_->host_of(src);
+  hw::Host& dst_host = cluster_->host_of(dst);
+  if (in_dram) {
+    // Read through from host DRAM: consumption never re-acquires HBM, which
+    // is what keeps spilling deadlock-free against the non-preemptible
+    // in-order device streams (docs/MEMORY.md).
+    ++dram_reads_;
+    dram_read_bytes_ += bytes;
+    if (src_host.id() == dst_host.id()) {
+      // Paging the bytes back to their own device doubles as a restore when
+      // idle HBM is free.
+      if (src == dst) TryRestoreShard(id, shard);
+      dst_host.pcie(dst).Transfer(bytes, [read = std::move(read)] {
+        read->on_read();
+        read->on_landed();
+      });
+      return;
+    }
+    src_host.SendDcn(dst_host.id(), bytes,
+                     [read = std::move(read), &dst_host, dst, bytes] {
+                       read->on_read();
+                       dst_host.pcie(dst).Transfer(
+                           bytes, std::move(read->on_landed));
+                     });
+    return;
+  }
+  if (cluster_->device(src).island() == cluster_->device(dst).island()) {
+    // Device to device over the island's private interconnect.
+    cluster_->island_of(src).Transfer(src, dst, bytes).Then(
+        [read = std::move(read)](const sim::Unit&) {
+          read->on_read();
+          read->on_landed();
+        });
+    return;
+  }
+  // Across islands: src PCIe, DCN host to host, dst PCIe. The read is done
+  // once the bytes have left the source device.
+  src_host.pcie(src).Transfer(
+      bytes,
+      [read = std::move(read), &src_host, &dst_host, dst, bytes]() mutable {
+        read->on_read();
+        src_host.SendDcn(dst_host.id(), bytes,
+                         [read = std::move(read), &dst_host, dst, bytes] {
+                           dst_host.pcie(dst).Transfer(
+                               bytes, std::move(read->on_landed));
+                         });
+      });
 }
 
 BufferLocation ObjectStore::shard_location(LogicalBufferId id,
@@ -438,7 +513,7 @@ bool ObjectStore::StartSpill(int device) {
                      bytes = victim_bytes, device] {
         auto it = entries_.find(id);
         if (it == entries_.end()) {
-          // Buffer died mid-spill: FreeEntry already returned the HBM side;
+          // Buffer died mid-spill: Drop already returned the HBM side;
           // the DRAM destination is ours to give back.
           cluster_->host_of(dev).dram().Free(bytes);
         } else {
@@ -568,16 +643,14 @@ void ObjectStore::Release(LogicalBufferId id) {
   auto it = entries_.find(id);
   PW_CHECK(it != entries_.end()) << "Release on unknown buffer " << id;
   if (--it->second.refcount > 0) return;
-  FreeEntry(it->second);
-  entries_.erase(it);
+  Drop(it);
 }
 
 int ObjectStore::ReleaseAllForOwner(ClientId owner) {
   int collected = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.owner == owner) {
-      FreeEntry(it->second);
-      it = entries_.erase(it);
+      it = Drop(it);
       ++collected;
     } else {
       ++it;
@@ -590,8 +663,7 @@ int ObjectStore::ReleaseAllForProducer(ExecutionId producer) {
   int collected = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->second.producer == producer) {
-      FreeEntry(it->second);
-      it = entries_.erase(it);
+      it = Drop(it);
       ++collected;
     } else {
       ++it;
@@ -645,7 +717,9 @@ std::string ObjectStore::DumpShardStates() const {
   return os.str();
 }
 
-void ObjectStore::FreeEntry(Entry& entry) {
+ObjectStore::EntryMap::iterator ObjectStore::Drop(EntryMap::iterator it) {
+  const Entry entry = std::move(it->second);
+  it = entries_.erase(it);
   // Retire the buffer's ticket from the diagnostics registry (for gang
   // tickets the owning execution also does this — FinishTicket is an
   // idempotent erase). Without it, every staged buffer of a long serving
@@ -653,7 +727,7 @@ void ObjectStore::FreeEntry(Entry& entry) {
   FinishTicket(entry.ticket);
   for (std::size_t i = 0; i < entry.shards.size(); ++i) {
     const ShardBuffer& s = entry.shards[i];
-    ShardState& st = entry.states[i];
+    const ShardState& st = entry.states[i];
     if (!st.granted) continue;
     switch (st.residency) {
       case ShardResidency::kHbm:
@@ -676,6 +750,7 @@ void ObjectStore::FreeEntry(Entry& entry) {
     const int d = static_cast<int>(s.device.value());
     logical_live_[d] -= s.bytes;
   }
+  return it;
 }
 
 }  // namespace pw::pathways

@@ -45,6 +45,7 @@
 #include "memory/spiller.h"
 #include "pathways/ids.h"
 #include "sim/future.h"
+#include "sim/inline_function.h"
 
 namespace pw::pathways {
 
@@ -165,8 +166,8 @@ class ObjectStore : public memory::SpillBackend {
   // Marks a shard's *data* as resident (producer kernel finished, or staged
   // bytes landed). Only content-ready shards are spill candidates.
   void MarkShardContentReady(LogicalBufferId id, int shard);
-  // Transient read pins: executions pin a source shard for the duration of
-  // each wired read (transfer); pinned shards are never spill victims.
+  // Transient read pins: readers pin a source shard for the duration of
+  // each read (see ReadShard); pinned shards are never spill victims.
   // Both are no-ops on released buffers.
   void PinShard(LogicalBufferId id, int shard);
   void UnpinShard(LogicalBufferId id, int shard);
@@ -175,11 +176,20 @@ class ObjectStore : public memory::SpillBackend {
   // their way out (the HBM copy is intact until the migration lands), and
   // released buffers.
   bool ShardInDram(LogicalBufferId id, int shard) const;
-  // Opportunistic page-in: if the shard sits in DRAM and its device has
-  // free, uncontended HBM, flip it back to resident (the caller is already
-  // moving the bytes to the device, so this is pure accounting). Never
-  // blocks and never jumps the reservation queue. Returns true on restore.
-  bool TryRestoreShard(LogicalBufferId id, int shard);
+  // Moves `bytes` of one shard, homed on device `src`, to device `dst` — the
+  // one data path every shard read takes. The route follows residency:
+  //   * spilled: DRAM → dst PCIe on the same host (a read back to `src`
+  //     itself also restores residency when idle HBM is free, amortizing
+  //     repeated use), else DRAM → DCN → dst PCIe; counted as a DRAM read;
+  //   * resident: in place when src == dst, ICI within an island, else
+  //     src PCIe → DCN → dst PCIe.
+  // `on_read` fires once the bytes have left the source (after the first
+  // hop across islands), `on_landed` once they reached `dst`. Pins stay
+  // with the caller, which unpins from `on_read`.
+  void ReadShard(LogicalBufferId id, int shard, hw::DeviceId src,
+                 hw::DeviceId dst, Bytes bytes,
+                 sim::InlineFunction<void()> on_read,
+                 sim::InlineFunction<void()> on_landed);
   BufferLocation shard_location(LogicalBufferId id, int shard) const;
   ShardResidency shard_residency(LogicalBufferId id, int shard) const;
 
@@ -239,12 +249,7 @@ class ObjectStore : public memory::SpillBackend {
   Bytes grown_bytes_total() const { return grown_bytes_total_; }
   // Current bytes of one shard (grows land here at grant time).
   Bytes shard_bytes(LogicalBufferId id, int shard) const;
-  // Reads served straight from host DRAM (spilled shard consumed without
-  // restoring residency). Executions report these via NoteDramRead.
-  void NoteDramRead(Bytes bytes) {
-    ++dram_reads_;
-    dram_read_bytes_ += bytes;
-  }
+  // Reads ReadShard served from host DRAM.
   std::int64_t dram_reads() const { return dram_reads_; }
   Bytes dram_read_bytes() const { return dram_read_bytes_; }
   // One line per live shard (owner, device, bytes, residency, pins,
@@ -269,7 +274,17 @@ class ObjectStore : public memory::SpillBackend {
     int refcount = 1;
   };
 
-  void FreeEntry(Entry& entry);
+  using EntryMap = std::map<LogicalBufferId, Entry>;
+  // The one release path: erases the entry, then frees what it held, so an
+  // HBM free that synchronously admits a queued reservation on the same
+  // buffer (a GrowShard, a ReserveShard) finds the buffer gone and hands
+  // the grant back instead of leaking it. Returns the next entry.
+  EntryMap::iterator Drop(EntryMap::iterator it);
+  // Opportunistic page-in: if the shard sits in DRAM and its device has
+  // free, uncontended HBM, flip it back to resident (the caller is already
+  // moving the bytes to the device, so this is pure accounting). Never
+  // blocks and never jumps the reservation queue.
+  void TryRestoreShard(LogicalBufferId id, int shard);
   void Touch(ShardState& state);
   // Retries a stalled device's spiller after an event that can unblock a
   // previously failed victim search (pin dropped, content became ready,
@@ -279,7 +294,7 @@ class ObjectStore : public memory::SpillBackend {
 
   hw::Cluster* cluster_;
   memory::Spiller* spiller_ = nullptr;
-  std::map<LogicalBufferId, Entry> entries_;
+  EntryMap entries_;
   IdGenerator<BufferTag> logical_ids_;
   IdGenerator<ShardBufferTag> shard_ids_;
 

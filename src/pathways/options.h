@@ -45,8 +45,6 @@ struct PathwaysOptions {
   // oversubscribed programs merely stall until holders release — on, ≥2
   // working sets per device-HBM stay servable.
   bool enable_spill = true;
-  // Page-out migrations in flight per device (LRU victims, PCIe-paced).
-  int max_concurrent_spills_per_device = 1;
 };
 
 }  // namespace pw::pathways

@@ -30,8 +30,7 @@ PathwaysRuntime::PathwaysRuntime(hw::Cluster* cluster, PathwaysOptions options)
   // stalled executions named instead of draining silently.
   spiller_ = std::make_unique<memory::Spiller>(
       &simulator(), &object_store_,
-      memory::Spiller::Options{options_.enable_spill,
-                               options_.max_concurrent_spills_per_device});
+      memory::Spiller::Options{options_.enable_spill});
   object_store_.set_spiller(spiller_.get());
   for (int d = 0; d < cluster_->num_devices(); ++d) {
     hw::HbmAllocator& hbm = cluster_->device(d).hbm();

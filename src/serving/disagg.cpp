@@ -84,21 +84,29 @@ bool DisaggRouter::AnyDeviceFailed(const Batcher& batcher,
   return false;
 }
 
+bool DisaggRouter::CanEverDecode(const Batcher& dst, const Request& req) const {
+  const Bytes budget = dst.config().kv_budget_per_device;
+  return (budget == 0 ||
+          dst.kv().BytesForTokens(req.max_kv_tokens()) <= budget) &&
+         dst.kv().BytesForTokens(req.prefill_tokens) <= DecodeFloor(dst);
+}
+
+Batcher* DisaggRouter::ShortestPrefillQueue() const {
+  // Ties go to the lowest index, keeping the choice deterministic.
+  Batcher* best = prefill_.front();
+  for (Batcher* b : prefill_) {
+    if (b->queue_depth() < best->queue_depth()) best = b;
+  }
+  return best;
+}
+
 bool DisaggRouter::Offer(Request req) {
   // A request that could never satisfy the decode-side bounds on ANY decode
-  // island — projected full KV over the KV budget, or prompt KV alone over
-  // the in-flight floor — would prefill and then wedge the handoff FIFO
-  // forever; shed it before it costs prefill work.
-  bool decode_possible = false;
-  for (const Batcher* dst : decode_) {
-    const Bytes projected = dst->kv().BytesForTokens(req.max_kv_tokens());
-    const Bytes prompt = dst->kv().BytesForTokens(req.prefill_tokens);
-    const Bytes budget = dst->config().kv_budget_per_device;
-    if ((budget == 0 || projected <= budget) && prompt <= DecodeFloor(*dst)) {
-      decode_possible = true;
-      break;
-    }
-  }
+  // island would prefill and then wedge the handoff FIFO forever; shed it
+  // before it costs prefill work.
+  const bool decode_possible =
+      std::any_of(decode_.begin(), decode_.end(),
+                  [&](const Batcher* dst) { return CanEverDecode(*dst, req); });
   if (!decode_possible) {
     metrics_->OnArrival();
     metrics_->OnShed();
@@ -107,13 +115,7 @@ bool DisaggRouter::Offer(Request req) {
     Trace("shed", req.id, 2);
     return false;
   }
-  // Route to the shortest prefill queue; ties to the lowest index keep the
-  // choice deterministic.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < prefill_.size(); ++i) {
-    if (prefill_[i]->queue_depth() < prefill_[best]->queue_depth()) best = i;
-  }
-  return prefill_[best]->Offer(std::move(req));
+  return ShortestPrefillQueue()->Offer(std::move(req));
 }
 
 void DisaggRouter::OnPrefillDone(int prefill_index, Request req) {
@@ -135,11 +137,7 @@ void DisaggRouter::OnDecodeAbort(Request req) {
 
 void DisaggRouter::ReturnForPrefill(Request req) {
   ++reprefills_;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < prefill_.size(); ++i) {
-    if (prefill_[i]->queue_depth() < prefill_[best]->queue_depth()) best = i;
-  }
-  prefill_[best]->Requeue(std::move(req));
+  ShortestPrefillQueue()->Requeue(std::move(req));
 }
 
 void DisaggRouter::StartNextTransfers() {
@@ -153,11 +151,7 @@ void DisaggRouter::StartNextTransfers() {
     Bytes best_committed = 0;
     for (std::size_t d = 0; d < decode_.size(); ++d) {
       const Batcher* dst = decode_[d];
-      const Bytes projected = dst->kv().BytesForTokens(req.max_kv_tokens());
-      const Bytes prompt = dst->kv().BytesForTokens(req.prefill_tokens);
-      const Bytes budget = dst->config().kv_budget_per_device;
-      if (budget > 0 && projected > budget) continue;   // never fits here
-      if (prompt > DecodeFloor(*dst)) continue;         // never fits here
+      if (!CanEverDecode(*dst, req)) continue;
       const Bytes committed =
           committed_per_shard_[d] + dst->projected_per_shard();
       if (best < 0 || committed < best_committed) {
@@ -245,40 +239,21 @@ void DisaggRouter::SendPiece(const std::shared_ptr<Transfer>& t, int src_shard,
   const auto& src_h = t->src->kv().handle(t->req.id);
   const auto& dst_h = t->dst->kv().handle(t->req.id);
   const pathways::LogicalBufferId src_buf = src_h.id;
-  const hw::DeviceId src_dev = src_h.shards[static_cast<std::size_t>(src_shard)].device;
-  const hw::DeviceId dst_dev = dst_h.shards[static_cast<std::size_t>(dst_shard)].device;
-  hw::Host& src_host = cluster_->host_of(src_dev);
-  hw::Host& dst_host = cluster_->host_of(dst_dev);
-  auto land = [this, t, bytes] {
-    bytes_transferred_ += bytes;
-    if (--t->pieces_outstanding == 0) FinishTransfer(t);
-  };
-  // Pin the source shard while it is being read (mirrors the execution
-  // engine's argument-transfer path, execution.cpp): a spilled source is
-  // read through from host DRAM without re-acquiring HBM, anything else
-  // leaves the device over PCIe first. UnpinShard is refcounted and a
-  // no-op on released buffers, so failure cleanup cannot race the unpins.
+  // Pin the source shard while it is being read; the store picks the route
+  // (DRAM read-through if spilled, else PCIe → DCN → PCIe). UnpinShard is
+  // refcounted and a no-op on released buffers, so failure cleanup cannot
+  // race the unpins.
   store.PinShard(src_buf, src_shard);
-  if (store.ShardInDram(src_buf, src_shard)) {
-    store.NoteDramRead(bytes);
-    pathways::ObjectStore* store_ptr = &store;
-    src_host.SendDcn(dst_host.id(), bytes,
-                     [store_ptr, src_buf, src_shard, &dst_host, dst_dev, bytes,
-                      land] {
-                       store_ptr->UnpinShard(src_buf, src_shard);
-                       dst_host.pcie(dst_dev).Transfer(bytes, land);
-                     });
-    return;
-  }
-  pathways::ObjectStore* store_ptr = &store;
-  src_host.pcie(src_dev).Transfer(
-      bytes, [store_ptr, src_buf, src_shard, &src_host, &dst_host, dst_dev,
-              bytes, land] {
-        store_ptr->UnpinShard(src_buf, src_shard);
-        src_host.SendDcn(dst_host.id(), bytes, [&dst_host, dst_dev, bytes,
-                                                land] {
-          dst_host.pcie(dst_dev).Transfer(bytes, land);
-        });
+  store.ReadShard(
+      src_buf, src_shard,
+      src_h.shards[static_cast<std::size_t>(src_shard)].device,
+      dst_h.shards[static_cast<std::size_t>(dst_shard)].device, bytes,
+      [store = &store, src_buf, src_shard] {
+        store->UnpinShard(src_buf, src_shard);
+      },
+      [this, t, bytes] {
+        bytes_transferred_ += bytes;
+        if (--t->pieces_outstanding == 0) FinishTransfer(t);
       });
 }
 

@@ -18,7 +18,8 @@
 //     │  prefill done: KV content-ready on the prefill island, NO token yet
 //     ▼
 //   handoff FIFO ──(throttled)──► KV transfer, P src shards × D dst shards:
-//     per piece  Pin(src) → [DRAM read-through | PCIe] → DCN → PCIe → land
+//     per piece  Pin(src) → ObjectStore::ReadShard: [DRAM read-through |
+//                PCIe] → DCN → PCIe → land
 //     │  all pieces landed + no crash epoch moved on either slice
 //     ▼
 //   decode KvCache::MarkReady ──► decode Batcher::EnqueueResident (kDecode)
@@ -107,7 +108,6 @@ class DisaggRouter {
   void OnPrefillDone(int prefill_index, Request req);
   void OnDecodeAbort(Request req);
   void StartNextTransfers();
-  void StartTransfer();
   void StreamPieces(const std::shared_ptr<Transfer>& t);
   void SendPiece(const std::shared_ptr<Transfer>& t, int src_shard,
                  int dst_shard, Bytes bytes);
@@ -118,6 +118,12 @@ class DisaggRouter {
   std::int64_t FailureEpoch(const Batcher& batcher, std::int64_t seq) const;
   bool AnyDeviceFailed(const Batcher& batcher, std::int64_t seq) const;
   Bytes DecodeFloor(const Batcher& dst) const;
+  // True iff `req` fits `dst`'s decode-side bounds once it has the island to
+  // itself: projected full KV within the KV budget, prompt KV within the
+  // in-flight floor.
+  bool CanEverDecode(const Batcher& dst, const Request& req) const;
+  // The prefill batcher with the shortest queue.
+  Batcher* ShortestPrefillQueue() const;
   void Trace(const char* kind, std::int64_t request, std::int64_t detail = 0);
 
   struct PendingHandoff {

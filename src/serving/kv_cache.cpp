@@ -70,34 +70,9 @@ sim::SimFuture<sim::Unit> KvCache::Append(std::int64_t seq, int tokens) {
   return granted->done();
 }
 
-void KvCache::Pin(std::int64_t seq) {
-  auto it = seqs_.find(seq);
-  PW_CHECK(it != seqs_.end());
-  Seq& s = it->second;
-  PW_CHECK(!s.pinned) << "KV sequence " << seq << " pinned twice";
-  s.pinned = true;
-  pathways::ObjectStore& store = runtime_->object_store();
-  for (int i = 0; i < s.handle.num_shards(); ++i) {
-    store.PinShard(s.handle.id, i);
-  }
-}
-
-void KvCache::Unpin(std::int64_t seq) {
-  auto it = seqs_.find(seq);
-  PW_CHECK(it != seqs_.end());
-  Seq& s = it->second;
-  if (!s.pinned) return;
-  s.pinned = false;
-  pathways::ObjectStore& store = runtime_->object_store();
-  for (int i = 0; i < s.handle.num_shards(); ++i) {
-    store.UnpinShard(s.handle.id, i);
-  }
-}
-
 void KvCache::Release(std::int64_t seq) {
   auto it = seqs_.find(seq);
   PW_CHECK(it != seqs_.end());
-  Unpin(seq);
   live_bytes_per_shard_ -= BytesForTokens(it->second.tokens);
   runtime_->object_store().Release(it->second.handle.id);
   seqs_.erase(it);
@@ -129,20 +104,6 @@ bool KvCache::AnyShardInDram(std::int64_t seq) const {
     if (store.ShardInDram(it->second.handle.id, i)) return true;
   }
   return false;
-}
-
-bool KvCache::pinned(std::int64_t seq) const {
-  auto it = seqs_.find(seq);
-  PW_CHECK(it != seqs_.end());
-  return it->second.pinned;
-}
-
-Bytes KvCache::pinned_bytes_per_shard() const {
-  Bytes total = 0;
-  for (const auto& [id, s] : seqs_) {
-    if (s.pinned) total += BytesForTokens(s.tokens);
-  }
-  return total;
 }
 
 }  // namespace pw::serving

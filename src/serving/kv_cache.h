@@ -9,13 +9,11 @@
 //     ordering apply exactly as for any staged buffer;
 //   * Append grows every shard by whole tokens via ObjectStore::GrowShard,
 //     one append per decode step; the next iteration gates on the grants;
-//   * Pin/Unpin exclude a sequence from the spill victim set explicitly
-//     (a preemption-policy lever; unit-tested). The serving batcher does
-//     NOT hold pins across iterations: argument reads pin each shard only
-//     for the duration of the transfer, and GrowShard self-pins during a
-//     grow — so a paused or cold sequence is exactly the byte-set the
-//     PR-5 Spiller pages to host DRAM under pressure (read through /
-//     restored by the next decode's argument transfer).
+//   * nothing holds pins across iterations: argument reads pin each shard
+//     only for the duration of the transfer, and GrowShard self-pins during
+//     a grow — so a paused or cold sequence is exactly the byte-set the
+//     Spiller pages to host DRAM under pressure (read through / restored
+//     by the next decode's argument transfer).
 //
 // The registry mirrors shard bytes into each sequence's ShardedBuffer
 // handle at Append time; iterations only read the handle after the grows
@@ -58,13 +56,11 @@ class KvCache {
   sim::SimFuture<sim::Unit> CreateSequence(std::int64_t seq,
                                            const pathways::VirtualSlice& slice,
                                            int prompt_tokens);
-  // Prefill finished: shard contents exist (spillable once unpinned).
+  // Prefill finished: shard contents exist (spillable when no read pins).
   void MarkReady(std::int64_t seq);
   // Appends `tokens` decode steps to every shard; completes when all grows
   // are granted. The handle mirror is advanced immediately (see above).
   sim::SimFuture<sim::Unit> Append(std::int64_t seq, int tokens = 1);
-  void Pin(std::int64_t seq);
-  void Unpin(std::int64_t seq);  // no-op if not pinned (abort unwinding)
   void Release(std::int64_t seq);
 
   bool Contains(std::int64_t seq) const { return seqs_.contains(seq); }
@@ -72,7 +68,6 @@ class KvCache {
   int tokens_of(std::int64_t seq) const;
   Bytes bytes_of(std::int64_t seq) const;  // all shards, mirror view
   bool AnyShardInDram(std::int64_t seq) const;
-  bool pinned(std::int64_t seq) const;
 
   Bytes BytesForTokens(int tokens) const {
     return static_cast<Bytes>(tokens) * config_.bytes_per_token_per_shard;
@@ -82,7 +77,6 @@ class KvCache {
   // Mirror-view per-shard bytes over all live sequences (each sequence
   // holds this much on *every* slice device).
   Bytes live_bytes_per_shard() const { return live_bytes_per_shard_; }
-  Bytes pinned_bytes_per_shard() const;
   std::int64_t appends() const { return appends_; }
 
   const KvCacheConfig& config() const { return config_; }
@@ -91,7 +85,6 @@ class KvCache {
   struct Seq {
     pathways::ShardedBuffer handle;
     int tokens = 0;
-    bool pinned = false;
     bool ready = false;
   };
 

@@ -8,10 +8,9 @@
 //     *current attempt* is resident on the decode island (trace audit:
 //     first_token/token events are only legal between a kv_ready and the
 //     next requeue);
-//   * memory: live KV per decode shard never exceeds the admission budget,
-//     pinned KV never exceeds HBM (probed during the run), and the
-//     router's unready in-flight KV stays under the decode island's fresh
-//     floor at its recorded peak;
+//   * memory: live KV per decode shard never exceeds the admission budget
+//     (probed during the run), and the router's unready in-flight KV stays
+//     under the decode island's fresh floor at its recorded peak;
 //   * conservation: every arrival finishes or is shed — a DCN partition
 //     mid-transfer delays delivery (held bytes replay at heal) but never
 //     wedges the router, the batchers, or the reservation queues;
@@ -145,7 +144,6 @@ struct RunResult {
   std::int64_t live_buffers = 0;
   Bytes leaked_bytes = 0;
   Bytes probe_max_decode_live = 0;
-  Bytes probe_max_pinned = 0;
   Bytes peak_inflight = 0;
   Bytes inflight_cap = 0;
   std::string trace_errors;
@@ -251,9 +249,6 @@ RunResult RunScenario(const Scenario& s) {
   std::function<void()> probe = [&]() {
     const Bytes live = decode.kv().live_bytes_per_shard();
     if (live > out.probe_max_decode_live) out.probe_max_decode_live = live;
-    const Bytes pinned = prefill.kv().pinned_bytes_per_shard() +
-                         decode.kv().pinned_bytes_per_shard();
-    if (pinned > out.probe_max_pinned) out.probe_max_pinned = pinned;
     if (!router.idle() || sim.now() < TimePoint() + Duration::Millis(2)) {
       sim.Schedule(probe_period, probe);
     }

@@ -118,7 +118,7 @@ TEST(SpillerTest, DrainsStallOneVictimAtATime) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true, 1});
+  Spiller s(&sim, &backend, Spiller::Options{true});
   spiller = &s;
   backend.stalled_[0] = 3;
   backend.spillable_[0] = 5;
@@ -133,7 +133,7 @@ TEST(SpillerTest, StopsQuietlyWhenNothingIsSpillable) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true, 1});
+  Spiller s(&sim, &backend, Spiller::Options{true});
   spiller = &s;
   backend.stalled_[0] = 2;
   backend.spillable_[0] = 1;
@@ -149,7 +149,7 @@ TEST(SpillerTest, DisabledSpillerIgnoresStalls) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{false, 1});
+  Spiller s(&sim, &backend, Spiller::Options{false});
   spiller = &s;
   backend.stalled_[0] = 2;
   backend.spillable_[0] = 2;
@@ -163,7 +163,7 @@ TEST(SpillerTest, RepeatedStallNotificationsCoalesceIntoOneKick) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true, 1});
+  Spiller s(&sim, &backend, Spiller::Options{true});
   spiller = &s;
   backend.stalled_[0] = 1;
   backend.spillable_[0] = 1;
@@ -178,7 +178,7 @@ TEST(SpillerTest, DevicesAreIndependent) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true, 1});
+  Spiller s(&sim, &backend, Spiller::Options{true});
   spiller = &s;
   backend.stalled_[0] = 1;
   backend.spillable_[0] = 1;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -305,6 +306,166 @@ TEST(ObjectStoreTest, BackPressureDelaysReservation) {
   store.Release(big.id);
   w.sim.Run();
   EXPECT_TRUE(blocked.ready.ready());
+}
+
+TEST(ObjectStoreTest, ReleaseWithQueuedGrowReturnsGrant) {
+  // The release's HBM free admits the grow queued on the same buffer inside
+  // the free itself; that grant must go back too, not outlive the buffer.
+  hw::SystemParams params;
+  params.hbm_capacity = MiB(100);
+  World w(1, 1, 1, {}, params);
+  ObjectStore& store = w.runtime->object_store();
+  std::vector<hw::DeviceId> devices{w.cluster->device(0).id()};
+  ShardedBuffer buf =
+      store.CreateBuffer(ClientId(0), ExecutionId(), devices, MiB(80));
+  w.sim.Run();
+  auto grow = store.GrowShard(buf.id, 0, MiB(50));
+  w.sim.Run();
+  EXPECT_FALSE(grow.ready());  // 80 + 50 MiB > 100 MiB: queued
+  store.Release(buf.id);
+  w.sim.Run();
+  EXPECT_TRUE(grow.ready());  // vacuous grant on a released buffer
+  EXPECT_EQ(store.hbm_used(devices[0]), 0);
+}
+
+// The pin count DumpShardStates reports for the store's only live shard.
+int PinsOfOnlyShard(const ObjectStore& store) {
+  const std::string dump = store.DumpShardStates();
+  return std::stoi(dump.substr(dump.find("pins=") + 5));
+}
+
+TEST(ObjectStoreTest, ReadShardRoutes) {
+  // 2 islands x 2 hosts x 2 devices: dev0/dev1 share host 0, dev2 sits on
+  // host 1 of the same island, dev4 on host 2 of island 1. The shard lives
+  // on dev0; each route must cost exactly the hops it names, issued
+  // directly in a fresh simulator.
+  constexpr Bytes kShard = MiB(60);
+  constexpr Bytes kRead = MiB(8);
+  hw::SystemParams params = hw::SystemParams::TpuDefault();
+  params.hbm_capacity = MiB(100);
+  using Callback = sim::InlineFunction<void()>;
+  struct Route {
+    const char* name;
+    bool spilled;
+    int dst;
+    std::int64_t dram_reads;
+    std::int64_t fills;
+    // Issues the route's hops directly; fires `read` and `landed` as the
+    // store should.
+    std::function<void(hw::Cluster&, Callback read, Callback landed)> hops;
+  };
+  const std::vector<Route> routes = {
+      {"dram to own device (restores)", true, 0, 1, 1,
+       [](hw::Cluster& c, Callback read, Callback landed) {
+         c.host(0).pcie(hw::DeviceId(0)).Transfer(
+             kRead, [read = std::move(read), landed = std::move(landed)]()
+                        mutable {
+                      read();
+                      landed();
+                    });
+       }},
+      {"dram to same-host device", true, 1, 1, 0,
+       [](hw::Cluster& c, Callback read, Callback landed) {
+         c.host(0).pcie(hw::DeviceId(1)).Transfer(
+             kRead, [read = std::move(read), landed = std::move(landed)]()
+                        mutable {
+                      read();
+                      landed();
+                    });
+       }},
+      {"dram over dcn to other host", true, 2, 1, 0,
+       [](hw::Cluster& c, Callback read, Callback landed) {
+         c.host(0).SendDcn(
+             c.host(1).id(), kRead,
+             [&c, read = std::move(read), landed = std::move(landed)]()
+                 mutable {
+               read();
+               c.host(1).pcie(hw::DeviceId(2)).Transfer(kRead,
+                                                        std::move(landed));
+             });
+       }},
+      {"resident in place", false, 0, 0, 0,
+       [](hw::Cluster&, Callback read, Callback landed) {
+         read();
+         landed();
+       }},
+      {"resident over ici", false, 1, 0, 0,
+       [](hw::Cluster& c, Callback read, Callback landed) {
+         c.island(0)
+             .Transfer(hw::DeviceId(0), hw::DeviceId(1), kRead)
+             .Then([read = std::move(read), landed = std::move(landed)](
+                       const sim::Unit&) mutable {
+               read();
+               landed();
+             });
+       }},
+      {"resident across islands", false, 4, 0, 0,
+       [](hw::Cluster& c, Callback read, Callback landed) {
+         c.host(0).pcie(hw::DeviceId(0)).Transfer(
+             kRead, [&c, read = std::move(read),
+                     landed = std::move(landed)]() mutable {
+               read();
+               c.host(0).SendDcn(
+                   c.host(2).id(), kRead,
+                   [&c, landed = std::move(landed)]() mutable {
+                     c.host(2).pcie(hw::DeviceId(4)).Transfer(
+                         kRead, std::move(landed));
+                   });
+             });
+       }},
+  };
+  for (const Route& route : routes) {
+    SCOPED_TRACE(route.name);
+    // Reference: the route's hops alone, from t = 0.
+    World ref(2, 2, 2, {}, params);
+    std::int64_t ref_read_ns = -1;
+    std::int64_t ref_landed_ns = -1;
+    route.hops(*ref.cluster,
+               [&] { ref_read_ns = ref.sim.now().nanos(); },
+               [&] { ref_landed_ns = ref.sim.now().nanos(); });
+    ref.sim.Run();
+    ASSERT_GE(ref_landed_ns, 0);
+
+    World w(2, 2, 2, {}, params);
+    ObjectStore& store = w.runtime->object_store();
+    const hw::DeviceId dev0 = w.cluster->device(0).id();
+    ShardedBuffer buf = store.CreateBuffer(ClientId(0), ExecutionId(), {dev0},
+                                           kShard);
+    w.sim.Run();
+    store.MarkShardContentReady(buf.id, 0);
+    if (route.spilled) {
+      // A second 60 MiB buffer cannot fit beside it: the cold shard spills.
+      ShardedBuffer hog = store.CreateBuffer(ClientId(0), ExecutionId(),
+                                             {dev0}, kShard);
+      w.sim.Run();
+      ASSERT_TRUE(hog.ready.ready());
+      store.Release(hog.id);
+      ASSERT_TRUE(store.ShardInDram(buf.id, 0));
+    }
+    const std::int64_t dram_reads = store.dram_reads();
+    const std::int64_t fills = store.fills_completed();
+    const std::int64_t start_ns = w.sim.now().nanos();
+    std::int64_t read_ns = -1;
+    std::int64_t landed_ns = -1;
+    int pins_at_read = -1;
+    store.PinShard(buf.id, 0);
+    EXPECT_EQ(PinsOfOnlyShard(store), 1);
+    store.ReadShard(
+        buf.id, 0, dev0, w.cluster->device(route.dst).id(), kRead,
+        [&] {
+          store.UnpinShard(buf.id, 0);
+          pins_at_read = PinsOfOnlyShard(store);
+          read_ns = w.sim.now().nanos() - start_ns;
+        },
+        [&] { landed_ns = w.sim.now().nanos() - start_ns; });
+    w.sim.Run();
+    EXPECT_EQ(read_ns, ref_read_ns);
+    EXPECT_EQ(landed_ns, ref_landed_ns);
+    EXPECT_EQ(pins_at_read, 0);
+    EXPECT_EQ(store.dram_reads() - dram_reads, route.dram_reads);
+    EXPECT_EQ(store.fills_completed() - fills, route.fills);
+    store.Release(buf.id);
+  }
 }
 
 TEST(ObjectStore, TicketNamesMatchEagerLabels) {

@@ -196,14 +196,14 @@ TEST(KvAccountingTest, PinBlocksEvictionUnpinReleasesIt) {
   kv.CreateSequence(1, w.slice, 3);  // 48 KiB of 64 KiB
   w.sim.Run();
   kv.MarkReady(1);
-  kv.Pin(1);
+  store.PinShard(kv.handle(1).id, 0);
 
   auto granted = kv.CreateSequence(2, w.slice, 2);  // 32 KiB: must evict S1
   w.sim.Run();
   EXPECT_FALSE(granted.ready());  // S1 pinned: nothing to evict, S2 waits
   EXPECT_EQ(store.spills_completed(), 0);
 
-  kv.Unpin(1);
+  store.UnpinShard(kv.handle(1).id, 0);
   w.sim.Run();
   EXPECT_TRUE(granted.ready());
   EXPECT_TRUE(kv.AnyShardInDram(1));
