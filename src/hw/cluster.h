@@ -65,8 +65,9 @@ class Island {
 
   // Flow-level ICI introspection and fault surface (null in abstract mode).
   // To degrade one torus edge, SetLinkScale on ici_topology() and then call
-  // ici_flow_network()->OnCapacityChanged(); the collective model reprices
-  // itself via the topology generation.
+  // ici_flow_network()->OnCapacityChanged() so active flows re-share from
+  // now (a new topology generation makes the flow network re-solve every
+  // flow); the collective model reprices itself via the same generation.
   net::Topology* ici_topology() { return ici_topo_.get(); }
   const net::TorusTopology* ici_torus() const { return ici_torus_.get(); }
   net::FlowNetwork* ici_flow_network() { return ici_flows_.get(); }

@@ -108,61 +108,119 @@ void FlowNetwork::StartFlow(std::vector<LinkIndex> path, Bytes bytes,
                             sim::InlineFunction<void()> on_delivered) {
   PW_CHECK(!path.empty()) << "flow needs a non-empty path";
   PW_CHECK_GE(bytes, 0);
-  Flow& flow = flows_.emplace_back();
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<int>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const int slot = free_slots_.back();
+  free_slots_.pop_back();
+  Flow& flow = slots_[static_cast<std::size_t>(slot)];
   flow.path = std::move(path);
   // A zero-byte message still occupies the wire for one quantum rather than
   // completing instantaneously at infinite rate.
   flow.remaining = std::max<double>(static_cast<double>(bytes), 1.0);
+  flow.rate = 0;
   flow.latency = delivery_latency;
   flow.on_delivered = std::move(on_delivered);
+  if (link_flows_.size() < topo_->num_links()) {
+    link_flows_.resize(topo_->num_links());
+    is_dirty_.resize(topo_->num_links(), 0);
+  }
+  for (LinkIndex l : flow.path) {
+    link_flows_[static_cast<std::size_t>(l)].push_back(slot);
+    MarkDirty(l);
+  }
+  order_.push_back(slot);
   ++flows_started_;
   Recompute();
 }
 
 void FlowNetwork::OnCapacityChanged() {
-  if (!flows_.empty()) Recompute();
+  if (!order_.empty()) Recompute();
+}
+
+void FlowNetwork::MarkDirty(LinkIndex l) {
+  if (is_dirty_[static_cast<std::size_t>(l)]) return;
+  is_dirty_[static_cast<std::size_t>(l)] = 1;
+  dirty_.push_back(l);
 }
 
 void FlowNetwork::Recompute() {
   const TimePoint now = sim_->now();
 
-  // 1. Advance progress at the rates that held since the last event.
+  // 1. Advance progress at the rates that held since the last event, and
+  // deliver drained flows in start order (ties in delivery time then
+  // resolve by schedule order, i.e. FIFO); survivors keep their order. A
+  // delivered flow leaves its links' incidence and makes them dirty.
   const double dt = (now - last_update_).ToSeconds();
-  if (dt > 0) {
-    for (Flow& flow : flows_) {
+  last_update_ = now;
+  std::size_t kept = 0;
+  for (int s : order_) {
+    Flow& flow = slots_[static_cast<std::size_t>(s)];
+    if (dt > 0) {
       flow.remaining = std::max(flow.remaining - flow.rate * dt, 0.0);
     }
-  }
-  last_update_ = now;
-
-  // 2. Deliver drained flows in start order (ties in delivery time then
-  // resolve by schedule order, i.e. FIFO); survivors keep their order.
-  std::size_t kept = 0;
-  for (Flow& flow : flows_) {
     if (flow.remaining < kRipeBytes) {
       ++flows_completed_;
       sim_->ScheduleAt(now + flow.latency, std::move(flow.on_delivered));
+      for (LinkIndex l : flow.path) {
+        std::vector<int>& on_link = link_flows_[static_cast<std::size_t>(l)];
+        *std::find(on_link.begin(), on_link.end(), s) = on_link.back();
+        on_link.pop_back();
+        MarkDirty(l);
+      }
+      free_slots_.push_back(s);
     } else {
-      if (&flow != &flows_[kept]) flows_[kept] = std::move(flow);
-      ++kept;
+      order_[kept++] = s;
     }
   }
-  flows_.resize(kept);
+  order_.resize(kept);
 
-  if (flows_.empty()) {
+  // 2. Pick the survivors to re-solve: those that share a chain of links
+  // with a dirty link (breadth-first over the link→flow incidence), or all
+  // of them if a link capacity changed since the last solve. The rest keep
+  // rates that already equal the global solve's.
+  affected_.clear();
+  if (solved_generation_ != topo_->generation()) {
+    solved_generation_ = topo_->generation();
+    affected_ = order_;
+  } else {
+    for (std::size_t i = 0; i < dirty_.size(); ++i) {
+      for (int s : link_flows_[static_cast<std::size_t>(dirty_[i])]) {
+        Flow& flow = slots_[static_cast<std::size_t>(s)];
+        if (flow.reached) continue;
+        flow.reached = true;
+        for (LinkIndex l : flow.path) MarkDirty(l);
+      }
+    }
+    for (int s : order_) {
+      Flow& flow = slots_[static_cast<std::size_t>(s)];
+      if (!flow.reached) continue;
+      flow.reached = false;
+      affected_.push_back(s);
+    }
+  }
+  for (LinkIndex l : dirty_) is_dirty_[static_cast<std::size_t>(l)] = 0;
+  dirty_.clear();
+
+  if (order_.empty()) {
     if (next_completion_.valid()) sim_->Cancel(next_completion_);
     next_completion_ = sim::EventHandle();
     return;
   }
 
-  // 3. Re-solve the fair shares for the survivors.
+  // 3. Re-solve their fair shares, then predict every flow's completion.
   paths_.clear();
-  for (const Flow& flow : flows_) paths_.push_back(&flow.path);
+  for (int s : affected_) {
+    paths_.push_back(&slots_[static_cast<std::size_t>(s)].path);
+  }
   solver_.Solve(*topo_, paths_, &rates_);
-  std::size_t i = 0;
+  for (std::size_t i = 0; i < affected_.size(); ++i) {
+    slots_[static_cast<std::size_t>(affected_[i])].rate = rates_[i];
+  }
   std::int64_t next_ns = std::numeric_limits<std::int64_t>::max();
-  for (Flow& flow : flows_) {
-    flow.rate = rates_[i++];
+  for (int s : order_) {
+    const Flow& flow = slots_[static_cast<std::size_t>(s)];
     PW_CHECK_GT(flow.rate, 0.0) << "flow starved by the fair-share solver";
     // Ceil to integer nanoseconds: the flow is never delivered early, and
     // the residual (< 1ns of progress) is absorbed by kRipeBytes.

@@ -9,6 +9,15 @@
 // one degraded edge slowing exactly the paths that cross it) fall out of
 // the link graph.
 //
+// A recomputation re-solves only the flows connected, through shared
+// links, to a link whose flow set changed (the new flow's links, the
+// delivered flows' links); every other flow keeps its rate. Flows that
+// share no link chain with those are a separate max-min problem, and the
+// water-filling picks each one's bottlenecks in the same order and makes
+// the same subtractions whether it runs alone or inside a solve over all
+// flows, so the rates equal the global solve's bit for bit. A link
+// capacity change (the topology generation moved) re-solves every flow.
+//
 // Determinism: every recomputation runs inside a simulator event, ordered
 // by (time, seq) like everything else; flows are iterated in start order;
 // the water-filling bottleneck tie-break is the lowest link index; and
@@ -88,10 +97,12 @@ class FlowNetwork {
                  sim::InlineFunction<void()> on_delivered);
 
   // Call after Topology::SetLinkScale so active flows re-share the new
-  // capacities from now() onward (bytes already moved stay moved).
+  // capacities from now() onward (bytes already moved stay moved). Without
+  // the call they re-share at the next start or finish: any recomputation
+  // that sees a new topology generation re-solves every flow.
   void OnCapacityChanged();
 
-  int active_flows() const { return static_cast<int>(flows_.size()); }
+  int active_flows() const { return static_cast<int>(order_.size()); }
   std::int64_t flows_started() const { return flows_started_; }
   std::int64_t flows_completed() const { return flows_completed_; }
 
@@ -102,21 +113,38 @@ class FlowNetwork {
     double rate = 0;       // current fair share, bytes/sec
     Duration latency;
     sim::InlineFunction<void()> on_delivered;
+    bool reached = false;  // by the component search; false between recomputes
   };
 
   // Advances progress to now(), delivers ripe flows, re-solves the fair
-  // shares for the survivors, and re-arms the next-completion timer.
+  // shares of the survivors connected to a dirty link, and re-arms the
+  // next-completion timer.
   void Recompute();
+  // Adds `l` to dirty_ unless it is already there.
+  void MarkDirty(LinkIndex l);
 
   sim::Simulator* sim_;
   Topology* topo_;
-  std::vector<Flow> flows_;  // active flows, in start order
+  // Flows live in stable slots; a delivered flow's slot is reused.
+  std::vector<Flow> slots_;
+  std::vector<int> free_slots_;
+  std::vector<int> order_;  // active flows' slots, in start order
+  // By LinkIndex: the active slots crossing the link (once per crossing).
+  std::vector<std::vector<int>> link_flows_;
+  // Links whose flow set changed since the last solve; the component
+  // search appends every link it reaches.
+  std::vector<LinkIndex> dirty_;
+  std::vector<char> is_dirty_;  // by LinkIndex; all zero between recomputes
+  // Topology generation of the last solve; a recompute that sees another
+  // re-solves every flow.
+  std::uint64_t solved_generation_ = 0;
   TimePoint last_update_;
   sim::EventHandle next_completion_;
   std::int64_t flows_started_ = 0;
   std::int64_t flows_completed_ = 0;
   // Recompute's solver and its input/output, kept warm across calls.
   MaxMinFairSolver solver_;
+  std::vector<int> affected_;  // slots to re-solve, in start order
   std::vector<const std::vector<LinkIndex>*> paths_;
   std::vector<double> rates_;
 };

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -362,6 +363,261 @@ TEST(FlowNetworkTest, DeterministicAcrossRuns) {
     return arrivals;
   };
   EXPECT_EQ(run(), run());  // bit-identical completion schedule
+}
+
+// Reference flow engine: every recompute re-solves all active flows
+// globally. The advance, deliver and ceil arithmetic, and the timer
+// cancel/re-arm, are FlowNetwork's, so FlowNetwork's component re-solve
+// must deliver every flow at the same nanosecond as this one.
+class GlobalSolveFlowNetwork {
+ public:
+  GlobalSolveFlowNetwork(sim::Simulator* sim, Topology* topo)
+      : sim_(sim), topo_(topo) {}
+
+  void StartFlow(std::vector<LinkIndex> path, Bytes bytes, Duration latency,
+                 sim::InlineFunction<void()> on_delivered) {
+    Flow& flow = flows_.emplace_back();
+    flow.path = std::move(path);
+    flow.remaining = std::max<double>(static_cast<double>(bytes), 1.0);
+    flow.latency = latency;
+    flow.on_delivered = std::move(on_delivered);
+    Recompute();
+  }
+  void OnCapacityChanged() {
+    if (!flows_.empty()) Recompute();
+  }
+
+ private:
+  struct Flow {
+    std::vector<LinkIndex> path;
+    double remaining = 0;
+    double rate = 0;
+    Duration latency;
+    sim::InlineFunction<void()> on_delivered;
+  };
+
+  void Recompute() {
+    const TimePoint now = sim_->now();
+    const double dt = (now - last_update_).ToSeconds();
+    if (dt > 0) {
+      for (Flow& flow : flows_) {
+        flow.remaining = std::max(flow.remaining - flow.rate * dt, 0.0);
+      }
+    }
+    last_update_ = now;
+    std::vector<Flow> kept;
+    for (Flow& flow : flows_) {
+      if (flow.remaining < 1e-3) {
+        sim_->ScheduleAt(now + flow.latency, std::move(flow.on_delivered));
+      } else {
+        kept.push_back(std::move(flow));
+      }
+    }
+    flows_ = std::move(kept);
+    if (flows_.empty()) {
+      if (next_.valid()) sim_->Cancel(next_);
+      next_ = sim::EventHandle();
+      return;
+    }
+    std::vector<const std::vector<LinkIndex>*> paths;
+    for (const Flow& flow : flows_) paths.push_back(&flow.path);
+    const std::vector<double> rates = MaxMinFairRates(*topo_, paths);
+    std::int64_t next_ns = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+      Flow& flow = flows_[i];
+      flow.rate = rates[i];
+      const double dt_ns = flow.remaining / flow.rate * 1e9;
+      const auto ceil_ns = static_cast<std::int64_t>(std::ceil(dt_ns));
+      next_ns = std::min(next_ns,
+                         now.nanos() + std::max<std::int64_t>(ceil_ns, 1));
+    }
+    if (next_.valid()) sim_->Cancel(next_);
+    next_ = sim_->ScheduleAt(TimePoint::FromNanos(next_ns),
+                             [this] { Recompute(); });
+  }
+
+  sim::Simulator* sim_;
+  Topology* topo_;
+  std::vector<Flow> flows_;
+  TimePoint last_update_;
+  sim::EventHandle next_;
+};
+
+// A flow schedule over a bare link table: starts at given nanoseconds, and
+// link-scale changes that may or may not be followed by OnCapacityChanged.
+struct FlowSchedule {
+  struct Start {
+    std::int64_t at_ns = 0;
+    std::vector<LinkIndex> path;
+    Bytes bytes = 0;
+    std::int64_t latency_ns = 0;
+  };
+  struct Scale {
+    std::int64_t at_ns = 0;
+    LinkIndex link = 0;
+    double scale = 1.0;
+    bool notify = true;  // call OnCapacityChanged after SetLinkScale
+  };
+  std::vector<double> bandwidths;  // one link each
+  std::vector<Start> starts;
+  std::vector<Scale> scales;
+};
+
+// Runs `schedule` on a fresh simulator and returns (start index, delivery
+// ns) in delivery order.
+template <typename Engine>
+std::vector<std::pair<int, std::int64_t>> RunFlowSchedule(
+    const FlowSchedule& schedule) {
+  sim::Simulator sim;
+  Topology topo;
+  for (double bw : schedule.bandwidths) topo.AddLink("l", bw);
+  Engine net(&sim, &topo);
+  std::vector<std::pair<int, std::int64_t>> deliveries;
+  for (int i = 0; i < static_cast<int>(schedule.starts.size()); ++i) {
+    const auto& start = schedule.starts[static_cast<std::size_t>(i)];
+    sim.ScheduleAt(TimePoint::FromNanos(start.at_ns), [&, i] {
+      net.StartFlow(start.path, start.bytes, Duration::Nanos(start.latency_ns),
+                    [&deliveries, &sim, i] {
+                      deliveries.emplace_back(i, sim.now().nanos());
+                    });
+    });
+  }
+  for (const FlowSchedule::Scale& change : schedule.scales) {
+    sim.ScheduleAt(TimePoint::FromNanos(change.at_ns), [&] {
+      topo.SetLinkScale(change.link, change.scale);
+      if (change.notify) net.OnCapacityChanged();
+    });
+  }
+  sim.Run();
+  return deliveries;
+}
+
+// Fixed-seed linear congruential generator (Knuth's MMIX constants) for the
+// randomized flow schedules.
+class Lcg {
+ public:
+  explicit Lcg(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t Next(std::uint64_t bound) {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state_ >> 33) % bound;
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+TEST(FlowNetworkTest, ComponentSolveMatchesGlobalSolveOnRandomSchedules) {
+  // Random Clos and torus link graphs, built as in
+  // MatchesReferenceBitForBitOnRandomCases, carrying staggered starts,
+  // same-instant bursts, equal-size ties, an occasional path that repeats a
+  // link, and mid-flight link degrades with and without OnCapacityChanged.
+  // Local routes (same leaf, torus neighbours) leave several disjoint
+  // components in flight, so a re-solve that misses a changed link keeps a
+  // stale rate and moves a delivery.
+  constexpr int kNumTimes = 200;
+  Lcg lcg(0x5eed2022);
+  for (int c = 0; c < kNumTimes; ++c) {
+    Topology topo;
+    std::vector<std::vector<LinkIndex>> local_routes, routes;
+    if (lcg.Next(2) == 0) {
+      const int per_leaf = 2 + static_cast<int>(lcg.Next(4));
+      ClosTopology clos(
+          &topo, {.hosts_per_leaf = per_leaf,
+                  .num_spines = 1 + static_cast<int>(lcg.Next(3)),
+                  .host_bandwidth = 12.5e9,
+                  .spine_bandwidth = 0,
+                  .oversubscription = 1.0 + static_cast<double>(lcg.Next(3))});
+      const int hosts = per_leaf * (1 + static_cast<int>(lcg.Next(4)));
+      for (int h = 0; h < hosts; ++h) clos.AddHost();
+      for (int s = 0; s < hosts; ++s) {
+        for (int d = 0; d < hosts; ++d) {
+          if (s == d) continue;
+          (clos.LeafOf(s) == clos.LeafOf(d) ? local_routes : routes)
+              .push_back(clos.Path(s, d));
+        }
+      }
+    } else {
+      TorusTopology torus(&topo,
+                          {2 + static_cast<int>(lcg.Next(3)),
+                           2 + static_cast<int>(lcg.Next(3))},
+                          100e9);
+      for (int s = 0; s < torus.num_nodes(); ++s) {
+        for (int d = 0; d < torus.num_nodes(); ++d) {
+          if (s == d) continue;
+          (torus.Distance(s, d) == 1 ? local_routes : routes)
+              .push_back(torus.Path(s, d));
+        }
+      }
+    }
+    if (routes.empty()) routes = local_routes;
+
+    FlowSchedule schedule;
+    for (std::size_t l = 0; l < topo.num_links(); ++l) {
+      schedule.bandwidths.push_back(
+          topo.link(static_cast<LinkIndex>(l)).bandwidth);
+    }
+    const auto num_links = static_cast<std::uint64_t>(topo.num_links());
+    const int n = 2 + static_cast<int>(lcg.Next(60));
+    std::int64_t t = 0;
+    for (int i = 0; i < n; ++i) {
+      FlowSchedule::Start start;
+      // A third of the starts join the previous one's instant (a burst).
+      if (lcg.Next(3) != 0) t += static_cast<std::int64_t>(lcg.Next(20'000));
+      start.at_ns = t;
+      const std::uint64_t kind = lcg.Next(8);
+      if (kind == 0) {
+        const int len = 1 + static_cast<int>(lcg.Next(4));
+        for (int k = 0; k < len; ++k) {
+          start.path.push_back(static_cast<LinkIndex>(lcg.Next(num_links)));
+        }
+        start.path.push_back(start.path.front());
+      } else {
+        const auto& pool =
+            (kind < 5 && !local_routes.empty()) ? local_routes : routes;
+        start.path = pool[lcg.Next(pool.size())];
+      }
+      // Equal sizes half the time, so shares and completions tie exactly.
+      start.bytes = lcg.Next(2) == 0 ? KiB(256)
+                                     : static_cast<Bytes>(1 + lcg.Next(MiB(2)));
+      start.latency_ns = static_cast<std::int64_t>(lcg.Next(3)) * 1'000;
+      schedule.starts.push_back(std::move(start));
+    }
+    const int changes = static_cast<int>(lcg.Next(4));
+    for (int k = 0; k < changes; ++k) {
+      FlowSchedule::Scale change;
+      change.at_ns = static_cast<std::int64_t>(
+          lcg.Next(static_cast<std::uint64_t>(t) + 50'000));
+      change.link = static_cast<LinkIndex>(lcg.Next(num_links));
+      change.scale =
+          lcg.Next(2) == 0 ? 0.25 : 0.05 + 0.95 * lcg.Next(1000) / 1000.0;
+      change.notify = lcg.Next(4) != 0;
+      schedule.scales.push_back(change);
+    }
+
+    const auto want = RunFlowSchedule<GlobalSolveFlowNetwork>(schedule);
+    const auto got = RunFlowSchedule<FlowNetwork>(schedule);
+    ASSERT_EQ(want.size(), schedule.starts.size()) << "case " << c;
+    ASSERT_EQ(got, want) << "case " << c << ": " << n << " flows";
+  }
+}
+
+TEST(FlowNetworkTest, BareLinkScaleResolvesEveryComponent) {
+  // Link a is degraded to half with SetLinkScale alone (no
+  // OnCapacityChanged), then a flow starts on the disjoint link b. Its
+  // recompute sees the new topology generation and re-solves every flow,
+  // so the flow on a slows from that instant: 12 KB at 1 GB/s by 12 us,
+  // then 8 KB at 0.5 GB/s, delivered at 28 us, as in the global solve.
+  FlowSchedule schedule;
+  schedule.bandwidths = {1e9, 1e9};
+  schedule.starts = {{.at_ns = 0, .path = {0}, .bytes = 20'000},
+                     {.at_ns = 12'000, .path = {1}, .bytes = 1'000}};
+  schedule.scales = {
+      {.at_ns = 10'000, .link = 0, .scale = 0.5, .notify = false}};
+  const auto want = RunFlowSchedule<GlobalSolveFlowNetwork>(schedule);
+  const auto got = RunFlowSchedule<FlowNetwork>(schedule);
+  ASSERT_EQ(want.size(), 2u);
+  EXPECT_EQ(want[1], (std::pair<int, std::int64_t>(0, 28'000)));
+  EXPECT_EQ(got, want);
 }
 
 // ------------------------------------------------------------ DCN incast --
