@@ -21,25 +21,20 @@ namespace pw::bench {
 //   --out <dir>        directory for BENCH_*.json (default $PWSIM_BENCH_DIR
 //                      or .)
 //   --min-speedup <x>  enforced acceptance bar
-//   --gbench           also run the google-benchmark suite
 // Unrecognized flags are hard errors: usage goes to stderr and the process
 // exits 2.
 struct Args {
   bool quick = false;
   std::string out_dir;
   double min_speedup = 2.0;
-  bool gbench = false;
 
   static void Usage(FILE* out, const char* prog) {
     std::fprintf(out,
-                 "usage: %s [--quick] [--out <dir>] [--min-speedup <x>] "
-                 "[--gbench]\n"
+                 "usage: %s [--quick] [--out <dir>] [--min-speedup <x>]\n"
                  "  --quick            reduced size for CI smoke runs\n"
                  "  --out <dir>        directory for BENCH_*.json (default "
                  "$PWSIM_BENCH_DIR or .)\n"
                  "  --min-speedup <x>  enforced acceptance bar (default 2.0)\n"
-                 "  --gbench           also run the google-benchmark suite "
-                 "(when built in)\n"
                  "  --help             this text\n",
                  prog);
   }
@@ -63,8 +58,6 @@ struct Args {
         args.out_dir = value(&i, a);
       } else if (std::strcmp(a, "--min-speedup") == 0) {
         args.min_speedup = std::atof(value(&i, a));
-      } else if (std::strcmp(a, "--gbench") == 0) {
-        args.gbench = true;
       } else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
         Usage(stdout, argv[0]);
         std::exit(0);

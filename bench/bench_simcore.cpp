@@ -1,27 +1,22 @@
 // Wall-clock microbenchmarks of the simulation substrate itself: event
 // throughput of the pooled-event engine vs the pre-overhaul engine, plus
-// handle-cancellation and periodic-timer costs. These bound how large a
-// cluster the scenarios can afford to model.
+// handle-cancellation cost. These bound how large a cluster the scenarios
+// can afford to model.
 //
 // Needs no external dependency: a built-in timing loop measures
 // events/second and writes BENCH_simcore.json via the sweep result
 // emission. The pre-PR engine (binary heap of std::function events, as of
 // commit 2e93231) is kept below as LegacySimulator so the speedup claim
-// stays measurable on any machine. When the build found Google Benchmark
-// (PWSIM_HAVE_GBENCH), `--gbench` additionally runs the google-benchmark
-// suite for calibrated per-op numbers.
+// stays measurable on any machine.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
 
 #include "bench_common.h"
-#include "sim/future.h"
 #include "sim/simulator.h"
 
 namespace {
@@ -89,8 +84,8 @@ std::int64_t WorkloadEmpty(Sim& sim, std::int64_t n) {
 }
 
 // 40-byte captures: over std::function's inline buffer (heap allocation per
-// event in the legacy engine), within PooledCallback's 48-byte buffer (no
-// allocation in the pooled engine). This is the realistic case — most sim
+// event in the legacy engine), within the 48-byte inline slot of the pooled
+// engine's EventCallback (no allocation). This is the realistic case — most sim
 // callbacks capture `this` plus a few values.
 // Defeats dead-code elimination of the callback bodies below.
 volatile std::int64_t g_capture_sink = 0;
@@ -198,7 +193,7 @@ std::int64_t WorkloadMixed(Sim& sim, std::int64_t n) {
 }
 
 // --------------------------------------------------------------------- //
-// Pooled-engine-only workloads (the legacy engine has no handles/timers).
+// Pooled-engine-only workload (the legacy engine has no handles).
 
 std::int64_t WorkloadCancelHalf(sim::Simulator& sim, std::int64_t n) {
   std::vector<sim::EventHandle> handles;
@@ -212,19 +207,6 @@ std::int64_t WorkloadCancelHalf(sim::Simulator& sim, std::int64_t n) {
   }
   sim.Run();
   return n;  // n/2 fire + n/2 cancelled tombstones processed
-}
-
-std::int64_t WorkloadPeriodic(sim::Simulator& sim, std::int64_t n) {
-  constexpr int kTimers = 64;
-  std::vector<sim::EventHandle> timers;
-  for (int t = 0; t < kTimers; ++t) {
-    timers.push_back(
-        sim.SchedulePeriodic(Duration::Nanos(100 + t), [] {}));
-  }
-  sim.RunFor(Duration::Nanos(100 * (n / kTimers)));
-  for (const auto& h : timers) sim.Cancel(h);
-  sim.Run();
-  return sim.events_executed();
 }
 
 // --------------------------------------------------------------------- //
@@ -261,10 +243,6 @@ double BestRateWithSetup(
   return best;
 }
 
-#ifdef PWSIM_HAVE_GBENCH
-void RunGoogleBenchmarkSuite(int argc, char** argv);
-#endif
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -273,17 +251,6 @@ int main(int argc, char** argv) {
   // shared runners passes a lower value so noisy-neighbor slowdowns don't
   // flake the job while gross regressions still fail.
   const double min_speedup = args.min_speedup;
-  if (args.gbench) {
-#ifdef PWSIM_HAVE_GBENCH
-    RunGoogleBenchmarkSuite(argc, argv);
-    return 0;
-#else
-    std::fprintf(stderr,
-                 "--gbench requested but Google Benchmark was not available "
-                 "at build time\n");
-    return 2;
-#endif
-  }
   bench::Header(
       "simcore: event-engine throughput, pooled engine vs pre-PR engine",
       "infrastructure bench (no paper figure); acceptance: pooled >= 2x "
@@ -357,8 +324,8 @@ int main(int argc, char** argv) {
   pooled_geomean = std::pow(pooled_geomean, 1.0 / workloads);
   legacy_geomean = std::pow(legacy_geomean, 1.0 / workloads);
 
-  // Handle/timer features (pooled engine only — the legacy engine cannot
-  // express them).
+  // Handle cancellation (pooled engine only — the legacy engine cannot
+  // express it).
   {
     const double cancel = BestRateWithSetup(
         reps,
@@ -366,15 +333,9 @@ int main(int argc, char** argv) {
           sim.ReserveEvents(static_cast<std::size_t>(n));
         },
         [&](sim::Simulator& sim) { return WorkloadCancelHalf(sim, n); });
-    const double periodic = BestRateWithSetup(
-        reps, [](sim::Simulator&) {},
-        [&](sim::Simulator& sim) { return WorkloadPeriodic(sim, n); });
     std::printf("%-12s %16s %16.0f\n", "cancel-half", "-", cancel);
-    std::printf("%-12s %16s %16.0f\n", "periodic", "-", periodic);
     report.AddRow({{"workload", std::string("cancel-half")}},
                   {{"pooled_events_per_sec", cancel}});
-    report.AddRow({{"workload", std::string("periodic")}},
-                  {{"pooled_events_per_sec", periodic}});
   }
 
   std::printf("\ngeomean speedup (pooled / legacy): %.2fx\n", geomean);
@@ -422,68 +383,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-// --------------------------------------------------------------------- //
-#ifdef PWSIM_HAVE_GBENCH
-#include <benchmark/benchmark.h>
-
-#include "hw/cluster.h"
-#include "pathways/pathways.h"
-#include "xlasim/compiled_function.h"
-
-namespace {
-
-void BM_EventLoop(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    const int bn = static_cast<int>(state.range(0));
-    for (int i = 0; i < bn; ++i) {
-      sim.Schedule(Duration::Nanos(i % 997), [] {});
-    }
-    benchmark::DoNotOptimize(sim.Run());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventLoop)->Arg(1000)->Arg(100000);
-
-void BM_FutureFanout(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    sim::SimPromise<int> p(&sim);
-    int sink = 0;
-    for (int i = 0; i < state.range(0); ++i) {
-      p.future().Then([&sink](const int& v) { sink += v; });
-    }
-    p.Set(1);
-    sim.Run();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FutureFanout)->Arg(1000)->Arg(10000);
-
-void BM_SingleNodeProgram(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    auto cluster = hw::Cluster::ConfigA(&sim, static_cast<int>(state.range(0)));
-    pathways::PathwaysRuntime runtime(cluster.get(), {});
-    pathways::Client* client = runtime.CreateClient();
-    auto slice = client->AllocateSlice(cluster->num_devices()).value();
-    auto fn = xlasim::CompiledFunction::Synthetic(
-        "op", cluster->num_devices(), Duration::Micros(100),
-        net::CollectiveKind::kAllReduce, 4);
-    auto r = client->RunFunction(fn, slice);
-    sim.Run();
-    benchmark::DoNotOptimize(r.ready());
-  }
-}
-BENCHMARK(BM_SingleNodeProgram)->Arg(2)->Arg(16)->Arg(64);
-
-void RunGoogleBenchmarkSuite(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-}
-
-}  // namespace
-#endif  // PWSIM_HAVE_GBENCH

@@ -12,8 +12,9 @@
 // a capture of up to InlineFunction::kInlineBytes (40 B) is stored in place,
 // a larger one in a single heap object. Set() moves each continuation, in
 // registration order, into its own zero-delay event. For a Unit future that
-// event is the 48-byte continuation alone, which fits the simulator's
-// inline event slot, so firing a continuation allocates nothing.
+// event is the 48-byte continuation alone, which fits the inline slot of the
+// event's own InlineFunction (EventCallback), so firing a continuation
+// allocates nothing.
 #pragma once
 
 #include <memory>
@@ -46,7 +47,7 @@ struct FutureState {
 // A Unit payload carries no data, so the event holds the callable alone;
 // any other payload keeps the state alive until the event has run.
 static_assert(sizeof(InlineFunction<void(const Unit&)>) <=
-                  PooledCallback::kInlineBytes,
+                  EventCallback::kInlineBytes,
               "a Unit continuation's event must fit the inline event slot");
 
 template <typename T, typename Fn>

@@ -1,14 +1,14 @@
-// Move-only callable with inline storage: the continuation type of the
-// simulated dataflow (future Then() callbacks, HBM admission hooks, link and
-// DCN delivery callbacks, CPU work items).
+// Move-only callable with inline storage: the one type-erased callable of
+// the simulated dataflow — every simulator event, future Then() callback,
+// HBM admission hook, link and DCN delivery callback and CPU work item.
 //
-// A callable of up to kInlineBytes is constructed in place, so storing,
-// moving and invoking it performs no heap allocation; a larger one falls back
-// to a single owned heap object. Unlike std::function it never copies its
-// target, so move-only captures (unique_ptr, promises held by value) work.
-// sizeof(InlineFunction) == 48, exactly the simulator's inline event slot
-// (PooledCallback::kInlineBytes), so an event wrapping one continuation also
-// stays allocation-free.
+// A callable of up to N bytes (default 40) is constructed in place, so
+// storing, moving and invoking it performs no heap allocation; a larger one
+// falls back to a single owned heap object. Unlike std::function it never
+// copies its target, so move-only captures (unique_ptr, promises held by
+// value) work. sizeof(InlineFunction<Sig>) == 48, exactly the inline slot of
+// a simulator event (sim::EventCallback), so an event wrapping one
+// continuation also stays allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -20,29 +20,26 @@
 
 namespace pw::sim {
 
-template <typename Sig>
+template <typename Sig, std::size_t N = 40>
 class InlineFunction;
 
-template <typename R, typename... Args>
-class InlineFunction<R(Args...)> {
+template <typename R, typename... Args, std::size_t N>
+class InlineFunction<R(Args...), N> {
+  template <typename Fn, typename F = std::decay_t<Fn>>
+  using EnableIfTarget =
+      std::enable_if_t<!std::is_same_v<F, InlineFunction> &&
+                       !std::is_same_v<F, std::nullptr_t> &&
+                       std::is_invocable_r_v<R, F&, Args...>>;
+
  public:
-  static constexpr std::size_t kInlineBytes = 40;
+  static constexpr std::size_t kInlineBytes = N;
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT: mirrors std::function
 
-  template <typename Fn,
-            typename F = std::decay_t<Fn>,
-            typename = std::enable_if_t<!std::is_same_v<F, InlineFunction> &&
-                                        !std::is_same_v<F, std::nullptr_t> &&
-                                        std::is_invocable_r_v<R, F&, Args...>>>
+  template <typename Fn, typename = EnableIfTarget<Fn>>
   InlineFunction(Fn&& fn) {  // NOLINT: implicit, like std::function
-    if constexpr (kStoredInline<F>) {
-      ::new (static_cast<void*>(storage_)) F(std::forward<Fn>(fn));
-    } else {
-      ::new (static_cast<void*>(storage_)) F*(new F(std::forward<Fn>(fn)));
-    }
-    ops_ = &kOps<F>;
+    Emplace(std::forward<Fn>(fn));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { TakeFrom(other); }
@@ -60,6 +57,20 @@ class InlineFunction<R(Args...)> {
 
   ~InlineFunction() { Reset(); }
 
+  // Replaces the target with `fn`, constructed directly in this object's
+  // storage (no temporary InlineFunction, no relocation).
+  template <typename Fn, typename = EnableIfTarget<Fn>>
+  void Emplace(Fn&& fn) {
+    using F = std::decay_t<Fn>;
+    Reset();
+    if constexpr (kStoredInline<F>) {
+      ::new (static_cast<void*>(storage_)) F(std::forward<Fn>(fn));
+    } else {
+      ::new (static_cast<void*>(storage_)) F*(new F(std::forward<Fn>(fn)));
+    }
+    ops_ = &kOps<F>;
+  }
+
   explicit operator bool() const { return ops_ != nullptr; }
 
   R operator()(Args... args) {
@@ -67,9 +78,19 @@ class InlineFunction<R(Args...)> {
     return ops_->invoke(storage_, std::forward<Args>(args)...);
   }
 
+  // One-shot call: runs the target and destroys it in a single indirect
+  // call, leaving *this empty. The target counts as gone from the moment
+  // of the call, so it may not re-enter *this. Precondition: non-empty.
+  R InvokeAndReset(Args... args) {
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    return ops->invoke_and_destroy(storage_, std::forward<Args>(args)...);
+  }
+
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
+    R (*invoke_and_destroy)(void*, Args&&...);
     // Move-constructs the target at `dst` from `src` and ends `src`'s.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
@@ -90,9 +111,28 @@ class InlineFunction<R(Args...)> {
   }
 
   template <typename F>
+  static void Destroy(void* p) {
+    if constexpr (kStoredInline<F>) {
+      std::launder(reinterpret_cast<F*>(p))->~F();
+    } else {
+      delete *std::launder(reinterpret_cast<F**>(p));
+    }
+  }
+
+  template <typename F>
   static constexpr Ops kOps = {
       [](void* p, Args&&... args) -> R {
         return static_cast<R>(Target<F>(p)(std::forward<Args>(args)...));
+      },
+      [](void* p, Args&&... args) -> R {
+        if constexpr (std::is_void_v<R>) {
+          Target<F>(p)(std::forward<Args>(args)...);
+          Destroy<F>(p);
+        } else {
+          R result = Target<F>(p)(std::forward<Args>(args)...);
+          Destroy<F>(p);
+          return result;
+        }
       },
       [](void* dst, void* src) {
         if constexpr (kStoredInline<F>) {
@@ -103,13 +143,7 @@ class InlineFunction<R(Args...)> {
           ::new (dst) F*(*std::launder(reinterpret_cast<F**>(src)));
         }
       },
-      [](void* p) {
-        if constexpr (kStoredInline<F>) {
-          std::launder(reinterpret_cast<F*>(p))->~F();
-        } else {
-          delete *std::launder(reinterpret_cast<F**>(p));
-        }
-      }};
+      &Destroy<F>};
 
   void TakeFrom(InlineFunction& other) noexcept {
     if (other.ops_ == nullptr) return;

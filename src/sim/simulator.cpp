@@ -4,23 +4,6 @@
 
 namespace pw::sim {
 
-Simulator::~Simulator() {
-  // Destroy callbacks of events still queued (live or tombstoned) so
-  // captured resources are released; pool chunks free themselves.
-  for (const HeapEntry& e : heap_) {
-    if (e.node->cb.engaged()) e.node->cb.Destroy();
-  }
-  for (std::size_t i = 0; i < fifo_count_; ++i) {
-    EventNode* node = fifo_[(fifo_head_ + i) & (fifo_.size() - 1)];
-    if (node->cb.engaged()) node->cb.Destroy();
-  }
-  for (const Bucket& b : wheel_) {
-    for (std::size_t i = b.head; i < b.items.size(); ++i) {
-      if (b.items[i]->cb.engaged()) b.items[i]->cb.Destroy();
-    }
-  }
-}
-
 void Simulator::WheelPush(std::int64_t at_ns, EventNode* node) {
   const std::size_t idx = static_cast<std::size_t>(at_ns) & kWheelMask;
   wheel_[idx].items.push_back(node);
@@ -66,12 +49,11 @@ bool Simulator::RunWheelBucket(std::size_t idx, std::int64_t at_ns) {
   }
   --wheel_count_;
   if (node->state == NodeState::kCancelled) {
-    // Wheel entries are one-shots, so Cancel() destroyed the callable.
-    RecycleNode(node);
+    RecycleNode(node);  // Cancel() already destroyed the callable
     return false;
   }
   now_ = TimePoint::FromNanos(at_ns);
-  RunOneShot(node);
+  RunEvent(node);
   return true;
 }
 
@@ -91,7 +73,6 @@ internal::EventNode* Simulator::AllocNode() {
 
 void Simulator::RecycleNode(EventNode* node) {
   node->state = NodeState::kFree;
-  node->period_ns = 0;
   ++node->generation;  // stale-ify outstanding handles
   node->next_free = free_head_;
   free_head_ = node;
@@ -174,11 +155,9 @@ bool Simulator::Cancel(EventHandle h) {
   // Destroy the callable eagerly: a cancelled watchdog's captures (often
   // shared_ptrs) must not stay alive until simulated time reaches the
   // original timestamp and the tombstone pops. The queue entry itself is
-  // recycled lazily when popped. Exception: a periodic timer cancelling
-  // itself from inside its own callback — destroying the callable would
-  // pull the frame out from under the running lambda, so the tombstone
-  // path destroys it instead.
-  if (!node->executing) node->cb.Destroy();
+  // recycled lazily when popped. A running event is kRunning, not kArmed,
+  // so it never reaches here while its own callable executes.
+  node->cb = nullptr;
   return true;
 }
 
@@ -206,62 +185,42 @@ void Simulator::ReserveEvents(std::size_t n) {
   }
 }
 
-void Simulator::RunOneShot(EventNode* node) {
+void Simulator::RunEvent(EventNode* node) {
   node->state = NodeState::kRunning;
   --live_events_;
   ++executed_;
   // A single indirect call runs and destroys the callable; it may schedule
   // more events (growing the pool — nodes never move, so `node` stays
   // valid), but cannot recycle this node, which is in kRunning state.
-  node->cb.InvokeAndDestroy();
+  node->cb.InvokeAndReset();
   RecycleNode(node);
 }
 
 bool Simulator::RunHeapTop() {
   // Consume the root but leave its slot as a hole: if the event's callback
-  // (or a periodic re-arm) pushes a new heap entry — the dominant
-  // steady-state pattern — HeapPush fills the hole with one sift-down and
-  // the excision below becomes a no-op. While the hole is open the root
-  // entry is stale; it is never read (Cancel/IsPending key off node state,
-  // and StepOne only inspects the heap between events).
+  // pushes a new heap entry — the dominant steady-state pattern — HeapPush
+  // fills the hole with one sift-down and the excision below becomes a
+  // no-op. While the hole is open the root entry is stale; it is never read
+  // (Cancel/IsPending key off node state, and StepOne only inspects the
+  // heap between events).
   const HeapEntry top = heap_.front();
   heap_hole_ = true;
   EventNode* node = top.node;
-  if (node->state == NodeState::kCancelled) {
-    // Cancel() normally destroyed the callable already; a periodic
-    // self-cancel deferred it to here.
-    if (node->cb.engaged()) node->cb.Destroy();
-    RecycleNode(node);
-    CloseHeapHole();
-    return false;
+  const bool live = node->state != NodeState::kCancelled;
+  if (live) {
+    now_ = TimePoint::FromNanos(top.at);
+    RunEvent(node);
+  } else {
+    RecycleNode(node);  // Cancel() already destroyed the callable
   }
-  now_ = TimePoint::FromNanos(top.at);
-  ++executed_;
-  if (node->period_ns > 0) {
-    // Re-arm before running so the callback observes itself as pending and
-    // may Cancel() its own timer. Same node, same generation, fresh seq:
-    // FIFO order at the next fire time is "timer first, then anything the
-    // callback schedules for that instant". The re-arm fills the hole.
-    node->seq = next_seq_++;
-    HeapPush(HeapEntry{top.at + node->period_ns, node});
-    node->executing = true;
-    node->cb.Invoke();
-    node->executing = false;
-    return true;
-  }
-  node->state = NodeState::kRunning;
-  --live_events_;
-  node->cb.InvokeAndDestroy();
-  RecycleNode(node);
   CloseHeapHole();
-  return true;
+  return live;
 }
 
 bool Simulator::StepOne() {
   // Merge the now-ring, the wheel and the heap by (time, seq). Fifo
   // entries are always at now_ <= any wheel or heap entry, so those win
-  // only when their earliest entry is also at now_ with an older seq (for
-  // the heap that may be a periodic fire, which RunHeapTop handles).
+  // only when their earliest entry is also at now_ with an older seq.
   const std::int64_t now_ns = now_.nanos();
   if (fifo_count_ != 0) {
     const FifoEntry front = fifo_[fifo_head_ & (fifo_.size() - 1)];
@@ -282,14 +241,10 @@ bool Simulator::StepOne() {
     (void)FifoPop();
     EventNode* node = front;
     if (node->state == NodeState::kCancelled) {
-      // Fifo entries are one-shots, so Cancel() always destroyed eagerly.
-      RecycleNode(node);
+      RecycleNode(node);  // Cancel() already destroyed the callable
       return false;
     }
-    // Fifo entries are always one-shots at the current clock: periodic
-    // first fires and re-arms land strictly in the future, so they only
-    // ever enter the heap.
-    RunOneShot(node);
+    RunEvent(node);
     return true;
   }
   if (wheel_count_ != 0) {

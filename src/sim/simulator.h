@@ -6,12 +6,13 @@
 // order (FIFO tie-break via sequence numbers).
 //
 // Engine internals (the repo's hottest path):
-//   * Event callbacks live in pool nodes allocated from stable chunks and
-//     recycled through a free list; a callable of up to
-//     PooledCallback::kInlineBytes is constructed in place in its node, so
+//   * Every event is a one-shot EventCallback (an InlineFunction) living in
+//     a pool node allocated from stable chunks and recycled through a free
+//     list; a callable of up to EventCallback::kInlineBytes is constructed
+//     in place in its node and run-and-destroyed by one indirect call, so
 //     the steady-state schedule/fire cycle performs no heap allocation.
-//   * The priority queue is a 4-ary heap of 24-byte plain-data entries
-//     {time, seq, node*}; sifting copies trivial entries only, never the
+//   * The priority queue is a 4-ary heap of 16-byte plain-data entries
+//     {time, node*}; sifting copies trivial entries only, never the
 //     callbacks, and nodes never move once constructed. Popping leaves a
 //     hole at the root that a push from inside the event's own callback —
 //     the steady-state churn pattern — fills with a single sift-down,
@@ -22,7 +23,7 @@
 //     timestamp equals the current clock. The ring and the heap merge by
 //     (time, seq), so the global FIFO-at-equal-timestamp order is exactly
 //     that of a single queue.
-//   * Near-horizon one-shots (0 < at - now < kWheelSpanNs) bypass the heap
+//   * Near-horizon events (0 < at - now < kWheelSpanNs) bypass the heap
 //     through a timing wheel of 1ns buckets — O(1) push/pop instead of an
 //     O(log n) sift, the winning structure for steady-state churn (device
 //     hops, wire latencies, backoffs all land within a microsecond). All
@@ -43,22 +44,14 @@
 //   TimePoint end = sim.now();       // simulated time, not wall clock
 //   if (sim.Deadlocked()) { ... }    // quiescent but entities still blocked
 //
-// Cancellable events and periodic timers:
+// Cancellable events:
 //
 //   sim::EventHandle h = sim.Schedule(Duration::Millis(5), [&] { ... });
 //   sim.Cancel(h);                   // true: the event will not fire
 //
-//   // Heartbeat every 100us, starting at now()+100us. A periodic event
-//   // keeps the queue non-empty, so drive the sim with RunUntil/RunFor
-//   // (Run() would spin forever) and Cancel() the timer when done.
-//   sim::EventHandle hb = sim.SchedulePeriodic(Duration::Micros(100),
-//                                              [&] { Poll(); });
-//   sim.RunFor(Duration::Millis(1));
-//   sim.Cancel(hb);
-//
-// Handles are generation-checked: once a one-shot event fires or is
-// cancelled, its handle goes stale and Cancel()/IsPending() return false
-// even after the pool recycles the node.
+// Handles are generation-checked: once an event fires or is cancelled, its
+// handle goes stale and Cancel()/IsPending() return false even after the
+// pool recycles the node.
 #pragma once
 
 #include <cstddef>
@@ -66,122 +59,34 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/units.h"
+#include "sim/inline_function.h"
 
 namespace pw::sim {
 
-class Simulator;
+// The callable every event holds. Its 48-byte inline slot holds a whole
+// InlineFunction continuation — what a future's Set() hands to each
+// zero-delay event — so firing a continuation allocates nothing.
+using EventCallback = InlineFunction<void(), 48>;
 
 namespace internal {
-
-struct EventNode;
-
-// Small-buffer-optimized storage for a `void()` callable inside a pool
-// node. Nodes never move (pool chunks are stable), so the callable needs
-// only construct / invoke / destroy — no move or copy support — and
-// callables up to kInlineBytes incur no heap allocation at all. Larger
-// callables fall back to a single owned heap object.
-class PooledCallback {
- public:
-  static constexpr std::size_t kInlineBytes = 48;
-
-  PooledCallback() = default;
-  PooledCallback(const PooledCallback&) = delete;
-  PooledCallback& operator=(const PooledCallback&) = delete;
-
-  template <typename Fn>
-  void Emplace(Fn&& fn) {
-    using F = std::decay_t<Fn>;
-    static_assert(std::is_invocable_v<F&>, "callback must be callable as fn()");
-    if constexpr (sizeof(F) <= kInlineBytes &&
-                  alignof(F) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(storage_)) F(std::forward<Fn>(fn));
-      ops_ = OpsFor<F, /*kInline=*/true>();
-    } else {
-      ::new (static_cast<void*>(storage_)) F*(new F(std::forward<Fn>(fn)));
-      ops_ = OpsFor<F, /*kInline=*/false>();
-    }
-  }
-
-  // May be called repeatedly (periodic timers re-invoke the same callable).
-  void Invoke() { ops_->invoke(storage_); }
-
-  void Destroy() {
-    ops_->destroy(storage_);
-    ops_ = nullptr;
-  }
-
-  // One-shot fast path: a single indirect call that runs the callable and
-  // then destroys it (the callable outlives its own invocation).
-  void InvokeAndDestroy() {
-    const Ops* ops = ops_;
-    ops_ = nullptr;
-    ops->invoke_destroy(storage_);
-  }
-
-  bool engaged() const { return ops_ != nullptr; }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    void (*destroy)(void*);
-    void (*invoke_destroy)(void*);
-  };
-
-  template <typename F, bool kInline>
-  static const Ops* OpsFor() {
-    static constexpr Ops ops = {
-        [](void* p) {
-          if constexpr (kInline) {
-            (*std::launder(reinterpret_cast<F*>(p)))();
-          } else {
-            (**std::launder(reinterpret_cast<F**>(p)))();
-          }
-        },
-        [](void* p) {
-          if constexpr (kInline) {
-            std::launder(reinterpret_cast<F*>(p))->~F();
-          } else {
-            delete *std::launder(reinterpret_cast<F**>(p));
-          }
-        },
-        [](void* p) {
-          if constexpr (kInline) {
-            F* f = std::launder(reinterpret_cast<F*>(p));
-            (*f)();
-            f->~F();
-          } else {
-            F* f = *std::launder(reinterpret_cast<F**>(p));
-            (*f)();
-            delete f;
-          }
-        }};
-    return &ops;
-  }
-
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-  const Ops* ops_ = nullptr;
-};
 
 enum class NodeState : std::uint8_t {
   kFree,       // on the free list
   kArmed,      // queued, will fire
   kCancelled,  // queued, will be skipped and recycled
-  kRunning,    // one-shot currently executing (no longer cancellable)
+  kRunning,    // currently executing (no longer cancellable)
 };
 
 // Pool node: stable address for the callback; queues refer to nodes by
 // pointer only.
 struct EventNode {
-  PooledCallback cb;
-  std::int64_t period_ns = 0;  // > 0 for periodic timers
+  EventCallback cb;
   // FIFO tie-break among equal timestamps. Kept in the node (not the queue
   // entries) so heap entries stay 16 bytes; a node has at most one queue
   // entry at a time, so the value is unambiguous.
@@ -189,17 +94,13 @@ struct EventNode {
   EventNode* next_free = nullptr;
   std::uint32_t generation = 0;
   NodeState state = NodeState::kFree;
-  // True while a periodic fire is inside cb.Invoke(); a self-Cancel() must
-  // then defer destroying the callable until the tombstone pops.
-  bool executing = false;
 };
 
 }  // namespace internal
 
-// Identifies a scheduled event (one-shot or periodic timer). Handles are
-// cheap value types; a default-constructed handle is invalid. A handle for
-// a fired/cancelled one-shot event is stale: Cancel() and IsPending()
-// return false for it.
+// Identifies a scheduled event. Handles are cheap value types; a
+// default-constructed handle is invalid. A handle for a fired/cancelled
+// event is stale: Cancel() and IsPending() return false for it.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -217,7 +118,9 @@ class EventHandle {
 class Simulator {
  public:
   Simulator() = default;
-  ~Simulator();
+  // Destroying the pool destroys every node's callable, queued or not, so
+  // the captures of events still pending are released exactly once.
+  ~Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -234,32 +137,18 @@ class Simulator {
   template <typename Fn>
   EventHandle ScheduleAt(TimePoint at, Fn&& fn) {
     PW_CHECK_GE(at.nanos(), now_.nanos()) << "cannot schedule in the past";
-    return ArmEvent(at.nanos(), /*period_ns=*/0, std::forward<Fn>(fn));
+    return ArmEvent(at.nanos(), std::forward<Fn>(fn));
   }
 
-  // Schedules fn to run every `period`, first at now() + period. The
-  // callable is stored once and re-fired without reallocation. The timer
-  // re-arms *before* its callback runs, so events the callback schedules at
-  // exactly the next fire time run after that next fire (FIFO order).
-  // Periodic events count as pending forever; Cancel() to stop them.
-  template <typename Fn>
-  EventHandle SchedulePeriodic(Duration period, Fn&& fn) {
-    PW_CHECK_GT(period.nanos(), 0) << "periodic timer period must be > 0";
-    return ArmEvent(now_.nanos() + period.nanos(), period.nanos(),
-                    std::forward<Fn>(fn));
-  }
-
-  // Cancels a pending event or periodic timer. Returns true if the event
-  // was pending and is now guaranteed not to fire (again); false if the
-  // handle is invalid, stale, or the one-shot event already fired.
+  // Cancels a pending event and destroys its callable. Returns true if the
+  // event was pending and is now guaranteed not to fire; false if the
+  // handle is invalid, stale, or the event already fired.
   bool Cancel(EventHandle h);
 
   // True while the event identified by `h` is still scheduled to fire.
   bool IsPending(EventHandle h) const;
 
   // Runs events until the queue is empty. Returns the number of events run.
-  // Note: an uncancelled periodic timer keeps the queue non-empty, so Run()
-  // only terminates once all periodic timers are cancelled.
   std::int64_t Run();
 
   // Runs events with timestamp <= t; leaves later events queued and advances
@@ -323,24 +212,18 @@ class Simulator {
   };
 
   template <typename Fn>
-  EventHandle ArmEvent(std::int64_t at_ns, std::int64_t period_ns, Fn&& fn) {
+  EventHandle ArmEvent(std::int64_t at_ns, Fn&& fn) {
     EventNode* node = AllocNode();
     node->cb.Emplace(std::forward<Fn>(fn));
-    // Invariant: nodes come off the free list with period_ns == 0 (default
-    // at construction, reset on recycle), so the one-shot path skips the
-    // store.
-    if (period_ns > 0) node->period_ns = period_ns;
     node->state = NodeState::kArmed;
     node->seq = next_seq_++;
     const std::int64_t delta = at_ns - now_.nanos();
     if (delta == 0) {
       FifoPush(node);  // zero-delay fast path: no heap sift
-    } else if (delta < kWheelSpanNs && period_ns == 0) {
+    } else if (delta < kWheelSpanNs) {
       WheelPush(at_ns, node);  // near-horizon fast path: O(1) bucket append
     } else {
-      // Far events and periodic timers (whose re-arm path lives in
-      // RunHeapTop) take the general-purpose heap.
-      HeapPush(HeapEntry{at_ns, node});
+      HeapPush(HeapEntry{at_ns, node});  // far events: general-purpose heap
     }
     ++live_events_;
     return EventHandle(node, node->generation);
@@ -357,7 +240,7 @@ class Simulator {
   void SiftDownFromRoot(HeapEntry e);
   void CloseHeapHole();
 
-  // --- Timing wheel (near-horizon one-shots) ---
+  // --- Timing wheel (near-horizon events) ---
   //
   // One bucket per nanosecond over a kWheelSpanNs window. Every pending
   // wheel event satisfies now <= at < sched_now + span <= now + span, so
@@ -395,7 +278,8 @@ class Simulator {
   // it. Returns true iff an event ran (false for cancelled tombstones).
   // Precondition: !QueuesEmpty().
   bool StepOne();
-  // Pops and processes the heap top (cancelled / periodic / one-shot).
+  // Pops the heap top and runs it unless it is a cancelled tombstone.
+  // Returns true iff an event ran.
   bool RunHeapTop();
 
   bool QueuesEmpty() const {
@@ -415,7 +299,9 @@ class Simulator {
     return t;
   }
 
-  void RunOneShot(EventNode* node);
+  // Runs a live event: its callable is invoked and destroyed, the node
+  // recycled.
+  void RunEvent(EventNode* node);
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -53,48 +52,6 @@ std::vector<std::string> TraceRecorder::Resources() const {
   std::set<std::string> names;
   for (const auto& s : spans_) names.insert(s.resource);
   return {names.begin(), names.end()};
-}
-
-std::string TraceRecorder::RenderAscii(TimePoint begin, TimePoint end,
-                                       int columns, int max_rows) const {
-  PW_CHECK_GT(columns, 0);
-  PW_CHECK_LT(begin.nanos(), end.nanos());
-  auto resources = Resources();
-  if (static_cast<int>(resources.size()) > max_rows) {
-    resources.resize(static_cast<std::size_t>(max_rows));
-  }
-  const std::int64_t span_ns = (end - begin).nanos();
-  std::ostringstream out;
-  for (const auto& r : resources) {
-    // For each column pick the client with the most busy time in the bucket.
-    std::string row(static_cast<std::size_t>(columns), '.');
-    for (int c = 0; c < columns; ++c) {
-      const TimePoint b0 = begin + Duration::Nanos(span_ns * c / columns);
-      const TimePoint b1 = begin + Duration::Nanos(span_ns * (c + 1) / columns);
-      std::map<std::int64_t, Duration> busy;
-      for (const auto& s : spans_) {
-        if (s.resource != r) continue;
-        const Duration o = Overlap(s, b0, b1);
-        if (o > Duration::Zero()) busy[s.client] += o;
-      }
-      if (busy.empty()) continue;
-      auto best = std::max_element(
-          busy.begin(), busy.end(),
-          [](const auto& a, const auto& b) { return a.second < b.second; });
-      const std::int64_t client = best->first;
-      if (client < 0) {
-        row[static_cast<std::size_t>(c)] = '#';
-      } else if (client < 10) {
-        row[static_cast<std::size_t>(c)] = static_cast<char>('0' + client);
-      } else if (client < 36) {
-        row[static_cast<std::size_t>(c)] = static_cast<char>('a' + (client - 10));
-      } else {
-        row[static_cast<std::size_t>(c)] = '+';
-      }
-    }
-    out << row << "  " << r << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace pw::sim

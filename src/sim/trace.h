@@ -1,9 +1,8 @@
 // Execution trace recording, for the paper's Figure 9/11/12-style traces.
 //
 // Spans record which resource (device/core) ran which client's computation
-// over which simulated interval. The recorder can compute utilization,
-// per-client busy shares (for proportional-share validation), and render a
-// compact ASCII Gantt chart for bench output.
+// over which simulated interval. The recorder computes utilization and
+// per-client busy shares (for proportional-share validation).
 #pragma once
 
 #include <cstdint>
@@ -38,12 +37,6 @@ class TraceRecorder {
 
   // Busy time per client over [begin, end), summed across resources.
   std::map<std::int64_t, Duration> BusyPerClient(TimePoint begin, TimePoint end) const;
-
-  // Renders one text row per resource; each column is a time bucket showing
-  // the client digit that dominated the bucket ('.' = idle). Resources are
-  // sorted by name; at most `max_rows` rows are emitted.
-  std::string RenderAscii(TimePoint begin, TimePoint end, int columns,
-                          int max_rows = 16) const;
 
   std::vector<std::string> Resources() const;
 

@@ -1,10 +1,11 @@
 // Property/stress tests for the pooled-event Simulator: randomized
 // schedules (seeded pw::Rng) pinning the ordering contract, RunUntil/RunFor
-// boundary semantics, cancellation and handle staleness, periodic timers,
-// and death on scheduling in the past.
+// boundary semantics, cancellation and handle staleness, teardown with
+// events pending, and death on scheduling in the past.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -239,26 +240,6 @@ TEST(SimCancelTest, CancelReleasesCapturedResourcesEagerly) {
   EXPECT_EQ(guarded.use_count(), 1);
 }
 
-TEST(SimCancelTest, PeriodicSelfCancelDefersCallableDestructionSafely) {
-  // A periodic timer cancelling itself from inside its own callback: the
-  // running lambda must survive its own Cancel() call; its captures are
-  // released once the tombstone pops (or at simulator destruction).
-  auto guarded = std::make_shared<int>(0);
-  {
-    Simulator sim;
-    EventHandle h;
-    h = sim.SchedulePeriodic(Duration::Micros(1), [&sim, &h, guarded] {
-      ++*guarded;  // touch captures after Cancel below would have destroyed them
-      sim.Cancel(h);
-      ++*guarded;
-    });
-    sim.RunFor(Duration::Micros(5));
-    EXPECT_EQ(*guarded, 2);  // fired once, both increments ran
-    sim.Run();
-  }
-  EXPECT_EQ(guarded.use_count(), 1);
-}
-
 TEST(SimCancelTest, CancelledEventsDoNotCountAsExecuted) {
   Simulator sim;
   EventHandle h = sim.Schedule(Duration::Micros(1), [] {});
@@ -268,67 +249,64 @@ TEST(SimCancelTest, CancelledEventsDoNotCountAsExecuted) {
   EXPECT_EQ(sim.events_executed(), 1);
 }
 
-// ---------------------------------------------------- periodic timers --
+// ----------------------------------------------------------- teardown --
 
-TEST(SimTimerTest, PeriodicFiresAtEveryMultipleUntilCancelled) {
-  Simulator sim;
-  std::vector<std::int64_t> fires;
-  EventHandle h = sim.SchedulePeriodic(Duration::Micros(10), [&] {
-    fires.push_back(sim.now().nanos());
-  });
-  sim.RunFor(Duration::Micros(45));
-  EXPECT_EQ(fires, (std::vector<std::int64_t>{10000, 20000, 30000, 40000}));
-  EXPECT_TRUE(sim.IsPending(h));
-  EXPECT_TRUE(sim.Cancel(h));
-  sim.Run();  // terminates: no live events remain
-  EXPECT_EQ(fires.size(), 4u);
-}
-
-TEST(SimTimerTest, PeriodicTimerCanCancelItself) {
-  Simulator sim;
-  int fires = 0;
-  EventHandle h;
-  h = sim.SchedulePeriodic(Duration::Micros(1), [&] {
-    if (++fires == 3) sim.Cancel(h);
-  });
-  sim.RunFor(Duration::Millis(1));
-  EXPECT_EQ(fires, 3);
-  EXPECT_FALSE(sim.IsPending(h));
-  EXPECT_TRUE(sim.empty());
-}
-
-TEST(SimTimerTest, TimerFireInterleavesFifoWithEqualTimeEvents) {
-  Simulator sim;
-  std::vector<int> order;
-  // Timer fires at t=10; an ordinary event also lands at t=10 but is
-  // scheduled after the timer, so the timer (smaller seq) runs first.
-  sim.SchedulePeriodic(Duration::Nanos(10), [&] { order.push_back(1); });
-  sim.Schedule(Duration::Nanos(10), [&] { order.push_back(2); });
-  sim.RunFor(Duration::Nanos(10));
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(SimTimerTest, ManyTimersStayPeriodicUnderChurn) {
-  Rng rng(42);
-  Simulator sim;
-  std::vector<std::int64_t> counts(8, 0);
-  std::vector<EventHandle> timers;
-  for (int t = 0; t < 8; ++t) {
-    timers.push_back(sim.SchedulePeriodic(
-        Duration::Nanos(100 * (t + 1)),
-        [&counts, t] { ++counts[static_cast<std::size_t>(t)]; }));
+// Counts destructions of live instances; moved-from copies count nothing.
+struct DestroyCounter {
+  explicit DestroyCounter(int* n) : count(n) {}
+  DestroyCounter(DestroyCounter&& other) noexcept
+      : count(std::exchange(other.count, nullptr)) {}
+  DestroyCounter(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(const DestroyCounter&) = delete;
+  DestroyCounter& operator=(DestroyCounter&&) = delete;
+  ~DestroyCounter() {
+    if (count != nullptr) ++*count;
   }
-  // Concurrent one-shot noise.
-  for (int i = 0; i < 500; ++i) {
-    sim.Schedule(Duration::Nanos(static_cast<std::int64_t>(rng.NextBounded(4000))),
-                 [] {});
+  int* count;
+};
+
+// A simulator destroyed with events still queued releases every capture
+// exactly once, wherever the event waits: the now-ring, the timing wheel
+// (< 1024 ns ahead), the heap, or as a cancelled tombstone whose capture
+// Cancel() already released.
+TEST(SimTeardownTest, DestroyWithPendingEventsReleasesEveryCaptureOnce) {
+  enum { kRing, kWheel, kHeap, kHeapOversized, kTombstone, kKinds };
+  int destroyed[kKinds] = {};
+  int fired = 0;
+  std::array<unsigned char, 128> pad{};
+  {
+    Simulator sim;
+    sim.Schedule(Duration::Nanos(5), [&fired] { ++fired; });
+    sim.RunUntil(TimePoint() + Duration::Nanos(5));  // off the zero clock
+    auto probe = [&destroyed](int kind) {
+      return [c = DestroyCounter(&destroyed[kind])] { (void)c; };
+    };
+    for (int i = 0; i < 3; ++i) {
+      sim.Schedule(Duration::Zero(), probe(kRing));
+      sim.Schedule(Duration::Nanos(1 + 511 * i), probe(kWheel));
+      sim.Schedule(Duration::Nanos(1024) + Duration::Micros(i), probe(kHeap));
+    }
+    sim.Schedule(Duration::Seconds(1),
+                 [c = DestroyCounter(&destroyed[kHeapOversized]), pad] {
+                   (void)c;
+                   (void)pad;
+                 });
+    for (Duration d : {Duration::Zero(), Duration::Nanos(7),
+                       Duration::Millis(3)}) {
+      EXPECT_TRUE(sim.Cancel(sim.Schedule(d, probe(kTombstone))));
+    }
+    EXPECT_EQ(destroyed[kTombstone], 3);  // released at Cancel()
+    EXPECT_EQ(sim.pending_events(), 10u);
+    for (int kind : {kRing, kWheel, kHeap, kHeapOversized}) {
+      EXPECT_EQ(destroyed[kind], 0) << "kind " << kind;
+    }
   }
-  sim.RunFor(Duration::Nanos(4000));
-  for (int t = 0; t < 8; ++t) {
-    EXPECT_EQ(counts[static_cast<std::size_t>(t)], 4000 / (100 * (t + 1)))
-        << "timer " << t;
-  }
-  for (auto& h : timers) EXPECT_TRUE(sim.Cancel(h));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(destroyed[kRing], 3);
+  EXPECT_EQ(destroyed[kWheel], 3);
+  EXPECT_EQ(destroyed[kHeap], 3);
+  EXPECT_EQ(destroyed[kHeapOversized], 1);
+  EXPECT_EQ(destroyed[kTombstone], 3);
 }
 
 // ------------------------------------------------------------- deaths --
@@ -340,13 +318,6 @@ TEST(SimDeathTest, SchedulingInThePastDies) {
   sim.Run();  // now() == 10us
   EXPECT_DEATH(sim.ScheduleAt(TimePoint() + Duration::Micros(5), [] {}),
                "cannot schedule in the past");
-}
-
-TEST(SimDeathTest, NonPositivePeriodicPeriodDies) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  Simulator sim;
-  EXPECT_DEATH(sim.SchedulePeriodic(Duration::Zero(), [] {}),
-               "period must be > 0");
 }
 
 }  // namespace
