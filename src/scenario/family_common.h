@@ -61,5 +61,6 @@ Family MakeDispatchFamily();
 Family MakePipelineDispatchFamily();
 Family MakeTrainingFamily();
 Family MakeClientsFamily();
+Family MakeSimcoreFamily();
 
 }  // namespace pw::scenario

@@ -27,6 +27,7 @@ const std::vector<Family>& Registry() {
     v->push_back(MakePipelineDispatchFamily());
     v->push_back(MakeTrainingFamily());
     v->push_back(MakeClientsFamily());
+    v->push_back(MakeSimcoreFamily());
     return v;
   }();
   return *families;
@@ -230,8 +231,8 @@ bool RunScenario(const Scenario& s, const RunOptions& opts, RunResult* out,
     return fam->measure(s, opts.quick, p);
   };
 
-  sweep::SweepRunner runner(sweep::SweepRunner::Options{
-      .threads = opts.threads, .record_wall_ms = false});
+  sweep::SweepRunner runner(
+      sweep::SweepRunner::Options{.threads = opts.threads});
   out->table = runner.Run(grid, point_fn);
   out->points = grid.Points();
 

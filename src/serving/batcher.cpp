@@ -324,7 +324,7 @@ void Batcher::OnIterationDone(const pathways::ExecutionResult& result) {
     if (req.tokens_decoded >= req.decode_tokens) {
       req.state = RequestState::kFinished;
       req.finished_at = now;
-      metrics_->OnFinish(now - req.arrival);
+      metrics_->OnFinish();
       Trace("finish", req.id, req.tokens_decoded);
       batch_projected_per_shard_ -= ProjectedPerShard(req);
       kv_.Release(req.id);

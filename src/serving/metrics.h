@@ -111,10 +111,7 @@ class ServingMetrics {
     ++tokens_;
     token_latency_us_.Add(since_last.ToSeconds() * 1e6);
   }
-  void OnFinish(Duration e2e) {
-    ++finished_;
-    e2e_us_.Add(e2e.ToSeconds() * 1e6);
-  }
+  void OnFinish() { ++finished_; }
   void OnAbortedIteration() { ++aborted_iterations_; }
 
   std::int64_t arrivals() const { return arrivals_; }
@@ -128,7 +125,6 @@ class ServingMetrics {
   // Percentiles in microseconds, p in [0,100]; 0 when empty.
   double TtftUs(double p) { return ttft_us_.Percentile(p); }
   double TokenLatencyUs(double p) { return token_latency_us_.Percentile(p); }
-  double E2eUs(double p) { return e2e_us_.Percentile(p); }
   double PrefillDoneUs(double p) { return prefill_done_us_.Percentile(p); }
 
   void Merge(const ServingMetrics& other) {
@@ -141,14 +137,12 @@ class ServingMetrics {
     aborted_iterations_ += other.aborted_iterations_;
     ttft_us_.Merge(other.ttft_us_);
     token_latency_us_.Merge(other.token_latency_us_);
-    e2e_us_.Merge(other.e2e_us_);
     prefill_done_us_.Merge(other.prefill_done_us_);
   }
 
  private:
   PercentileSampler ttft_us_;
   PercentileSampler token_latency_us_;
-  PercentileSampler e2e_us_;
   PercentileSampler prefill_done_us_;
   std::int64_t arrivals_ = 0;
   std::int64_t sheds_ = 0;

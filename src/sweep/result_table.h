@@ -2,8 +2,8 @@
 //
 // A ResultTable is a list of rows, each pairing a ParamPoint's parameters
 // with named double-valued metrics. Serialization needs no third-party
-// library; the JSON layout is the BENCH_*.json schema that `pwsim run` and
-// bench_simcore emit (see docs/BENCHMARKS.md):
+// library; the JSON layout is the BENCH_*.json schema that `pwsim run`
+// emits (see docs/BENCHMARKS.md):
 //
 //   {
 //     "bench": "<name>",

@@ -1,7 +1,6 @@
 #include "sweep/sweep_runner.h"
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 
 #include "common/logging.h"
@@ -27,19 +26,11 @@ ResultTable SweepRunner::Run(const ParamGrid& grid, const PointFn& fn) const {
   // Work-stealing by atomic index: threads race for the next point but
   // write results by grid index, so output order is deterministic.
   std::atomic<std::size_t> next{0};
-  const bool wall = options_.record_wall_ms;
   auto worker = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= points.size()) return;
-      const auto start = std::chrono::steady_clock::now();
-      Metrics metrics = fn(points[i]);
-      if (wall) {
-        const std::chrono::duration<double, std::milli> elapsed =
-            std::chrono::steady_clock::now() - start;
-        metrics.emplace_back("wall_ms", elapsed.count());
-      }
-      rows[i] = ResultRow{points[i].entries(), std::move(metrics)};
+      rows[i] = ResultRow{points[i].entries(), fn(points[i])};
     }
   };
 

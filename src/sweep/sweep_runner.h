@@ -36,9 +36,6 @@ class SweepRunner {
   struct Options {
     // Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
     int threads = 0;
-    // If true, append a "wall_ms" metric (host wall-clock per point) to
-    // every row. Off by default so result tables stay deterministic.
-    bool record_wall_ms = false;
   };
 
   using PointFn = std::function<Metrics(const ParamPoint&)>;

@@ -767,6 +767,44 @@ TEST(ScenarioRunner, UnknownFamilyFailsWithError) {
   EXPECT_NE(error.find("nope"), std::string::npos);
 }
 
+// --- simcore family --------------------------------------------------------
+
+// 2,560 events give each of the 256 chains of the chained workloads a
+// budget of 10.
+TEST(SimcoreFamily, MeasuresEveryWorkloadOnBothEngines) {
+  const std::string text =
+      "{ \"name\": \"t\", \"family\": \"simcore\",\n"
+      "  \"sweep\": { \"axes\": [\n"
+      "    { \"name\": \"events\", \"values\": [2560] } ] } }\n";
+  Scenario s;
+  DiagnosticEngine diags("inline", text);
+  ASSERT_TRUE(ParseScenario(text, &s, &diags)) << diags.Render();
+  ASSERT_TRUE(ValidateForFamily(&s, &diags)) << diags.Render();
+
+  RunOptions opts;
+  opts.write_json = false;
+  RunResult result;
+  std::string error;
+  ASSERT_TRUE(RunScenario(s, opts, &result, &error)) << error;
+  ASSERT_EQ(result.table.rows().size(), 1u);
+  const sweep::ResultRow& row = result.table.rows()[0];
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
+  for (const std::string w :
+       {"empty", "capture40", "churn", "zerodelay", "mixed"}) {
+    SCOPED_TRACE(w);
+    for (const std::string metric :
+         {"_legacy_events_per_sec", "_pooled_events_per_sec", "_speedup"}) {
+      EXPECT_TRUE(positive(row.Metric(w + metric))) << w + metric;
+    }
+  }
+  EXPECT_TRUE(positive(row.Metric("cancel_half_pooled_events_per_sec")));
+  for (const char* key :
+       {"events_per_sec", "legacy_events_per_sec", "speedup_vs_legacy"}) {
+    ASSERT_EQ(result.summary.count(key), 1u) << key;
+    EXPECT_TRUE(positive(result.summary.at(key))) << key;
+  }
+}
+
 // --- result store ----------------------------------------------------------
 
 TEST(ResultStore, GlobMatchIsSlashAware) {
