@@ -1,7 +1,8 @@
 // Central calibration table for the simulated substrate.
 //
 // Every latency/bandwidth/cost constant the simulation uses lives here so
-// that (a) EXPERIMENTS.md can document the calibration in one place and
+// that (a) the calibration is documented in one place, the comments below
+// (docs/BENCHMARKS.md lists the paper claims it feeds and their gates), and
 // (b) benchmarks can perturb a single knob for ablations. Values are chosen
 // to be representative of the paper's hardware: TPUv3-class accelerators,
 // PCIe Gen3 hosts, and a DCN whose latency is an order of magnitude above

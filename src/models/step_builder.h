@@ -45,7 +45,8 @@ class StepBuilder {
   // Model-parallel efficiency penalty: sharding a layer over more than ~32
   // cores shrinks per-core matmul tiles below the width that sustains peak
   // MFU, so effective compute time inflates. Calibrated so that Table 2's
-  // SPMD-128 vs pipeline ordering reproduces (EXPERIMENTS.md).
+  // SPMD-128 vs pipeline ordering reproduces (the table2_pipeline gate in
+  // docs/BENCHMARKS.md).
   static double ModelParallelPenalty(int model_parallel_cores);
 
   // Pure-compute roofline time of the whole step on `cores` total cores

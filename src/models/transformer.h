@@ -9,8 +9,9 @@
 //
 // `effective_mfu` is the calibration knob that absorbs everything our
 // simulator does not model (exact batch/sequence geometry, kernel quality,
-// remat policy); EXPERIMENTS.md records the calibrated values next to the
-// paper's measured throughputs.
+// remat policy); each config in transformer.cpp records its calibrated
+// value next to the paper throughput it reproduces, and docs/BENCHMARKS.md
+// gives the Table 1 gate that checks them.
 #pragma once
 
 #include <cstdint>

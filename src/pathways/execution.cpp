@@ -49,8 +49,14 @@ void ProgramExecution::Lower() {
   // was computed when it was traced.
   sim::Simulator* sim = &runtime_->simulator();
   // Reserved up front: the per-node promises and latches live in place,
-  // and nothing resizes nodes_ after this loop.
+  // and nothing resizes nodes_ or input_latches_ after this function.
   nodes_.reserve(static_cast<std::size_t>(program_->num_nodes()));
+  std::size_t num_latches = 0;
+  for (const ComputationNode& n : program_->nodes()) {
+    num_latches += n.inputs.size() * static_cast<std::size_t>(n.fn.num_shards);
+  }
+  input_latches_.reserve(num_latches);
+  std::size_t num_pieces = 0;
   for (const ComputationNode& n : program_->nodes()) {
     PW_CHECK_EQ(static_cast<std::size_t>(n.id), nodes_.size());
     NodeState& state = nodes_.emplace_back(sim, n.fn.num_shards);
@@ -63,40 +69,62 @@ void ProgramExecution::Lower() {
     state.consumers_remaining = program_->num_consumers(n.id);
     state.shards.reserve(static_cast<std::size_t>(n.fn.num_shards));
     for (int i = 0; i < n.fn.num_shards; ++i) {
-      state.shards.push_back(
-          ShardState{sim::SimPromise<sim::Unit>(sim),
-                     sim::SimPromise<sim::Unit>(sim),
-                     std::vector<std::shared_ptr<sim::CountdownLatch>>(
-                         n.inputs.size())});
+      state.shards.push_back(ShardState{sim::SimPromise<sim::Unit>(sim),
+                                        sim::SimPromise<sim::Unit>(sim)});
+    }
+    // One latch per (operand, shard), counting the pieces that shard
+    // receives: one on a 1:1 edge, one per source shard otherwise.
+    state.inputs_begin = static_cast<int>(input_latches_.size());
+    state.operands = static_cast<int>(n.inputs.size());
+    for (const ValueRef& src : n.inputs) {
+      const int n_src = SourceShards(src);
+      const int pieces = n_src == n.fn.num_shards ? 1 : n_src;
+      for (int i = 0; i < n.fn.num_shards; ++i) {
+        input_latches_.emplace_back(sim, pieces);
+      }
+      num_pieces += static_cast<std::size_t>(pieces) *
+                    static_cast<std::size_t>(n.fn.num_shards);
     }
   }
+  pieces_.reserve(num_pieces);
+}
+
+int ProgramExecution::SourceShards(const ValueRef& src) const {
+  if (src.kind == ValueRef::Kind::kNodeOutput) {
+    return program_->node(src.index).fn.num_shards;
+  }
+  return args_.at(static_cast<std::size_t>(src.index)).num_shards();
+}
+
+int ProgramExecution::InputLatch(int node, int operand, int shard) const {
+  const NodeState& state = nodes_[static_cast<std::size_t>(node)];
+  return state.inputs_begin +
+         operand * static_cast<int>(state.shards.size()) + shard;
 }
 
 void ProgramExecution::WireTransfers() {
+  const auto owner = shared_from_this();
   for (const ComputationNode& n : program_->nodes()) {
     for (std::size_t op = 0; op < n.inputs.size(); ++op) {
-      WireEdge(n.id, static_cast<int>(op));
+      WireEdge(owner, n.id, static_cast<int>(op));
     }
   }
 }
 
-void ProgramExecution::WireEdge(int consumer_node, int operand_index) {
+void ProgramExecution::WireEdge(const std::shared_ptr<ProgramExecution>& owner,
+                                int consumer_node, int operand_index) {
   const ComputationNode& consumer = program_->node(consumer_node);
   const ValueRef src = consumer.inputs[static_cast<std::size_t>(operand_index)];
   NodeState& cstate = nodes_[static_cast<std::size_t>(consumer_node)];
   const int n_dst = consumer.fn.num_shards;
-  sim::Simulator* sim = &runtime_->simulator();
 
   // Producer-side geometry.
-  int n_src = 0;
+  const int n_src = SourceShards(src);
   Bytes src_shard_bytes = 0;
   if (src.kind == ValueRef::Kind::kNodeOutput) {
-    const ComputationNode& producer = program_->node(src.index);
-    n_src = producer.fn.num_shards;
-    src_shard_bytes = producer.fn.output_bytes_per_shard;
+    src_shard_bytes = program_->node(src.index).fn.output_bytes_per_shard;
   } else {
-    const ShardedBuffer& arg = args_.at(static_cast<std::size_t>(src.index));
-    n_src = arg.num_shards();
+    const ShardedBuffer& arg = args_[static_cast<std::size_t>(src.index)];
     src_shard_bytes = arg.shards.empty() ? 0 : arg.shards[0].bytes;
   }
 
@@ -104,70 +132,79 @@ void ProgramExecution::WireEdge(int consumer_node, int operand_index) {
   // otherwise (each destination shard receives a slice from every source
   // shard).
   const bool one_to_one = (n_src == n_dst);
-  const int pieces = one_to_one ? 1 : n_src;
   const Bytes piece_bytes = one_to_one
                                 ? src_shard_bytes
                                 : std::max<Bytes>(src_shard_bytes / n_dst, 1);
 
   for (int j = 0; j < n_dst; ++j) {
-    auto latch = std::make_shared<sim::CountdownLatch>(sim, pieces);
-    cstate.shards[static_cast<std::size_t>(j)]
-        .inputs[static_cast<std::size_t>(operand_index)] = latch;
+    const int latch = InputLatch(consumer_node, operand_index, j);
     const hw::DeviceId dst_dev = cstate.devices[static_cast<std::size_t>(j)];
+    const sim::SimFuture<sim::Unit> consumer_prepped =
+        cstate.shards[static_cast<std::size_t>(j)].prep_done.future();
     for (int i = one_to_one ? j : 0; i < (one_to_one ? j + 1 : n_src); ++i) {
       // Trigger: producer shard i ready AND consumer shard j prepped.
+      Piece& piece = pieces_.emplace_back();
+      piece.src_shard = i;
+      piece.dst_dev = dst_dev;
+      piece.bytes = piece_bytes;
+      piece.latch = latch;
       sim::SimFuture<sim::Unit> producer_ready;
-      hw::DeviceId src_dev;
-      LogicalBufferId src_buf;
       if (src.kind == ValueRef::Kind::kNodeOutput) {
         NodeState& pstate = nodes_[static_cast<std::size_t>(src.index)];
         producer_ready =
             pstate.shards[static_cast<std::size_t>(i)].output_ready.future();
-        src_dev = pstate.devices[static_cast<std::size_t>(i)];
-        src_buf = pstate.output.id;
+        piece.src_dev = pstate.devices[static_cast<std::size_t>(i)];
+        piece.src_buffer = pstate.output.id;
       } else {
         const ShardedBuffer& arg = args_[static_cast<std::size_t>(src.index)];
         producer_ready = arg.ready;
-        src_dev = arg.shards[static_cast<std::size_t>(i)].device;
-        src_buf = arg.id;
+        piece.src_dev = arg.shards[static_cast<std::size_t>(i)].device;
+        piece.src_buffer = arg.id;
       }
-      const auto consumer_prepped =
-          cstate.shards[static_cast<std::size_t>(j)].prep_done.future();
-      sim::WhenBoth(sim, producer_ready, consumer_prepped,
-                    [self = shared_from_this(), src_buf, src_shard = i,
-                     src_dev, dst_dev, piece_bytes, latch] {
-                      self->StartTransfer(src_buf, src_shard, src_dev, dst_dev,
-                                          piece_bytes, latch);
-                    });
+      // The same events as WhenBoth(producer_ready, consumer_prepped, ...):
+      // each arrival is its own continuation event, producer first, and the
+      // second schedules the transfer as one more zero-delay event.
+      auto arrive = [self = owner, p = static_cast<int>(pieces_.size()) - 1](
+                        const sim::Unit&) mutable {
+        if (--self->pieces_[static_cast<std::size_t>(p)].arrivals > 0) return;
+        sim::Simulator& sim = self->runtime_->simulator();
+        sim.Schedule(Duration::Zero(),
+                     [self = std::move(self), p] { self->StartTransfer(p); });
+      };
+      static_assert(sizeof(arrive) <=
+                        sim::InlineFunction<void(const sim::Unit&)>::kInlineBytes,
+                    "a piece arrival must fit a continuation's inline slot");
+      producer_ready.Then(arrive);
+      consumer_prepped.Then(std::move(arrive));
     }
   }
 }
 
-void ProgramExecution::StartTransfer(LogicalBufferId src_buffer, int src_shard,
-                                     hw::DeviceId src, hw::DeviceId dst,
-                                     Bytes bytes,
-                                     std::shared_ptr<sim::CountdownLatch> latch) {
+void ProgramExecution::StartTransfer(int p) {
   if (aborted_) return;  // input latches were force-completed by Abort()
+  const Piece& piece = pieces_[static_cast<std::size_t>(p)];
   ObjectStore& store = runtime_->object_store();
   // Pin the source shard for the duration of the read (spill victims must
   // not be mid-read); the store picks the route (docs/MEMORY.md).
-  store.PinShard(src_buffer, src_shard);
-  outstanding_reads_.emplace_back(src_buffer, src_shard);
+  store.PinShard(piece.src_buffer, piece.src_shard);
+  outstanding_reads_.emplace_back(piece.src_buffer, piece.src_shard);
+  auto self = shared_from_this();
   store.ReadShard(
-      src_buffer, src_shard, src, dst, bytes,
-      [self = shared_from_this(), src_buffer, src_shard] {
-        self->FinishRead(src_buffer, src_shard);
-      },
-      [latch = std::move(latch)] { latch->CountDown(); });
+      piece.src_buffer, piece.src_shard, piece.src_dev, piece.dst_dev,
+      piece.bytes, [self, p] { self->FinishRead(p); },
+      [self, latch = piece.latch] {
+        self->input_latches_[static_cast<std::size_t>(latch)].CountDown();
+      });
 }
 
-void ProgramExecution::FinishRead(LogicalBufferId buffer, int shard) {
+void ProgramExecution::FinishRead(int p) {
   if (aborted_) return;
+  const Piece& piece = pieces_[static_cast<std::size_t>(p)];
   auto it = std::find(outstanding_reads_.begin(), outstanding_reads_.end(),
-                      std::make_pair(buffer, shard));
+                      std::make_pair(piece.src_buffer, piece.src_shard));
   PW_CHECK(it != outstanding_reads_.end());
   outstanding_reads_.erase(it);
-  runtime_->object_store().UnpinShard(buffer, shard);
+  runtime_->object_store().UnpinShard(piece.src_buffer, piece.src_shard);
 }
 
 void ProgramExecution::WireRelease() {
@@ -279,12 +316,14 @@ sim::SimFuture<sim::Unit> ProgramExecution::ClientReleased(int node) const {
 
 std::vector<sim::SimFuture<sim::Unit>> ProgramExecution::InputFutures(
     int node, int shard) const {
-  const ShardState& state = nodes_.at(static_cast<std::size_t>(node))
-                                .shards.at(static_cast<std::size_t>(shard));
+  const NodeState& state = nodes_.at(static_cast<std::size_t>(node));
+  PW_CHECK_LT(static_cast<std::size_t>(shard), state.shards.size());
   std::vector<sim::SimFuture<sim::Unit>> out;
-  out.reserve(state.inputs.size());
-  for (const auto& latch : state.inputs) {
-    out.push_back(latch->done());
+  out.reserve(static_cast<std::size_t>(state.operands));
+  for (int op = 0; op < state.operands; ++op) {
+    out.push_back(
+        input_latches_[static_cast<std::size_t>(InputLatch(node, op, shard))]
+            .done());
   }
   return out;
 }
@@ -366,7 +405,8 @@ void ProgramExecution::Abort() {
   aborted_ = true;
   // Unwind order matters only in that aborted_ is set first: every
   // continuation the force-fires below schedule will observe it and no-op.
-  for (NodeState& node : nodes_) {
+  for (std::size_t n = 0; n < nodes_.size(); ++n) {
+    NodeState& node = nodes_[n];
     // Release devices parked at (or later arriving at) this gang's
     // rendezvous — their peer on the failed device is never coming.
     if (node.group != nullptr) node.group->Abort();
@@ -374,11 +414,14 @@ void ProgramExecution::Abort() {
     node.enqueue_latch.ForceComplete();
     // NodeComplete() observers (gang-scheduler admission slots) fire here.
     node.completion_latch.ForceComplete();
-    for (ShardState& shard : node.shards) {
+    for (std::size_t s = 0; s < node.shards.size(); ++s) {
+      ShardState& shard = node.shards[s];
       if (!shard.prep_done.fulfilled()) shard.prep_done.Set(sim::Unit{});
       if (!shard.output_ready.fulfilled()) shard.output_ready.Set(sim::Unit{});
-      for (auto& input : shard.inputs) {
-        if (input != nullptr) input->ForceComplete();
+      for (int op = 0; op < node.operands; ++op) {
+        const int latch =
+            InputLatch(static_cast<int>(n), op, static_cast<int>(s));
+        input_latches_[static_cast<std::size_t>(latch)].ForceComplete();
       }
     }
   }

@@ -7,6 +7,14 @@
 // gather operations"). Executions are shared-ptr-owned by the callbacks in
 // flight; when the last completion message reaches the client the object
 // drains naturally.
+//
+// The transfer subgraph lives in two flat vectors sized once at lowering:
+// one input latch per (node, operand, shard), counting down the pieces that
+// shard receives for that operand, and one Piece per (source shard,
+// destination shard) transfer. A piece starts once its producer shard is
+// ready and its consumer shard is prepped; the continuations that count
+// those two arrivals, and the read's own callbacks, capture only the
+// execution and an index, so wiring an edge allocates nothing per shard.
 #pragma once
 
 #include <cstdint>
@@ -120,10 +128,10 @@ class ProgramExecution
   bool aborted() const { return aborted_; }
 
  private:
-  // One wired-but-unconsumed read of a source shard finished (the data was
-  // handed off / left the source device): drops the spill-protection pin.
-  // No-op after Abort(), which drains the outstanding list itself.
-  void FinishRead(LogicalBufferId buffer, int shard);
+  // Piece `p`'s read of its source shard finished (the data was handed off
+  // / left the source device): drops the spill-protection pin. No-op after
+  // Abort(), which drains the outstanding list itself.
+  void FinishRead(int p);
 
  private:
   ProgramExecution(PathwaysRuntime* runtime, ClientId client,
@@ -134,20 +142,31 @@ class ProgramExecution
 
   void Lower();
   void WireTransfers();
-  void WireEdge(int consumer_node, int operand_index);
-  // Reads one (src,dst) shard pair through ObjectStore::ReadShard; fulfills
-  // `done_latch` when the data lands in the consumer's input buffer. The
-  // source stays pinned while it is being read.
-  void StartTransfer(LogicalBufferId src_buffer, int src_shard,
-                     hw::DeviceId src, hw::DeviceId dst, Bytes bytes,
-                     std::shared_ptr<sim::CountdownLatch> done_latch);
+  void WireEdge(const std::shared_ptr<ProgramExecution>& owner,
+                int consumer_node, int operand_index);
+  // Reads piece `p` through ObjectStore::ReadShard; counts down its input
+  // latch when the data lands in the consumer's input buffer. The source
+  // stays pinned while it is being read.
+  void StartTransfer(int p);
   void WireRelease();
+  // Shards of the value an operand reads (a node output or an argument).
+  int SourceShards(const ValueRef& src) const;
+  // Index into input_latches_ of one (node, operand, shard) input.
+  int InputLatch(int node, int operand, int shard) const;
 
+  // One (source shard, destination shard) transfer of an input edge.
+  struct Piece {
+    LogicalBufferId src_buffer;
+    int src_shard = 0;
+    hw::DeviceId src_dev;
+    hw::DeviceId dst_dev;
+    Bytes bytes = 0;
+    int latch = 0;     // index into input_latches_
+    int arrivals = 2;  // producer shard ready, consumer shard prepped
+  };
   struct ShardState {
     sim::SimPromise<sim::Unit> prep_done;
     sim::SimPromise<sim::Unit> output_ready;
-    // One latch per operand; input future = latch.done().
-    std::vector<std::shared_ptr<sim::CountdownLatch>> inputs;
   };
   struct NodeState {
     NodeState(sim::Simulator* sim, int num_shards)
@@ -165,6 +184,10 @@ class ProgramExecution
     sim::CountdownLatch completion_latch;
     std::shared_ptr<hw::CollectiveGroup> group;
     int consumers_remaining = 0;
+    // This node's `operands` x shards.size() input latches start at
+    // input_latches_[inputs_begin], operand-major (see InputLatch).
+    int inputs_begin = 0;
+    int operands = 0;
   };
 
   PathwaysRuntime* runtime_;
@@ -177,6 +200,8 @@ class ProgramExecution
   ExecutionId id_;
 
   std::vector<NodeState> nodes_;
+  std::vector<sim::CountdownLatch> input_latches_;
+  std::vector<Piece> pieces_;
   // Source shards pinned for the duration of an active read (multiset:
   // scatter/gather edges read one shard several times). The pin only spans
   // the read itself — spilled shards are consumed by reading through from

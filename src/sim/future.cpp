@@ -1,5 +1,7 @@
 #include "sim/future.h"
 
+#include <memory>
+
 namespace pw::sim {
 
 SimFuture<Unit> WhenAll(Simulator* sim, const std::vector<SimFuture<Unit>>& futures) {

@@ -7,17 +7,29 @@
 // enqueue kernels whose inputs are futures, and network sends are triggered
 // by future completion.
 //
-// Where continuations live: a pending future keeps its continuations in one
-// vector of InlineFunction<void(const T&)> inside the shared FutureState;
-// a capture of up to InlineFunction::kInlineBytes (40 B) is stored in place,
-// a larger one in a single heap object. Set() moves each continuation, in
-// registration order, into its own zero-delay event. For a Unit future that
-// event is the 48-byte continuation alone, which fits the inline slot of the
-// event's own InlineFunction (EventCallback), so firing a continuation
-// allocates nothing.
+// Ownership: a promise and every future copied from it share one
+// heap-allocated FutureState, freed when the last of them (or the last
+// pending continuation event of a non-Unit future) lets go. The count is a
+// plain int, not an atomic one, and so is JoinOf()'s shared join: both are
+// owned by handles that live inside one Simulator's events and objects.
+//
+// Thread confinement: a state is only ever touched by the thread that runs
+// its Simulator. Sweep points run on pool threads, each with its own
+// Simulator and everything built on it; no future, promise or join may be
+// shared between two simulators.
+//
+// Where continuations live: the first continuation registered on a pending
+// future is stored in place in the state, later ones in an overflow vector,
+// so the common one-waiter future allocates nothing beyond its state. Each
+// is an InlineFunction<void(const T&)>: a capture of up to
+// InlineFunction::kInlineBytes (40 B) is stored in place, a larger one in a
+// single heap object. Set() moves each continuation, in registration order
+// (the in-place one, then the overflow vector's), into its own zero-delay
+// event. For a Unit future that event is the 48-byte continuation alone,
+// which fits the inline slot of the event's own InlineFunction
+// (EventCallback), so firing a continuation allocates nothing.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -34,14 +46,55 @@ struct Unit {};
 
 namespace internal {
 
+// Owning handle to a simulator-local object that carries a plain
+// `int refs` count, starting at 1 for the handle that adopts it. Copies
+// bump the count; the last handle to go deletes the object.
+template <typename T>
+class LocalRef {
+ public:
+  LocalRef() = default;
+  explicit LocalRef(T* adopted) : ptr_(adopted) {}
+  LocalRef(const LocalRef& other) : ptr_(other.ptr_) {
+    if (ptr_ != nullptr) ++ptr_->refs;
+  }
+  LocalRef(LocalRef&& other) noexcept
+      : ptr_(std::exchange(other.ptr_, nullptr)) {}
+  LocalRef& operator=(LocalRef other) noexcept {
+    std::swap(ptr_, other.ptr_);
+    return *this;
+  }
+  ~LocalRef() {
+    if (ptr_ != nullptr && --ptr_->refs == 0) Destroy(ptr_);
+  }
+
+  T* get() const { return ptr_; }
+  T* operator->() const { return ptr_; }
+  T& operator*() const { return *ptr_; }
+
+ private:
+  // Kept out of line: with the delete inlined, GCC's -Wuse-after-free
+  // flags the other handles' later decrements, not seeing that the count
+  // kept their object alive.
+  [[gnu::noinline]] static void Destroy(T* p) { delete p; }
+
+  T* ptr_ = nullptr;
+};
+
 template <typename T>
 struct FutureState {
+  using Continuation = InlineFunction<void(const T&)>;
+
   explicit FutureState(Simulator* s) : sim(s) {}
 
+  int refs = 1;
   Simulator* sim;
   std::optional<T> value;
-  std::vector<InlineFunction<void(const T&)>> callbacks;
+  Continuation first;                  // the first pending continuation
+  std::vector<Continuation> overflow;  // every later one, in order
 };
+
+template <typename T>
+using StateRef = LocalRef<FutureState<T>>;
 
 // Schedules `fn` as a zero-delay event that runs it on the state's value.
 // A Unit payload carries no data, so the event holds the callable alone;
@@ -51,7 +104,7 @@ static_assert(sizeof(InlineFunction<void(const Unit&)>) <=
               "a Unit continuation's event must fit the inline event slot");
 
 template <typename T, typename Fn>
-void ScheduleContinuation(const std::shared_ptr<FutureState<T>>& st, Fn&& fn) {
+void ScheduleContinuation(const StateRef<T>& st, Fn&& fn) {
   if constexpr (std::is_same_v<T, Unit>) {
     st->sim->Schedule(Duration::Zero(),
                       [fn = std::forward<Fn>(fn)]() mutable { fn(Unit{}); });
@@ -70,8 +123,8 @@ class SimFuture {
  public:
   SimFuture() = default;
 
-  bool valid() const { return state_ != nullptr; }
-  bool ready() const { return state_ && state_->value.has_value(); }
+  bool valid() const { return state_.get() != nullptr; }
+  bool ready() const { return valid() && state_->value.has_value(); }
 
   const T& value() const {
     PW_CHECK(ready()) << "SimFuture::value() on unready future";
@@ -85,10 +138,13 @@ class SimFuture {
     static_assert(std::is_invocable_v<std::decay_t<Fn>&, const T&>,
                   "continuation must be callable as fn(const T&)");
     PW_CHECK(valid());
-    if (state_->value.has_value()) {
+    internal::FutureState<T>& st = *state_;
+    if (st.value.has_value()) {
       internal::ScheduleContinuation(state_, std::forward<Fn>(fn));
+    } else if (st.first) {
+      st.overflow.emplace_back(std::forward<Fn>(fn));
     } else {
-      state_->callbacks.emplace_back(std::forward<Fn>(fn));
+      st.first.Emplace(std::forward<Fn>(fn));
     }
   }
 
@@ -96,33 +152,35 @@ class SimFuture {
   template <typename U>
   friend class SimPromise;
 
-  explicit SimFuture(std::shared_ptr<internal::FutureState<T>> state)
-      : state_(std::move(state)) {}
+  explicit SimFuture(internal::StateRef<T> state) : state_(std::move(state)) {}
 
-  std::shared_ptr<internal::FutureState<T>> state_;
+  internal::StateRef<T> state_;
 };
 
 template <typename T>
 class SimPromise {
  public:
   explicit SimPromise(Simulator* sim)
-      : state_(std::make_shared<internal::FutureState<T>>(sim)) {}
+      : state_(new internal::FutureState<T>(sim)) {}
 
   SimFuture<T> future() const { return SimFuture<T>(state_); }
 
   bool fulfilled() const { return state_->value.has_value(); }
 
   void Set(T value) {
-    PW_CHECK(!state_->value.has_value()) << "SimPromise::Set called twice";
-    state_->value = std::move(value);
-    for (auto& cb : state_->callbacks) {
+    internal::FutureState<T>& st = *state_;
+    PW_CHECK(!st.value.has_value()) << "SimPromise::Set called twice";
+    st.value = std::move(value);
+    if (!st.first) return;  // overflow is only used once first is taken
+    internal::ScheduleContinuation(state_, std::move(st.first));
+    for (auto& cb : st.overflow) {
       internal::ScheduleContinuation(state_, std::move(cb));
     }
-    state_->callbacks.clear();
+    st.overflow.clear();
   }
 
  private:
-  std::shared_ptr<internal::FutureState<T>> state_;
+  internal::StateRef<T> state_;
 };
 
 // Returns a future already holding `value`.
@@ -141,6 +199,7 @@ namespace internal {
 
 template <typename Fn>
 struct Join {
+  int refs;
   Simulator* sim;
   int remaining;
   Fn fn;
@@ -152,13 +211,13 @@ struct Join {
 // it (or register it with Then()) once per completion, and the n-th call
 // schedules `fn` as its own zero-delay event. Event-for-event the same as
 // WhenAll(sim, inputs).Then(fn) over n unready inputs, but the join is one
-// shared allocation instead of a vector, a latch, its future state and
-// callback vector.
+// counted allocation instead of a vector, a latch, its future state and
+// callback vector; each copy of the continuation is one pointer.
 template <typename Fn>
 auto JoinOf(Simulator* sim, int n, Fn fn) {
   PW_CHECK_GT(n, 0);
-  auto join = std::make_shared<internal::Join<Fn>>(
-      internal::Join<Fn>{sim, n, std::move(fn)});
+  internal::LocalRef<internal::Join<Fn>> join(
+      new internal::Join<Fn>{1, sim, n, std::move(fn)});
   return [join](const Unit&) {
     if (--join->remaining == 0) {
       join->sim->Schedule(Duration::Zero(), [join] { join->fn(); });

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "pathways/pathways.h"
@@ -841,6 +842,187 @@ TEST(ExecutionTest, ReshardingEdgePerformsScatterGather) {
   w.sim.Run();
   ASSERT_TRUE(result.ready());
   EXPECT_FALSE(w.sim.Deadlocked());
+}
+
+// The sum of the pin counts DumpShardStates reports over every live shard.
+int TotalPins(const ObjectStore& store) {
+  const std::string dump = store.DumpShardStates();
+  int pins = 0;
+  for (std::size_t at = dump.find("pins="); at != std::string::npos;
+       at = dump.find("pins=", at + 5)) {
+    pins += std::stoi(dump.substr(at + 5));
+  }
+  return pins;
+}
+
+// One execution with every kind of input edge, driven by hand in place of
+// the executors (prep done, shard complete): node 0 (2 shards) reads
+// argument 0 over a 1:1 edge; node 1 (4 shards) reads node 0 through a
+// 2 -> 4 scatter/gather and argument 1 over a 1:1 edge. Every value lives
+// on devices of its own, so every piece crosses the island's ICI and lands
+// a measurable time after the arrival that triggered it.
+struct MixedEdgeExecution {
+  static constexpr Bytes kShardBytes = KiB(64);
+
+  MixedEdgeExecution() : w(/*hosts=*/6, /*devices_per_host=*/2) {
+    client = w.runtime->CreateClient();
+    const VirtualSlice sx = client->AllocateSlice(2).value();
+    const VirtualSlice sy = client->AllocateSlice(4).value();
+    const VirtualSlice sp = client->AllocateSlice(2).value();
+    const VirtualSlice sc = client->AllocateSlice(4).value();
+    x = client->TransferToDevice(sx, kShardBytes);
+    y = client->TransferToDevice(sy, kShardBytes);
+    ProgramBuilder pb("mixed");
+    const ValueRef ax = pb.Argument();
+    const ValueRef ay = pb.Argument();
+    const ValueRef p = pb.Call(
+        CompiledFunction::Synthetic("p", 2, Duration::Micros(100),
+                                    std::nullopt, 0, kShardBytes),
+        sp, {ax});
+    pb.Result(pb.Call(CompiledFunction::Synthetic("c", 4, Duration::Micros(100)),
+                      sc, {p, ay}));
+    program = std::make_unique<PathwaysProgram>(std::move(pb).Build());
+    w.sim.Run();  // the arguments are staged
+    exec = ProgramExecution::Create(
+        w.runtime.get(), client->id(), 1.0, client->host()->id(),
+        &client->cpu(), program.get(), {x, y},
+        w.runtime->execution_ids().Next());
+    // Output HBM, reserved as executor prep does.
+    for (int s = 0; s < 2; ++s) exec->ReserveOutputShard(0, s);
+    for (int s = 0; s < 4; ++s) exec->ReserveOutputShard(1, s);
+    w.sim.Run();
+  }
+
+  bool InputReady(int node, int shard, int operand) const {
+    return exec->InputFutures(node, shard)
+        .at(static_cast<std::size_t>(operand))
+        .ready();
+  }
+
+  World w;
+  Client* client = nullptr;
+  ShardedBuffer x;
+  ShardedBuffer y;
+  std::unique_ptr<PathwaysProgram> program;
+  std::shared_ptr<ProgramExecution> exec;
+};
+
+TEST(ExecutionTest, InputFuturesWaitForEveryPieceOfTheirShard) {
+  MixedEdgeExecution m;
+  ProgramExecution& exec = *m.exec;
+  sim::Simulator& sim = m.w.sim;
+  const Bytes ici_before = m.w.cluster->island(0).ici_bytes_transferred();
+  // When each (node, shard, operand) input future completed, in ns.
+  std::map<std::tuple<int, int, int>, std::int64_t> landed;
+  auto landed_at = [&landed](int node, int shard, int op) {
+    const auto it = landed.find(std::make_tuple(node, shard, op));
+    return it == landed.end() ? std::int64_t{-1} : it->second;
+  };
+  const int kShards[] = {2, 4};
+  for (int node = 0; node < 2; ++node) {
+    for (int shard = 0; shard < kShards[node]; ++shard) {
+      const auto inputs = exec.InputFutures(node, shard);
+      ASSERT_EQ(inputs.size(), node == 0 ? 1u : 2u);
+      for (int op = 0; op < static_cast<int>(inputs.size()); ++op) {
+        inputs[static_cast<std::size_t>(op)].Then(
+            [&landed, &sim, key = std::make_tuple(node, shard, op)](
+                const sim::Unit&) { landed[key] = sim.now().nanos(); });
+      }
+    }
+  }
+  sim.Run();
+  EXPECT_TRUE(landed.empty());  // no consumer shard is prepped yet
+
+  // Node 0's shard 0 is prepped: its argument piece moves, shard 1's not.
+  exec.MarkPrepDone(0, 0);
+  const std::int64_t t0 = sim.now().nanos();
+  sim.RunUntil(sim.now());  // the zero-delay hops: the piece is in flight
+  EXPECT_FALSE(m.InputReady(0, 0, 0));
+  sim.Run();
+  EXPECT_GT(landed_at(0, 0, 0), t0);
+  EXPECT_FALSE(m.InputReady(0, 1, 0));
+
+  // Node 1's shards 0 and 1 are prepped and node 0's shard 0 completes:
+  // their argument pieces land, but the scatter/gather operand still
+  // misses the slice of node 0's shard 1.
+  exec.MarkPrepDone(1, 0);
+  exec.MarkPrepDone(1, 1);
+  exec.MarkShardComplete(0, 0);
+  sim.Run();
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_FALSE(m.InputReady(1, j, 0)) << "shard " << j;
+    EXPECT_EQ(m.InputReady(1, j, 1), j < 2) << "shard " << j;
+  }
+
+  // Node 0's shard 1 completes: the last slice of shards 0 and 1 moves.
+  exec.MarkShardComplete(0, 1);
+  const std::int64_t t1 = sim.now().nanos();
+  sim.RunUntil(sim.now());
+  EXPECT_FALSE(m.InputReady(1, 0, 0));
+  EXPECT_FALSE(m.InputReady(1, 1, 0));
+  sim.Run();
+  for (int j = 0; j < 4; ++j) {
+    EXPECT_EQ(m.InputReady(1, j, 0), j < 2) << "shard " << j;
+  }
+  EXPECT_GT(landed_at(1, 0, 0), t1);
+  EXPECT_GT(landed_at(1, 1, 0), t1);
+
+  // Shards 2 and 3 are prepped: all three of each one's pieces move now.
+  exec.MarkPrepDone(1, 2);
+  exec.MarkPrepDone(1, 3);
+  exec.MarkPrepDone(0, 1);
+  const std::int64_t t2 = sim.now().nanos();
+  sim.Run();
+  EXPECT_EQ(landed.size(), 2u + 4u * 2u);
+  EXPECT_GT(landed_at(0, 1, 0), t2);
+  for (int j = 2; j < 4; ++j) {
+    EXPECT_GT(landed_at(1, j, 0), t2) << "shard " << j;
+    EXPECT_GT(landed_at(1, j, 1), t2) << "shard " << j;
+  }
+  // Each piece crossed the ICI once: one argument shard into each of node
+  // 0's 2 shards and node 1's 4, and 2 x 4 quarter-shard slices.
+  const Bytes k = MixedEdgeExecution::kShardBytes;
+  EXPECT_EQ(m.w.cluster->island(0).ici_bytes_transferred() - ici_before,
+            2 * k + 4 * k + 8 * (k / 4));
+  EXPECT_EQ(TotalPins(m.w.runtime->object_store()), 0);
+  // Finish node 1 so the completion bookkeeping drains.
+  for (int j = 0; j < 4; ++j) exec.MarkShardComplete(1, j);
+  sim.Run();
+}
+
+TEST(ExecutionTest, AbortMidTransferUnwindsEveryLatchAndPin) {
+  MixedEdgeExecution m;
+  ProgramExecution& exec = *m.exec;
+  sim::Simulator& sim = m.w.sim;
+  ObjectStore& store = m.w.runtime->object_store();
+  // Trigger every piece, then stop while all of them are being read.
+  for (int s = 0; s < 2; ++s) exec.MarkPrepDone(0, s);
+  for (int s = 0; s < 4; ++s) exec.MarkPrepDone(1, s);
+  exec.MarkShardComplete(0, 0);
+  exec.MarkShardComplete(0, 1);
+  sim.RunUntil(sim.now());
+  EXPECT_EQ(TotalPins(store), 2 + 4 + 8);  // one per piece in flight
+  EXPECT_FALSE(m.InputReady(0, 0, 0));
+  EXPECT_FALSE(m.InputReady(1, 3, 0));
+
+  exec.Abort();
+  EXPECT_TRUE(exec.aborted());
+  for (int s = 0; s < 2; ++s) EXPECT_TRUE(m.InputReady(0, s, 0));
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_TRUE(m.InputReady(1, s, 0));
+    EXPECT_TRUE(m.InputReady(1, s, 1));
+  }
+  EXPECT_EQ(TotalPins(store), 0);
+  ASSERT_TRUE(exec.done().ready());
+  EXPECT_TRUE(exec.done().value().failed);
+  sim.Run();  // the reads still in flight land on forced latches
+  EXPECT_EQ(TotalPins(store), 0);
+  // The execution's outputs are gone; the arguments are the client's.
+  EXPECT_EQ(store.live_buffers(), 2);
+  m.client->ReleaseBuffer(m.x);
+  m.client->ReleaseBuffer(m.y);
+  EXPECT_EQ(store.live_buffers(), 0);
+  EXPECT_FALSE(sim.Deadlocked());
 }
 
 TEST(ExecutionTest, MultiIslandPipelineCrossesDcn) {

@@ -403,6 +403,129 @@ TEST(SimFuture, UnfulfilledPromiseReleasesContinuations) {
   EXPECT_EQ(sim.events_executed(), 0);
 }
 
+TEST(SimFuture, OrderAcrossInPlaceAndOverflowContinuations) {
+  // A pending future keeps its first continuation in place and the rest in
+  // an overflow vector; either way they fire in registration order. With
+  // `before_set` every continuation is pending when Set() schedules them
+  // (plus one late Then() behind them); otherwise each Then() on the ready
+  // future schedules its continuation at once, between the marker events.
+  for (const int n : {1, 2, 5}) {
+    for (const bool before_set : {true, false}) {
+      SCOPED_TRACE(testing::Message() << n << " continuations, "
+                                      << (before_set ? "before" : "after")
+                                      << " Set");
+      Simulator sim;
+      std::vector<std::string> log;
+      SimPromise<Unit> u(&sim);
+      SimPromise<int> v(&sim);
+      if (!before_set) {
+        u.Set(Unit{});
+        v.Set(7);
+      }
+      for (int i = 0; i < n; ++i) {
+        const std::string tag = std::to_string(i);
+        u.future().Then([&log, tag](const Unit&) { log.push_back("u" + tag); });
+        sim.Schedule(Duration::Zero(), [&log, tag] { log.push_back("e" + tag); });
+        v.future().Then([&log, tag](const int& x) {
+          log.push_back("v" + tag + "=" + std::to_string(x));
+        });
+      }
+      std::vector<std::string> e, us, vs, expected;
+      for (int i = 0; i < n; ++i) {
+        const std::string tag = std::to_string(i);
+        e.push_back("e" + tag);
+        us.push_back("u" + tag);
+        vs.push_back("v" + tag + "=7");
+      }
+      if (before_set) {
+        u.Set(Unit{});
+        v.Set(7);
+        u.future().Then([&log](const Unit&) { log.push_back("u-late"); });
+        for (const auto* group : {&e, &us, &vs}) {
+          expected.insert(expected.end(), group->begin(), group->end());
+        }
+        expected.push_back("u-late");
+      } else {
+        for (std::size_t i = 0; i < e.size(); ++i) {
+          expected.insert(expected.end(), {us[i], e[i], vs[i]});
+        }
+      }
+      sim.Run();
+      EXPECT_EQ(log, expected);
+      EXPECT_EQ(sim.events_executed(),
+                static_cast<std::int64_t>(expected.size()));
+    }
+  }
+}
+
+TEST(SimFuture, PendingContinuationKeepsNonUnitStateAlive) {
+  // A non-Unit continuation reads the value from the shared state when its
+  // event runs, so the queued event holds the state even after the promise
+  // and every future are gone, and frees it once it has run.
+  Simulator sim;
+  auto token = std::make_shared<int>(42);
+  std::vector<int> seen;
+  {
+    SimPromise<std::shared_ptr<int>> p(&sim);
+    p.future().Then(
+        [&seen](const std::shared_ptr<int>& v) { seen.push_back(*v); });
+    p.Set(token);
+    // Then() on the ready future takes the same path.
+    p.future().Then(
+        [&seen](const std::shared_ptr<int>& v) { seen.push_back(*v + 1); });
+  }
+  EXPECT_EQ(token.use_count(), 2);  // the state's value, held by two events
+  sim.RunUntilPredicate([&seen] { return !seen.empty(); });  // one event
+  EXPECT_EQ(seen, (std::vector<int>{42}));
+  EXPECT_EQ(token.use_count(), 2);  // the second event still holds it
+  sim.Run();
+  EXPECT_EQ(seen, (std::vector<int>{42, 43}));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SimFuture, CopiesOutlivingTheirPromiseReleaseTheStateOnce) {
+  Simulator sim;
+  auto token = std::make_shared<int>(7);
+  std::vector<SimFuture<std::shared_ptr<int>>> copies;
+  {
+    SimPromise<std::shared_ptr<int>> p(&sim);
+    SimFuture<std::shared_ptr<int>> f = p.future();
+    for (int i = 0; i < 4; ++i) copies.push_back(f);
+    copies.push_back(std::move(f));
+    EXPECT_FALSE(f.valid());  // NOLINT: checking the moved-from handle
+    copies[0] = copies[1];    // copy-assign between handles of one state
+    copies[2] = copies[2];    // self-assign keeps the count
+    SimPromise<std::shared_ptr<int>> q = p;  // a second promise handle
+    q.Set(token);
+  }
+  EXPECT_EQ(token.use_count(), 2);  // held once, by the one shared state
+  for (const auto& c : copies) {
+    ASSERT_TRUE(c.ready());
+    EXPECT_EQ(c.value(), token);
+  }
+  while (copies.size() > 1) {
+    copies.pop_back();
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  copies.clear();
+  EXPECT_EQ(token.use_count(), 1);
+
+  // A join's state follows the same count: copies of the arrival
+  // continuation that never all arrive release `fn` exactly once.
+  CaptureProbe::Counts counts;
+  {
+    auto arrive = JoinOf(&sim, 3, [probe = CaptureProbe(&counts)] {});
+    SimPromise<Unit> a(&sim);
+    a.future().Then(arrive);
+    auto kept = arrive;
+    kept(Unit{});
+    EXPECT_EQ(counts.destroyed, 0);
+  }
+  EXPECT_EQ(counts.destroyed, 1);
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 0);
+}
+
 TEST(CountdownLatchTest, FiresAtZero) {
   Simulator sim;
   CountdownLatch latch(&sim, 3);

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/future.h"
 #include "sim/simulator.h"
 #include "sweep/param_grid.h"
 #include "sweep/result_table.h"
@@ -145,6 +146,57 @@ TEST(SweepRunnerTest, AllPointsVisitedExactlyOnceConcurrently) {
   });
   EXPECT_EQ(calls.load(), 64);
   EXPECT_EQ(t.size(), 64u);
+}
+
+TEST(SweepRunnerTest, FutureStatesStayOnTheirThread) {
+  // Future states and joins count their handles with a plain int, which is
+  // sound only because every point's futures are created, copied, fired
+  // and dropped on the one thread running that point's Simulator. Under
+  // ThreadSanitizer a count shared across points' threads would race here.
+  constexpr int kFutures = 10000;
+  ParamGrid grid;
+  grid.AxisInts("seed", {1, 2, 3, 4, 5, 6, 7, 8});
+  auto fn = [](const ParamPoint& p) -> Metrics {
+    const std::int64_t seed = p.GetInt("seed");
+    sim::Simulator sim;
+    std::int64_t sum = 0;
+    std::int64_t joins = 0;
+    std::vector<sim::SimFuture<std::int64_t>> held;
+    for (int i = 0; i < kFutures; ++i) {
+      sim::SimPromise<std::int64_t> value(&sim);
+      sim::SimPromise<sim::Unit> signal(&sim);
+      sim::SimFuture<std::int64_t> copy = value.future();
+      copy.Then([&sum](const std::int64_t& v) { sum += v; });
+      held.push_back(copy);
+      // A join over both, one arrival registered, one called by hand.
+      auto arrive = sim::JoinOf(&sim, 3, [&joins] { ++joins; });
+      signal.future().Then(arrive);
+      value.future().Then(
+          [arrive](const std::int64_t&) mutable { arrive(sim::Unit{}); });
+      arrive(sim::Unit{});
+      value.Set(seed + i);
+      signal.Set(sim::Unit{});
+      if (held.size() == 64) held.clear();  // copies outlive their promises
+      if (i % 256 == 0) sim.Run();
+    }
+    sim.Run();
+    return {{"sum", static_cast<double>(sum)},
+            {"joins", static_cast<double>(joins)},
+            {"events", static_cast<double>(sim.events_executed())}};
+  };
+  const ResultTable pooled = SweepRunner({.threads = 4}).Run(grid, fn);
+  const ResultTable serial = SweepRunner({.threads = 1}).Run(grid, fn);
+  ASSERT_EQ(pooled.size(), 8u);
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    const double seed = static_cast<double>(i + 1);
+    EXPECT_EQ(pooled.rows()[i].metrics[0].second,
+              kFutures * seed + kFutures * (kFutures - 1) / 2.0);
+    EXPECT_EQ(pooled.rows()[i].metrics[1].second, kFutures);
+    for (std::size_t m = 0; m < 3; ++m) {
+      EXPECT_EQ(pooled.rows()[i].metrics[m].second,
+                serial.rows()[i].metrics[m].second);
+    }
+  }
 }
 
 // ------------------------------------------------------- serialization --
