@@ -5,9 +5,17 @@
 #include "common/logging.h"
 
 namespace pw::baselines {
+namespace {
 
-RayLike::RayLike(hw::Cluster* cluster, RayParams ray_params)
-    : cluster_(cluster), ray_(ray_params), rng_(cluster->params().seed ^ 0x3c3c) {
+// Actor-method invocation: schedule + deserialize.
+constexpr Duration kActorCallOverhead = Duration::Micros(300);
+constexpr Duration kObjectStorePut = Duration::Micros(50);
+constexpr Bytes kResultBytes = 4;  // scalar result copied GPU->DRAM
+
+}  // namespace
+
+RayLike::RayLike(hw::Cluster* cluster)
+    : cluster_(cluster), rng_(cluster->params().seed ^ 0x3c3c) {
   driver_host_ = std::make_unique<hw::Host>(
       &cluster_->simulator(), net::HostId(cluster_->num_hosts() + 700),
       cluster_->params(), &cluster_->dcn());
@@ -66,7 +74,7 @@ void RayLike::RunStep(int remaining_in_call) {
     hw::Host& host = cluster_->host(h);
     hw::Device* gpu = host.devices().front();
     const Duration invoke =
-        ray_.actor_call_overhead *
+        kActorCallOverhead *
         (1.0 + rng_.NextExponential(cluster_->params().host_jitter_frac));
     auto run_method = [this, &host, gpu, group, body, all_done, invoke] {
       actors_[static_cast<std::size_t>(host.id().value())]->Submit(
@@ -79,12 +87,12 @@ void RayLike::RunStep(int remaining_in_call) {
             kernel.post_time = spec_.unit_compute + body;
             host.DispatchKernel(gpu, std::move(kernel),
                                 cluster_->params().host_kernel_dispatch_cost)
-                .Then([this, &host, gpu, all_done](const sim::Unit&) {
+                .Then([&host, gpu, all_done](const sim::Unit&) {
                   // No GPU object store: result copies device→DRAM before
                   // the object handle is returned.
                   host.pcie(gpu->id()).Transfer(
-                      ray_.result_bytes, [this, &host, all_done] {
-                        host.cpu().Submit(ray_.object_store_put, [all_done] {
+                      kResultBytes, [&host, all_done] {
+                        host.cpu().Submit(kObjectStorePut, [all_done] {
                           all_done->CountDown();
                         });
                       });

@@ -20,15 +20,9 @@
 
 namespace pw::baselines {
 
-struct RayParams {
-  Duration actor_call_overhead = Duration::Micros(300);  // schedule + deserialize
-  Duration object_store_put = Duration::Micros(50);
-  Bytes result_bytes = 4;  // scalar result copied GPU->DRAM
-};
-
 class RayLike {
  public:
-  explicit RayLike(hw::Cluster* cluster, RayParams ray_params = {});
+  explicit RayLike(hw::Cluster* cluster);
 
   MicrobenchResult Measure(const MicrobenchSpec& spec);
 
@@ -40,7 +34,6 @@ class RayLike {
   std::shared_ptr<hw::CollectiveGroup> NewGroup();
 
   hw::Cluster* cluster_;
-  RayParams ray_;
   Rng rng_;
   MicrobenchSpec spec_;
   std::unique_ptr<hw::Host> driver_host_;

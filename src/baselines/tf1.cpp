@@ -7,7 +7,7 @@
 namespace pw::baselines {
 
 Tf1SingleController::Tf1SingleController(hw::Cluster* cluster)
-    : cluster_(cluster), rng_(cluster->params().seed ^ 0x7f7f) {
+    : cluster_(cluster) {
   PW_CHECK_EQ(cluster_->num_islands(), 1);
   coordinator_host_ = std::make_unique<hw::Host>(
       &cluster_->simulator(), net::HostId(cluster_->num_hosts() + 500),

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "baselines/microbench.h"
-#include "common/rng.h"
 #include "hw/cluster.h"
 #include "sim/serial_resource.h"
 
@@ -37,7 +36,6 @@ class Tf1SingleController {
   std::shared_ptr<hw::CollectiveGroup> NewGroup();
 
   hw::Cluster* cluster_;
-  Rng rng_;
   MicrobenchSpec spec_;
   std::unique_ptr<hw::Host> coordinator_host_;
   std::unique_ptr<sim::SerialResource> coordinator_;

@@ -35,8 +35,8 @@ sim::SimFuture<sim::Unit> HbmAllocator::AllocateAsync(
   Waiter w{bytes, ticket, next_seq_++, p, std::move(on_admit)};
   const auto pos = std::upper_bound(
       waiters_.begin(), waiters_.end(), w,
-      [this](const Waiter& a, const Waiter& b) {
-        if (ticket_ordering_ && a.ticket != b.ticket) return a.ticket < b.ticket;
+      [](const Waiter& a, const Waiter& b) {
+        if (a.ticket != b.ticket) return a.ticket < b.ticket;
         return a.seq < b.seq;
       });
   waiters_.insert(pos, std::move(w));

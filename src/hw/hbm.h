@@ -61,11 +61,6 @@ class HbmAllocator {
 
   void Free(Bytes bytes);
 
-  // Test hook (PathwaysOptions::enforce_reservation_ordering=false): ignore
-  // tickets and serve waiters in plain arrival order — the pre-fix
-  // behavior the ordering regression tests resurrect.
-  void set_ticket_ordering(bool enabled) { ticket_ordering_ = enabled; }
-
   // Stall observer: invoked (synchronously) whenever a request queues, and
   // whenever the queue remains non-empty after a Free could not drain it.
   // The spill subsystem hangs off this.
@@ -103,10 +98,9 @@ class HbmAllocator {
   Bytes capacity_;
   Bytes used_ = 0;
   Bytes peak_ = 0;
-  // Sorted by (ticket, seq) when ticket_ordering_ is on; by seq otherwise.
+  // Sorted by (ticket, seq).
   std::deque<Waiter> waiters_;
   std::uint64_t next_seq_ = 0;
-  bool ticket_ordering_ = true;
   std::function<void()> stall_observer_;
 };
 

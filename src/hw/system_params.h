@@ -1,13 +1,17 @@
 // Central calibration table for the simulated substrate.
 //
 // Every latency/bandwidth/cost constant the simulation uses lives here so
-// that (a) the calibration is documented in one place, the comments below
-// (docs/BENCHMARKS.md lists the paper claims it feeds and their gates), and
-// (b) benchmarks can perturb a single knob for ablations. Values are chosen
-// to be representative of the paper's hardware: TPUv3-class accelerators,
-// PCIe Gen3 hosts, and a DCN whose latency is an order of magnitude above
-// PCIe (paper §2: "dispatch latency involves communication over DCN,
-// typically an order of magnitude slower than PCIe").
+// that the calibration is documented in one place, the comments below
+// (docs/BENCHMARKS.md lists the paper claims it feeds and their gates).
+// A scenario can override only a few of them: its `cluster` object picks a
+// `preset` and may set `host_jitter_frac`, `hbm_capacity_mib` and
+// `host_dram_capacity_mib` (scenario/scenario.h); the rest come from the
+// preset unless a scenario family sets them in code. Making every field
+// settable by name is ROADMAP item 1. Values are chosen to be
+// representative of the paper's hardware: TPUv3-class accelerators, PCIe
+// Gen3 hosts, and a DCN whose latency is an order of magnitude above PCIe
+// (paper §2: "dispatch latency involves communication over DCN, typically
+// an order of magnitude slower than PCIe").
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 namespace pw::memory {
 
 void Spiller::OnStall(int device) {
-  if (!options_.enabled) return;
   if (kick_pending_[device]) return;
   if (migrating_[device]) return;
   kick_pending_[device] = true;

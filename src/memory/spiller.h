@@ -45,12 +45,8 @@ class SpillBackend {
 
 class Spiller {
  public:
-  struct Options {
-    bool enabled = true;
-  };
-
-  Spiller(sim::Simulator* sim, SpillBackend* backend, Options options)
-      : sim_(sim), backend_(backend), options_(options) {
+  Spiller(sim::Simulator* sim, SpillBackend* backend)
+      : sim_(sim), backend_(backend) {
     PW_CHECK(sim != nullptr && backend != nullptr);
   }
 
@@ -67,7 +63,6 @@ class Spiller {
   // because the buffer died mid-flight).
   void OnSpillComplete(int device);
 
-  bool enabled() const { return options_.enabled; }
   std::int64_t spills_started() const { return spills_started_; }
   std::int64_t stall_kicks() const { return stall_kicks_; }
 
@@ -76,7 +71,6 @@ class Spiller {
 
   sim::Simulator* sim_;
   SpillBackend* backend_;
-  Options options_;
   std::map<int, bool> migrating_;     // a migration is in flight
   std::map<int, bool> kick_pending_;  // a zero-delay Kick is scheduled
   std::int64_t spills_started_ = 0;

@@ -12,10 +12,17 @@ using pathways::ValueRef;
 using pathways::VirtualSlice;
 using xlasim::CompiledFunction;
 
+namespace {
+
+// Fraction of activation-collective bandwidth cost that is *not* overlapped
+// with compute inside an SPMD step.
+constexpr double kExposedCommFraction = 0.15;
+
+}  // namespace
+
 StepBuilder::StepBuilder(TransformerConfig config,
-                         const hw::SystemParams& hw_params,
-                         StepBuilderParams params)
-    : config_(std::move(config)), hw_(hw_params), params_(params) {}
+                         const hw::SystemParams& hw_params)
+    : config_(std::move(config)), hw_(hw_params) {}
 
 double StepBuilder::ModelParallelPenalty(int model_parallel_cores) {
   if (model_parallel_cores <= 32) return 1.0;
@@ -39,7 +46,7 @@ Duration StepBuilder::MpLatencyOverhead(
   // the bandwidth share is carried by the aggregated rendezvous payload).
   const Duration per_collective =
       collectives.Time(net::CollectiveKind::kAllReduce, /*bytes=*/0, cores);
-  return per_collective * (layers * params_.collectives_per_layer);
+  return per_collective * (layers * kCollectivesPerLayer);
 }
 
 CompiledFunction StepBuilder::SpmdStepFunction(
@@ -59,9 +66,9 @@ CompiledFunction StepBuilder::SpmdStepFunction(
   // Exposed share of the activation-collective traffic, per shard.
   const double act_bytes =
       static_cast<double>(config_.ActivationBytes(config_.tokens_per_batch)) *
-      config_.num_layers * params_.collectives_per_layer / cores;
+      config_.num_layers * kCollectivesPerLayer / cores;
   f.collective_bytes_per_shard =
-      static_cast<Bytes>(act_bytes * params_.exposed_comm_fraction);
+      static_cast<Bytes>(act_bytes * kExposedCommFraction);
   f.input_bytes_per_shard =
       config_.ActivationBytes(config_.tokens_per_batch) / cores;
   f.output_bytes_per_shard = f.input_bytes_per_shard;

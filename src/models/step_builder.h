@@ -26,19 +26,13 @@
 
 namespace pw::models {
 
-struct StepBuilderParams {
-  // Fraction of activation-collective bandwidth cost that is *not*
-  // overlapped with compute inside an SPMD step.
-  double exposed_comm_fraction = 0.15;
-  // Collectives per layer (2 forward + 2 backward in a Megatron-style
-  // sharded Transformer block).
-  int collectives_per_layer = 4;
-};
+// Collectives per layer (2 forward + 2 backward in a Megatron-style
+// sharded Transformer block).
+inline constexpr int kCollectivesPerLayer = 4;
 
 class StepBuilder {
  public:
-  StepBuilder(TransformerConfig config, const hw::SystemParams& hw_params,
-              StepBuilderParams params = {});
+  StepBuilder(TransformerConfig config, const hw::SystemParams& hw_params);
 
   const TransformerConfig& config() const { return config_; }
 
@@ -90,7 +84,6 @@ class StepBuilder {
   // By value: callers routinely pass temporaries (SystemParams::TpuDefault())
   // and the builder outlives the constructor call.
   hw::SystemParams hw_;
-  StepBuilderParams params_;
 };
 
 // Runs `program` for `steps` back-to-back steps on `client` and returns the

@@ -62,7 +62,6 @@ class DcnFabric {
 
   // Registers a host endpoint; must be called before sending to/from it.
   void AddHost(HostId host);
-  bool HasHost(HostId host) const { return nics_.contains(host); }
 
   // Sends `bytes` from src to dst; on_delivered runs at arrival. Local
   // (src == dst) messages are delivered after a loopback cost only. If

@@ -64,6 +64,28 @@ void ObjectStore::Touch(ShardState& state) {
   state.last_use_ns = cluster_->simulator().now().nanos();
 }
 
+void ObjectStore::FreeLater(hw::DeviceId device, Bytes bytes) {
+  // Admission runs inside the allocator's serve loop, which must not
+  // re-enter itself, so the grant goes back in its own zero-delay event.
+  cluster_->simulator().Schedule(Duration::Zero(), [this, device, bytes] {
+    cluster_->device(device).hbm().Free(bytes);
+  });
+}
+
+void ObjectStore::AddLogical(hw::DeviceId device, Bytes bytes) {
+  const int d = static_cast<int>(device.value());
+  logical_live_[d] += bytes;
+  logical_peak_[d] = std::max(logical_peak_[d], logical_live_[d]);
+}
+
+void ObjectStore::MarkGranted(ShardState& state, hw::DeviceId device,
+                              Bytes bytes) {
+  state.granted = true;
+  state.residency = ShardResidency::kHbm;
+  Touch(state);
+  AddLogical(device, bytes);
+}
+
 ShardedBuffer ObjectStore::CreateBuffer(
     ClientId owner, ExecutionId producer,
     const std::vector<hw::DeviceId>& devices, Bytes bytes_per_shard,
@@ -100,22 +122,12 @@ ShardedBuffer ObjectStore::CreateBuffer(
           auto it = entries_.find(id);
           if (it == entries_.end()) {
             // Released while the reservation queued: hand the memory back.
-            // Deferred to its own event — admission happens inside the
-            // allocator's serve loop, which must not re-enter itself.
-            cluster_->simulator().Schedule(
-                Duration::Zero(), [this, dev, bytes_per_shard] {
-                  cluster_->device(dev).hbm().Free(bytes_per_shard);
-                });
+            FreeLater(dev, bytes_per_shard);
             return;
           }
           ShardState& state = it->second.states[static_cast<std::size_t>(shard)];
           state.requested = true;
-          state.granted = true;
-          state.residency = ShardResidency::kHbm;
-          Touch(state);
-          const int d = static_cast<int>(dev.value());
-          logical_live_[d] += bytes_per_shard;
-          logical_peak_[d] = std::max(logical_peak_[d], logical_live_[d]);
+          MarkGranted(state, dev, bytes_per_shard);
         }));
   }
   handle.ready = sim::WhenAll(&cluster_->simulator(), reservations);
@@ -167,22 +179,12 @@ sim::SimFuture<sim::Unit> ObjectStore::ReserveShard(LogicalBufferId id,
             if (it2 == entries_.end()) {
               // Buffer released (failed-client GC, aborted execution) while
               // the reservation queued: hand the memory straight back — the
-              // future below still fires its vacuous grant. Deferred to its
-              // own event; admission happens inside the allocator's serve
-              // loop, which must not re-enter itself.
-              cluster_->simulator().Schedule(
-                  Duration::Zero(), [this, device, bytes] {
-                    cluster_->device(device).hbm().Free(bytes);
-                  });
+              // future below still fires its vacuous grant.
+              FreeLater(device, bytes);
               return;
             }
-            ShardState& st = it2->second.states[static_cast<std::size_t>(shard)];
-            st.granted = true;
-            st.residency = ShardResidency::kHbm;
-            Touch(st);
-            const int d = static_cast<int>(device.value());
-            logical_live_[d] += bytes;
-            logical_peak_[d] = std::max(logical_peak_[d], logical_live_[d]);
+            MarkGranted(it2->second.states[static_cast<std::size_t>(shard)],
+                        device, bytes);
           })
       .Then([granted](const sim::Unit&) mutable {
         // Waiters gate work on this future (the executor's in-order enqueue
@@ -206,14 +208,12 @@ sim::SimFuture<sim::Unit> ObjectStore::GrowShard(LogicalBufferId id, int shard,
       << "GrowShard before shard " << shard << " of buffer " << id
       << " holds memory";
   const hw::DeviceId dev = sb.device;
-  const int d = static_cast<int>(dev.value());
 
   if (state.residency == ShardResidency::kHostDram &&
       cluster_->host_of(dev).dram().TryAllocate(delta)) {
     // Paged-out sequence keeps growing in DRAM, no HBM traffic at all.
     sb.bytes += delta;
-    logical_live_[d] += delta;
-    logical_peak_[d] = std::max(logical_peak_[d], logical_live_[d]);
+    AddLogical(dev, delta);
     ++grows_completed_;
     grown_bytes_total_ += delta;
     Touch(state);
@@ -239,13 +239,8 @@ sim::SimFuture<sim::Unit> ObjectStore::GrowShard(LogicalBufferId id, int shard,
         auto it2 = entries_.find(id);
         if (it2 == entries_.end()) {
           // Buffer released while the grow queued (fault unwinding):
-          // hand the grant straight back. Deferred to its own event —
-          // admission runs inside the allocator's serve loop, which
-          // must not re-enter itself.
-          cluster_->simulator().Schedule(
-              Duration::Zero(), [this, dev, request] {
-                cluster_->device(dev).hbm().Free(request);
-              });
+          // hand the grant straight back.
+          FreeLater(dev, request);
           return;
         }
         Entry& e = it2->second;
@@ -265,18 +260,12 @@ sim::SimFuture<sim::Unit> ObjectStore::GrowShard(LogicalBufferId id, int shard,
           } else {
             // A same-device read restored the shard while our grown-size
             // reservation queued; only the delta is still needed, so the
-            // redundant old-size portion goes back (deferred, as above).
-            const Bytes extra = request - delta;
-            cluster_->simulator().Schedule(
-                Duration::Zero(), [this, dev, extra] {
-                  cluster_->device(dev).hbm().Free(extra);
-                });
+            // redundant old-size portion goes back.
+            FreeLater(dev, request - delta);
           }
         }
         sb2.bytes += delta;
-        const int d2 = static_cast<int>(dev.value());
-        logical_live_[d2] += delta;
-        logical_peak_[d2] = std::max(logical_peak_[d2], logical_live_[d2]);
+        AddLogical(dev, delta);
         ++grows_completed_;
         grown_bytes_total_ += delta;
         Touch(st);

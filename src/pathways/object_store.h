@@ -286,6 +286,13 @@ class ObjectStore : public memory::SpillBackend {
   // blocks and never jumps the reservation queue.
   void TryRestoreShard(LogicalBufferId id, int shard);
   void Touch(ShardState& state);
+  // Returns `bytes` of granted HBM to `device` in a zero-delay event (a
+  // grant whose buffer died while it queued, or a redundant part of one).
+  void FreeLater(hw::DeviceId device, Bytes bytes);
+  // Charges `bytes` to `device`'s logical live/peak accounting.
+  void AddLogical(hw::DeviceId device, Bytes bytes);
+  // Records a shard's HBM grant: granted, resident, touched and charged.
+  void MarkGranted(ShardState& state, hw::DeviceId device, Bytes bytes);
   // Retries a stalled device's spiller after an event that can unblock a
   // previously failed victim search (pin dropped, content became ready,
   // DRAM freed) — those produce no HBM activity, so the allocator's own

@@ -19,9 +19,10 @@ struct PathwaysOptions {
   DispatchMode dispatch = DispatchMode::kParallel;
   SchedulerPolicy policy = SchedulerPolicy::kFifo;
   // If true, client-side bookkeeping is charged per *logical* buffer
-  // (the sharded-buffer abstraction, §4.2); if false, per shard — the
-  // ablation showing why the abstraction matters at 2048 shards
-  // (ShardedBufferTest in tests/pathways_test.cpp).
+  // (the sharded-buffer abstraction, §4.2); if false, per shard. Kept as an
+  // option because `false` is the reference arm of the §4.2 ablation
+  // showing why the abstraction matters at 2048 shards (ShardedBufferTest
+  // in tests/pathways_test.cpp).
   bool sharded_buffer_bookkeeping = true;
   // Admission control: maximum gangs dispatched-but-not-completed per
   // island scheduler. Deep enough for pipelines to fill (Table 2 uses up to
@@ -29,22 +30,6 @@ struct PathwaysOptions {
   // settings use small values so the proportional-share policy has a
   // backlog to arbitrate (Fig. 9).
   int max_inflight_gangs = 64;
-
-  // --- Memory oversubscription (paper §4.6, docs/MEMORY.md) ---
-  // Scheduler-consistent reservation ordering: every gang draws one global
-  // ticket at dispatch (staged buffers at creation) and HBM waiters are
-  // served strictly in ticket order, so staging/retry traffic cannot enter
-  // two devices' queues in opposite orders and circular-wait against the
-  // gang pipeline. Disabling this (test hook only) reverts to pre-fix
-  // arrival-order FIFO service — the configuration the reservation
-  // inversion regression test proves wedges.
-  bool enforce_reservation_ordering = true;
-  // Spill idle (granted, content-ready, unpinned) buffer shards to host
-  // DRAM when a device's HBM waiters stall; consumers read spilled shards
-  // straight from DRAM (restoring residency opportunistically). Off,
-  // oversubscribed programs merely stall until holders release — on, ≥2
-  // working sets per device-HBM stay servable.
-  bool enable_spill = true;
 };
 
 }  // namespace pw::pathways

@@ -24,17 +24,14 @@ PathwaysRuntime::PathwaysRuntime(hw::Cluster* cluster, PathwaysOptions options)
     executors_.push_back(std::make_unique<DeviceExecutor>(
         this, &dev, &cluster_->host_of(dev.id())));
   }
-  // Memory-oversubscription wiring (docs/MEMORY.md): reservation ordering
-  // on every device's HBM allocator, the spiller behind its stall observer,
-  // and per-device blocked probes so a wedged run is reported with the
-  // stalled executions named instead of draining silently.
-  spiller_ = std::make_unique<memory::Spiller>(
-      &simulator(), &object_store_,
-      memory::Spiller::Options{options_.enable_spill});
+  // Memory-oversubscription wiring (docs/MEMORY.md): the spiller behind
+  // every device's HBM stall observer, and per-device blocked probes so a
+  // wedged run is reported with the stalled executions named instead of
+  // draining silently.
+  spiller_ = std::make_unique<memory::Spiller>(&simulator(), &object_store_);
   object_store_.set_spiller(spiller_.get());
   for (int d = 0; d < cluster_->num_devices(); ++d) {
     hw::HbmAllocator& hbm = cluster_->device(d).hbm();
-    hbm.set_ticket_ordering(options_.enforce_reservation_ordering);
     hbm.set_stall_observer([this, d] { spiller_->OnStall(d); });
     simulator().RegisterBlockedProbe([this, d] {
       return object_store_.BlockedReservationReason(hw::DeviceId(d));

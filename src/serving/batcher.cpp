@@ -8,6 +8,13 @@
 #include "pathways/runtime.h"
 
 namespace pw::serving {
+namespace {
+
+// Backoff between consecutive aborted iterations (waits out a crash window
+// the resource manager could not remap around).
+const pathways::RetryPolicy kAbortBackoff{};
+
+}  // namespace
 
 const char* ToString(BatchPolicy policy) {
   switch (policy) {
@@ -237,10 +244,8 @@ void Batcher::StartIteration() {
   fn.pre_collective_time = config_.iteration_base +
                            config_.prefill_per_token * prefill_toks +
                            config_.decode_per_token * decoding;
-  if (config_.collective) {
-    fn.collective = net::CollectiveKind::kAllReduce;
-    fn.collective_bytes_per_shard = config_.collective_bytes_per_shard;
-  }
+  fn.collective = net::CollectiveKind::kAllReduce;
+  fn.collective_bytes_per_shard = config_.collective_bytes_per_shard;
   fn.input_bytes_per_shard = config_.activation_bytes_per_shard;
   fn.output_bytes_per_shard = config_.output_bytes_per_shard;
 
@@ -394,7 +399,7 @@ void Batcher::HandleAbort() {
       Trace("requeue", req.id, req.attempts);
       abort_return_(std::move(req));
     }
-    sim_->Schedule(config_.retry.BackoffFor(consecutive_aborts_), [this] {
+    sim_->Schedule(kAbortBackoff.BackoffFor(consecutive_aborts_), [this] {
       iteration_inflight_ = false;
       MaybeStartIteration();
     });
@@ -418,7 +423,7 @@ void Batcher::HandleAbort() {
   running_.clear();
   // Hold the dispatch loop through a capped exponential backoff so repeated
   // aborts inside one crash window don't spin.
-  sim_->Schedule(config_.retry.BackoffFor(consecutive_aborts_), [this] {
+  sim_->Schedule(kAbortBackoff.BackoffFor(consecutive_aborts_), [this] {
     iteration_inflight_ = false;
     MaybeStartIteration();
   });

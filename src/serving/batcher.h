@@ -85,7 +85,10 @@ struct BatcherConfig {
   // Cap on the running batch's projected full KV per device shard;
   // 0 = uncapped. Must leave HBM headroom for activations + outputs.
   Bytes kv_budget_per_device = 0;
-  std::size_t queue_capacity = 64;  // waiting requests; overflow sheds
+  // Waiting requests; overflow sheds. An option although no scenario sets
+  // it: the overflow shed reads it and the serving tests shrink it to reach
+  // that path.
+  std::size_t queue_capacity = 64;
 
   // Iteration kernel cost model.
   Duration iteration_base = Duration::Micros(40);
@@ -94,12 +97,7 @@ struct BatcherConfig {
   Bytes activation_bytes_per_shard = KiB(256);
   Bytes output_bytes_per_shard = KiB(32);
   // Per-iteration tensor-parallel AllReduce (exercises gang semantics).
-  bool collective = true;
   Bytes collective_bytes_per_shard = KiB(16);
-
-  // Backoff between consecutive aborted iterations (waits out a crash
-  // window the resource manager could not remap around).
-  pathways::RetryPolicy retry;
 };
 
 class Batcher {

@@ -27,13 +27,11 @@ struct DisaggRouter::Transfer {
 
 DisaggRouter::DisaggRouter(std::vector<Batcher*> prefill,
                            std::vector<Batcher*> decode,
-                           ServingMetrics* metrics, ServingTrace* trace,
-                           DisaggRouterConfig config)
+                           ServingMetrics* metrics, ServingTrace* trace)
     : prefill_(std::move(prefill)),
       decode_(std::move(decode)),
       metrics_(metrics),
-      trace_(trace),
-      config_(config) {
+      trace_(trace) {
   PW_CHECK(!prefill_.empty());
   PW_CHECK(!decode_.empty());
   PW_CHECK(metrics_ != nullptr);
@@ -63,7 +61,6 @@ void DisaggRouter::Trace(const char* kind, std::int64_t request,
 }
 
 Bytes DisaggRouter::DecodeFloor(const Batcher& dst) const {
-  if (config_.max_inflight_per_shard > 0) return config_.max_inflight_per_shard;
   return dst.hbm_floor() - dst.StagingPerShard();
 }
 

@@ -64,13 +64,6 @@ class Cluster;
 
 namespace pw::serving {
 
-struct DisaggRouterConfig {
-  // Cap on unready (in-flight) KV bytes per decode shard. 0 derives the
-  // decode island's HBM floor minus iteration staging — the tightest bound
-  // that can never wedge a staging reservation.
-  Bytes max_inflight_per_shard = 0;
-};
-
 // Routes requests across one-or-more prefill batchers (kPrefill) and decode
 // batchers (kDecode), and owns every cross-island KV transfer in between.
 // Single-threaded inside the simulation like everything else; all state
@@ -78,8 +71,7 @@ struct DisaggRouterConfig {
 class DisaggRouter {
  public:
   DisaggRouter(std::vector<Batcher*> prefill, std::vector<Batcher*> decode,
-               ServingMetrics* metrics, ServingTrace* trace = nullptr,
-               DisaggRouterConfig config = {});
+               ServingMetrics* metrics, ServingTrace* trace = nullptr);
 
   DisaggRouter(const DisaggRouter&) = delete;
   DisaggRouter& operator=(const DisaggRouter&) = delete;
@@ -117,6 +109,9 @@ class DisaggRouter {
   // any crash on either slice during the transfer moves it.
   std::int64_t FailureEpoch(const Batcher& batcher, std::int64_t seq) const;
   bool AnyDeviceFailed(const Batcher& batcher, std::int64_t seq) const;
+  // Cap on unready (in-flight) KV bytes per decode shard: the decode
+  // island's HBM floor minus iteration staging — the tightest bound that can
+  // never wedge a staging reservation.
   Bytes DecodeFloor(const Batcher& dst) const;
   // True iff `req` fits `dst`'s decode-side bounds once it has the island to
   // itself: projected full KV within the KV budget, prompt KV within the
@@ -138,7 +133,6 @@ class DisaggRouter {
   ServingTrace* trace_;
   sim::Simulator* sim_;
   hw::Cluster* cluster_;
-  DisaggRouterConfig config_;
 
   std::deque<PendingHandoff> pending_;
   std::size_t inflight_ = 0;

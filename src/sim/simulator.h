@@ -25,8 +25,13 @@
 //     that of a single queue.
 //   * Near-horizon events (0 < at - now < kWheelSpanNs) bypass the heap
 //     through a timing wheel of 1ns buckets — O(1) push/pop instead of an
-//     O(log n) sift, the winning structure for steady-state churn (device
-//     hops, wire latencies, backoffs all land within a microsecond). All
+//     O(log n) sift. In the simulated system few events are that close:
+//     counting queue pushes on the four pwbench workloads puts 2-10% in
+//     the wheel, 19-30% in the heap and the rest (66-76%) in the now-ring.
+//     What the wheel serves is the `simcore` scenario's steady-state
+//     churn workloads: with the wheel removed, `churn` read 1.07-1.22x
+//     against its >= 1 gate (2.9-3.1x with it), and `empty`/`capture40`
+//     fell from ~6-7x/~11-13x to ~1.7x/~2x (4-core host, Release). All
 //     pending wheel events live inside one span-wide window, so a bucket
 //     holds exactly one timestamp and its append order IS seq order; the
 //     wheel, ring and heap merge by (time, seq) like a single queue.

@@ -41,6 +41,10 @@ struct AdmissionOptions {
   // when retry_executions is set — the execution retry policy passed to
   // Client::Submit so device-failure aborts resubmit transparently.
   pathways::RetryPolicy retry;
+  // Kept as an option although no scenario sets it: on, requests run
+  // through Client::RunWithRetry, the retry path the `faults` scenario
+  // drives directly; off, an aborted execution is a failed request.
+  // WorkloadFaultTest turns it on to ride open-loop load through a crash.
   bool retry_executions = false;
 };
 

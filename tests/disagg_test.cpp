@@ -53,8 +53,7 @@ struct DisaggWorld {
 
   // One prefill batcher on island 0 and one decode batcher on island 1.
   DisaggRouter& MakeDisagg(int prefill_devices, int decode_devices,
-                           KvCacheConfig kv, BatcherConfig cfg,
-                           DisaggRouterConfig router_cfg = {}) {
+                           KvCacheConfig kv, BatcherConfig cfg) {
     BatcherConfig prefill_cfg = cfg;
     prefill_cfg.role = BatcherRole::kPrefill;
     prefill_slice =
@@ -69,7 +68,7 @@ struct DisaggWorld {
                                        &metrics, &trace);
     router = std::make_unique<DisaggRouter>(
         std::vector<Batcher*>{prefill.get()},
-        std::vector<Batcher*>{decode.get()}, &metrics, &trace, router_cfg);
+        std::vector<Batcher*>{decode.get()}, &metrics, &trace);
     return *router;
   }
 
@@ -388,13 +387,16 @@ TEST(DisaggCrashTest, DecodeIslandCrashReturnsRequestsForReprefill) {
 // -------------------------------------------------- in-flight KV throttle --
 
 TEST(DisaggThrottleTest, InflightFloorBoundsConcurrentTransfers) {
-  DisaggWorld w;
   const Bytes tok = KiB(16);
   BatcherConfig cfg;
   cfg.token_budget = 512;
-  DisaggRouterConfig router_cfg;
-  router_cfg.max_inflight_per_shard = 2 * 8 * tok;  // two 8-token prompts
-  DisaggRouter& r = w.MakeDisagg(2, 2, KvCacheConfig{tok}, cfg, router_cfg);
+  // HBM holds the iteration staging plus about two 8-token prompts' KV, so
+  // the derived floor (HBM minus staging) admits two transfers, not three.
+  const Bytes staging =
+      cfg.activation_bytes_per_shard + cfg.output_bytes_per_shard;
+  const Bytes floor = 2 * 8 * tok + 4 * tok;
+  DisaggWorld w(/*hbm=*/staging + floor);
+  DisaggRouter& r = w.MakeDisagg(2, 2, KvCacheConfig{tok}, cfg);
   // Slow the NIC so handoffs outpace transfers and the throttle must bite.
   w.cluster->dcn().SetNicBandwidthScale(hw::HostId(0), 0.05);
 
@@ -406,8 +408,8 @@ TEST(DisaggThrottleTest, InflightFloorBoundsConcurrentTransfers) {
   EXPECT_FALSE(w.sim.Deadlocked());
   EXPECT_EQ(w.metrics.finished(), 5);
   EXPECT_EQ(r.transfers_completed(), 5);
-  // Never more than two prompts' unready KV per decode shard in flight.
-  EXPECT_LE(r.peak_inflight_per_shard(), router_cfg.max_inflight_per_shard);
+  // Two prompts' unready KV per decode shard in flight at once, never more.
+  EXPECT_EQ(r.peak_inflight_per_shard(), 2 * 8 * tok);
   w.ExpectNoLeaks(4);
 }
 

@@ -124,21 +124,6 @@ TEST(HbmTest, NewOldestRequestIsServedPastQueuedYoungerWaiters) {
   EXPECT_FALSE(young.ready());
 }
 
-TEST(HbmTest, TicketOrderingDisabledRevertsToArrivalFifo) {
-  // The pre-fix regression hook: with ordering off, tickets are ignored and
-  // the queue is plain arrival-order FIFO again.
-  sim::Simulator sim;
-  HbmAllocator hbm(&sim, 1000);
-  hbm.set_ticket_ordering(false);
-  ASSERT_TRUE(hbm.Allocate(1000).ok());
-  auto young = hbm.AllocateAsync(600, /*ticket=*/7);
-  auto old_req = hbm.AllocateAsync(600, /*ticket=*/3);
-  hbm.Free(600);
-  sim.Run();
-  EXPECT_TRUE(young.ready());     // arrival order wins
-  EXPECT_FALSE(old_req.ready());
-}
-
 TEST(HbmTest, StallObserverFiresOnQueueAndOnUndrainableFree) {
   sim::Simulator sim;
   HbmAllocator hbm(&sim, 1000);

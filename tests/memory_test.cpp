@@ -118,7 +118,7 @@ TEST(SpillerTest, DrainsStallOneVictimAtATime) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true});
+  Spiller s(&sim, &backend);
   spiller = &s;
   backend.stalled_[0] = 3;
   backend.spillable_[0] = 5;
@@ -133,7 +133,7 @@ TEST(SpillerTest, StopsQuietlyWhenNothingIsSpillable) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true});
+  Spiller s(&sim, &backend);
   spiller = &s;
   backend.stalled_[0] = 2;
   backend.spillable_[0] = 1;
@@ -145,25 +145,11 @@ TEST(SpillerTest, StopsQuietlyWhenNothingIsSpillable) {
   EXPECT_TRUE(backend.HasStalledReservation(0));
 }
 
-TEST(SpillerTest, DisabledSpillerIgnoresStalls) {
-  sim::Simulator sim;
-  Spiller* spiller = nullptr;
-  FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{false});
-  spiller = &s;
-  backend.stalled_[0] = 2;
-  backend.spillable_[0] = 2;
-  s.OnStall(0);
-  sim.Run();
-  EXPECT_EQ(s.spills_started(), 0);
-  EXPECT_EQ(s.stall_kicks(), 0);
-}
-
 TEST(SpillerTest, RepeatedStallNotificationsCoalesceIntoOneKick) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true});
+  Spiller s(&sim, &backend);
   spiller = &s;
   backend.stalled_[0] = 1;
   backend.spillable_[0] = 1;
@@ -178,7 +164,7 @@ TEST(SpillerTest, DevicesAreIndependent) {
   sim::Simulator sim;
   Spiller* spiller = nullptr;
   FakeBackend backend(&sim, &spiller);
-  Spiller s(&sim, &backend, Spiller::Options{true});
+  Spiller s(&sim, &backend);
   spiller = &s;
   backend.stalled_[0] = 1;
   backend.spillable_[0] = 1;

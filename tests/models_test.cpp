@@ -99,8 +99,7 @@ TEST_P(ShardingSweep, PerShardTimeShrinksWithShards) {
   const Duration floor =
       shards == 1 ? Duration::Zero()
                   : coll.Time(net::CollectiveKind::kAllReduce, 0, shards) *
-                        (b.config().num_layers *
-                         StepBuilderParams{}.collectives_per_layer);
+                        (b.config().num_layers * kCollectivesPerLayer);
   const double expected =
       static_cast<double>(whole.total_compute_time().nanos()) / shards;
   EXPECT_NEAR(static_cast<double>((sharded.total_compute_time() - floor).nanos()),

@@ -1,6 +1,6 @@
 // Memory-oversubscription coverage (docs/MEMORY.md).
 //
-// Two deadlock classes the pre-fix build wedges on, each with its fix:
+// Two deadlock classes, each with its fix:
 //
 //  * Cross-device buffer-lifetime cycle: two 2-device chain programs visit
 //    the devices in opposite order, HBM sized so neither program's buffers
@@ -17,10 +17,12 @@
 //    draw a global ticket at dispatch, staged buffers at creation, and
 //    waiters are served strictly in ticket order.
 //
-// Both fixes are individually disabled via PathwaysOptions test hooks to
-// prove the pre-fix wedge (silent event-queue drain) is real and is now
-// *reported* — blocked probes name the stalled executions, the wait-for
-// graph renders the cycle, and CheckNoReservationWedge PW_CHECKs.
+// A lifetime cycle neither fix can break — two buffers whose shards are not
+// yet content-ready, each holding one device and reserving the other — is
+// built through the ObjectStore API to prove a real wedge is *reported*
+// rather than drained silently: blocked probes name the stalled executions,
+// the wait-for graph renders the cycle, and CheckNoReservationWedge
+// PW_CHECKs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,13 +73,14 @@ struct OppositeOrderWorld {
   // *clients* so the programs stream descriptors concurrently — a single
   // client serializes its submissions enough that the programs run
   // back-to-back and never contend.
-  explicit OppositeOrderWorld(PathwaysOptions options) {
+  OppositeOrderWorld() {
     hw::SystemParams params;
     params.hbm_capacity = MiB(8);
     cluster = std::make_unique<hw::Cluster>(&sim, params, /*islands=*/1,
                                             /*hosts_per_island=*/1,
                                             /*devices_per_host=*/2);
-    runtime = std::make_unique<PathwaysRuntime>(cluster.get(), options);
+    runtime = std::make_unique<PathwaysRuntime>(cluster.get(),
+                                                PathwaysOptions{});
     client_p = runtime->CreateClient();
     client_q = runtime->CreateClient();
     pathways::VirtualSlice p_first = client_p->AllocateSlice(1).value();
@@ -117,7 +120,7 @@ struct OppositeOrderWorld {
 };
 
 TEST(OversubscriptionTest, CrossDeviceOppositeOrderCompletesViaSpilling) {
-  OppositeOrderWorld w(PathwaysOptions{});  // both fixes on (defaults)
+  OppositeOrderWorld w;
   w.SubmitBoth();
   w.sim.Run();
   EXPECT_EQ(w.done, 2);
@@ -133,25 +136,61 @@ TEST(OversubscriptionTest, CrossDeviceOppositeOrderCompletesViaSpilling) {
   EXPECT_EQ(w.cluster->host(0).dram().used(), 0);
 }
 
+// Two gangs' deferred outputs, each holding one device of an HBM that fits
+// exactly one 8 MiB shard and reserving the other. Ticket order cannot help
+// (each waiter is blocked by memory already granted, not by a queue
+// position), and the spiller cannot either: neither shard is content-ready,
+// so neither is idle. Nothing ever frees; the run must be *reported* as a
+// deadlock with both executions named, not drain silently. Built through the
+// public ObjectStore API, since reservation ordering and spilling are always
+// on.
+struct CrossReservedWedge {
+  CrossReservedWedge() {
+    hw::SystemParams params;
+    params.hbm_capacity = MiB(8);
+    cluster = std::make_unique<hw::Cluster>(&sim, params, /*islands=*/1,
+                                            /*hosts_per_island=*/1,
+                                            /*devices_per_host=*/2);
+    runtime = std::make_unique<PathwaysRuntime>(cluster.get(),
+                                                PathwaysOptions{});
+    pathways::ObjectStore& store = runtime->object_store();
+    dev0 = cluster->device(0).id();
+    dev1 = cluster->device(1).id();
+    for (int e = 0; e < 2; ++e) {
+      // Execution e's output: shard 0 on device e, shard 1 on the other.
+      const std::vector<hw::DeviceId> devices =
+          e == 0 ? std::vector{dev0, dev1} : std::vector{dev1, dev0};
+      ShardedBuffer out = store.CreateBufferDeferred(
+          ClientId(0), ExecutionId(e), devices, MiB(8));
+      const hw::MemoryTicket ticket = store.NextTicket();
+      store.RegisterTicket(ticket, e, pathways::ObjectStore::TicketKind::kExec,
+                           e);
+      store.SetBufferTicket(out.id, ticket);
+      outputs.push_back(std::move(out));
+    }
+    for (const ShardedBuffer& out : outputs) store.ReserveShard(out.id, 0);
+    for (const ShardedBuffer& out : outputs) store.ReserveShard(out.id, 1);
+    sim.Run();
+  }
+
+  pathways::ObjectStore& store() { return runtime->object_store(); }
+
+  sim::Simulator sim;
+  std::unique_ptr<hw::Cluster> cluster;
+  std::unique_ptr<PathwaysRuntime> runtime;
+  hw::DeviceId dev0, dev1;
+  std::vector<ShardedBuffer> outputs;
+};
+
+// Named for the pre-fix build, whose opposite-order programs wedged the same
+// way before reservation ordering and spilling existed.
 TEST(OversubscriptionTest, PreFixConfigurationWedgesWithNamedExecutions) {
-  // Pre-fix behavior, resurrected via the test hooks (the pre-fix build had
-  // neither reservation ordering nor a spill path): each program holds one
-  // device and queues behind the other's output on the second. Nothing ever
-  // frees; the run must be *reported* as a deadlock with the stalled
-  // executions named, not drain silently.
-  PathwaysOptions options;
-  options.enforce_reservation_ordering = false;
-  options.enable_spill = false;
-  OppositeOrderWorld w(options);
-  w.SubmitBoth();
-  w.sim.Run();
-  EXPECT_EQ(w.done, 0);
+  CrossReservedWedge w;
   ASSERT_TRUE(w.sim.Deadlocked());
   // Both devices report a stalled reservation, with waiter and holders
-  // named — the PR-3 BlockedEntities evidence trail, extended to memory.
-  const std::vector<std::string> blocked = w.sim.BlockedEntities();
+  // named — the BlockedEntities evidence trail, extended to memory.
   int hbm_reports = 0;
-  for (const std::string& b : blocked) {
+  for (const std::string& b : w.sim.BlockedEntities()) {
     if (b.find("HBM") == std::string::npos) continue;
     ++hbm_reports;
     EXPECT_NE(b.find("exec"), std::string::npos) << b;
@@ -159,76 +198,62 @@ TEST(OversubscriptionTest, PreFixConfigurationWedgesWithNamedExecutions) {
   }
   EXPECT_EQ(hbm_reports, 2);
   // The wait-for graph pins the cycle: exec 0 -> exec 1 -> exec 0.
-  const std::string cycle =
-      w.runtime->object_store().DescribeReservationCycle();
+  const std::string cycle = w.store().DescribeReservationCycle();
   EXPECT_NE(cycle.find("exec 0"), std::string::npos) << cycle;
   EXPECT_NE(cycle.find("exec 1"), std::string::npos) << cycle;
-  // Unwind the wedge through the fault path (also what an operator would
-  // do): aborting the executions force-fires every parked promise, so the
-  // dataflow reference cycles drain instead of leaking.
-  w.runtime->AbortExecutionsUsing(w.cluster->device(0).id());
-  w.runtime->AbortExecutionsUsing(w.cluster->device(1).id());
+  // Releasing both buffers frees the granted shards and hands the queued
+  // grants back as they land.
+  for (const ShardedBuffer& out : w.outputs) w.store().Release(out.id);
   w.sim.Run();
-  EXPECT_EQ(w.runtime->live_executions(), 0);
+  EXPECT_FALSE(w.sim.Deadlocked());
+  EXPECT_EQ(w.store().live_buffers(), 0);
+  EXPECT_EQ(w.store().hbm_used(w.dev0), 0);
+  EXPECT_EQ(w.store().hbm_used(w.dev1), 0);
 }
 
 TEST(OversubscriptionDeathTest, WedgeCheckDiesNamingTheCycle) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  EXPECT_DEATH(
-      {
-        PathwaysOptions options;
-        options.enforce_reservation_ordering = false;
-        options.enable_spill = false;
-        OppositeOrderWorld w(options);
-        w.SubmitBoth();
-        w.sim.Run();
-        w.runtime->object_store().CheckNoReservationWedge();
-      },
-      "HBM reservation wedge.*exec");
+  CrossReservedWedge w;
+  ASSERT_TRUE(w.sim.Deadlocked());
+  EXPECT_DEATH(w.store().CheckNoReservationWedge(),
+               "HBM reservation wedge.*exec");
+  // Unwind so the wedge's buffers do not outlive the test.
+  for (const ShardedBuffer& out : w.outputs) w.store().Release(out.id);
+  w.sim.Run();
+  EXPECT_EQ(w.store().live_buffers(), 0);
 }
 
 // ------------------------------------------- reservation-order inversion --
 
 // Staging vs gang race on two devices: the gang's reservation lands on
 // device A before the staging request but on device B after it. Served in
-// arrival order the two circular-wait (gang holds A waiting B, staging
-// holds B waiting A); served in ticket order the gang — dispatched first,
-// so globally older — wins device B too, completes, and unblocks staging.
-// Spill is disabled in BOTH arms: this wedge class is what the ordering
-// fix alone must solve.
-struct InversionOutcome {
-  int program_done = 0;
-  bool staging_ready = false;
-  bool deadlocked = false;
-  std::string cycle;
-};
-
-InversionOutcome RunStagingInversion(bool enforce_ordering) {
-  PathwaysOptions options;
-  options.enforce_reservation_ordering = enforce_ordering;
-  options.enable_spill = false;
+// arrival order the two would circular-wait (gang holds A waiting B,
+// staging holds B waiting A); served in ticket order the gang — dispatched
+// first, so globally older — wins device B too, completes, and unblocks
+// staging. Nothing involved is content-ready while the requests queue, so
+// no spill can stand in for the ordering fix; the test asserts as much.
+TEST(ReservationOrderingTest, TicketOrderResolvesStagingInversion) {
   sim::Simulator sim;
   hw::SystemParams params;
   params.hbm_capacity = MiB(8);
   auto cluster = std::make_unique<hw::Cluster>(&sim, params, 1, 1, 2);
-  PathwaysRuntime runtime(cluster.get(), options);
+  PathwaysRuntime runtime(cluster.get(), PathwaysOptions{});
   Client* client = runtime.CreateClient();
   auto slice = client->AllocateSlice(2).value();
   pathways::ObjectStore& store = runtime.object_store();
-  const hw::DeviceId dev_a = cluster->device(0).id();
-  const hw::DeviceId dev_b = cluster->device(1).id();
 
   // Transient occupancy on B so the staging request has to queue there.
-  ShardedBuffer transient =
-      store.CreateBuffer(ClientId(99), ExecutionId(), {dev_b}, MiB(4));
+  ShardedBuffer transient = store.CreateBuffer(
+      ClientId(99), ExecutionId(), {cluster->device(1).id()}, MiB(4));
 
   // One 2-shard gang (8 MiB output per shard, zero staging) over {A, B}.
   ProgramBuilder pb("gang");
   pb.Result(pb.Call(Fn("gang", 2, 0, MiB(8)), slice, {}));
   PathwaysProgram prog = std::move(pb).Build();
-  InversionOutcome out;
-  client->Submit(&prog,
-                 [&out](const ExecutionResult& r) { out.program_done += !r.failed; });
+  int program_done = 0;
+  client->Submit(&prog, [&program_done](const ExecutionResult& r) {
+    program_done += !r.failed;
+  });
 
   // Let the gang's A-shard reservation land (granted; A is now full) but
   // stop before its B-shard request arrives...
@@ -247,45 +272,24 @@ InversionOutcome RunStagingInversion(bool enforce_ordering) {
   store.Release(transient.id);  // B's capacity frees: who gets it?
   sim.Run();
 
-  out.staging_ready = staged.ready.ready();
-  out.deadlocked = sim.Deadlocked();
-  out.cycle = store.DescribeReservationCycle();
-  // Unwind (wedged arm: the abort force-fires parked promises so the
-  // dataflow reference cycles drain instead of leaking).
-  runtime.AbortExecutionsUsing(dev_a);
-  runtime.AbortExecutionsUsing(dev_b);
+  EXPECT_EQ(program_done, 1);
+  EXPECT_TRUE(staged.ready.ready());
+  EXPECT_FALSE(sim.Deadlocked());
+  EXPECT_EQ(store.DescribeReservationCycle(), "");
+  EXPECT_EQ(store.spills_completed(), 0);
   client->ReleaseBuffer(staged);
   sim.Run();
-  return out;
-}
-
-TEST(ReservationOrderingTest, TicketOrderResolvesStagingInversion) {
-  const InversionOutcome out = RunStagingInversion(/*enforce_ordering=*/true);
-  EXPECT_EQ(out.program_done, 1);
-  EXPECT_TRUE(out.staging_ready);
-  EXPECT_FALSE(out.deadlocked);
-  EXPECT_EQ(out.cycle, "");
-}
-
-TEST(ReservationOrderingTest, ArrivalOrderWedgesOnStagingInversion) {
-  // The pre-fix regression arm: identical scenario, ordering disabled.
-  const InversionOutcome out = RunStagingInversion(/*enforce_ordering=*/false);
-  EXPECT_EQ(out.program_done, 0);
-  EXPECT_FALSE(out.staging_ready);
-  EXPECT_TRUE(out.deadlocked);
-  // The cycle names the gang's execution and the staged buffer.
-  EXPECT_NE(out.cycle.find("exec 0"), std::string::npos) << out.cycle;
-  EXPECT_NE(out.cycle.find("buffer"), std::string::npos) << out.cycle;
 }
 
 // --------------------------------------------------------------- spilling --
 
 struct SpillWorld {
-  explicit SpillWorld(Bytes hbm = MiB(20), PathwaysOptions options = {}) {
+  explicit SpillWorld(Bytes hbm = MiB(20)) {
     hw::SystemParams params;
     params.hbm_capacity = hbm;
     cluster = std::make_unique<hw::Cluster>(&sim, params, 1, 1, 1);
-    runtime = std::make_unique<PathwaysRuntime>(cluster.get(), options);
+    runtime = std::make_unique<PathwaysRuntime>(cluster.get(),
+                                                PathwaysOptions{});
     client = runtime->CreateClient();
     slice = client->AllocateSlice(1).value();
   }
@@ -350,26 +354,6 @@ TEST(SpillTest, ColdStagedBufferSpillsUnderPressureAndPagesBackOnUse) {
   for (const auto& out : result.value().outputs) w.store().Release(out.id);
   w.client->ReleaseBuffer(weights);
   EXPECT_EQ(w.store().hbm_used(w.dev()), 0);
-  EXPECT_EQ(w.dram().used(), 0);
-}
-
-TEST(SpillTest, SpillDisabledFallsBackToPlainBackPressure) {
-  PathwaysOptions options;
-  options.enable_spill = false;
-  SpillWorld w(MiB(20), options);
-  ShardedBuffer weights = w.client->TransferToDevice(w.slice, MiB(6));
-  w.sim.Run();
-  PathwaysProgram big = w.MakeBig();
-  int done = 0;
-  w.client->Submit(&big, [&done](const ExecutionResult& r) { done += !r.failed; });
-  w.sim.Run();
-  // The 16 MiB reservation can only proceed once the weights are released.
-  EXPECT_EQ(done, 0);
-  EXPECT_TRUE(w.sim.Deadlocked());  // quiescent with a stalled reservation
-  w.client->ReleaseBuffer(weights);
-  w.sim.Run();
-  EXPECT_EQ(done, 1);
-  EXPECT_EQ(w.store().spills_completed(), 0);
   EXPECT_EQ(w.dram().used(), 0);
 }
 
