@@ -102,14 +102,16 @@ void Cluster::EnableTrace() {
 
 std::unique_ptr<Cluster> Cluster::ConfigA(sim::Simulator* sim, int hosts,
                                           SystemParams params) {
-  PW_CHECK_LE(hosts, 512) << "config A tops out at 512 hosts (2048 TPUs)";
+  PW_CHECK_LE(hosts, kConfigAMaxHosts)
+      << "config A tops out at 512 hosts (2048 TPUs)";
   return std::make_unique<Cluster>(sim, params, /*islands=*/1, hosts,
                                    /*devices_per_host=*/4);
 }
 
 std::unique_ptr<Cluster> Cluster::ConfigB(sim::Simulator* sim, int hosts,
                                           SystemParams params) {
-  PW_CHECK_LE(hosts, 64) << "config B tops out at 64 hosts (512 TPUs)";
+  PW_CHECK_LE(hosts, kConfigBMaxHosts)
+      << "config B tops out at 64 hosts (512 TPUs)";
   return std::make_unique<Cluster>(sim, params, /*islands=*/1, hosts,
                                    /*devices_per_host=*/8);
 }

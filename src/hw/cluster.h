@@ -103,7 +103,10 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // Paper evaluation configurations.
+  // Paper evaluation configurations. ConfigA takes at most kConfigAMaxHosts
+  // hosts (2048 TPUs), ConfigB at most kConfigBMaxHosts (512 TPUs).
+  static constexpr int kConfigAMaxHosts = 512;
+  static constexpr int kConfigBMaxHosts = 64;
   static std::unique_ptr<Cluster> ConfigA(sim::Simulator* sim, int hosts,
                                           SystemParams params = SystemParams::TpuDefault());
   static std::unique_ptr<Cluster> ConfigB(sim::Simulator* sim, int hosts,

@@ -98,7 +98,7 @@ ShardedBuffer ObjectStore::CreateBuffer(
   entry.ticket = NextTicket();
   for (const hw::DeviceId dev : devices) {
     entry.shards.push_back(
-        ShardBuffer{shard_ids_.Next(), dev, bytes_per_shard, BufferLocation::kHbm});
+        ShardBuffer{shard_ids_.Next(), dev, bytes_per_shard});
   }
   entry.states.assign(devices.size(), ShardState{});
   const LogicalBufferId id = logical_ids_.Next();
@@ -147,7 +147,7 @@ ShardedBuffer ObjectStore::CreateBufferDeferred(
   entry.producer = producer;
   for (const hw::DeviceId dev : devices) {
     entry.shards.push_back(
-        ShardBuffer{shard_ids_.Next(), dev, bytes_per_shard, BufferLocation::kHbm});
+        ShardBuffer{shard_ids_.Next(), dev, bytes_per_shard});
   }
   entry.states.assign(devices.size(), ShardState{});
   ShardedBuffer handle;
@@ -252,7 +252,6 @@ sim::SimFuture<sim::Unit> ObjectStore::GrowShard(LogicalBufferId id, int shard,
             // and return the DRAM side.
             cluster_->host_of(dev).dram().Free(sb2.bytes);
             st.residency = ShardResidency::kHbm;
-            sb2.location = BufferLocation::kHbm;
             ++fills_completed_;
             for (const hw::Device* hd : cluster_->host_of(dev).devices()) {
               MaybeKickSpiller(hd->id());
@@ -352,14 +351,13 @@ void ObjectStore::TryRestoreShard(LogicalBufferId id, int shard) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   Entry& entry = it->second;
-  ShardBuffer& sb = entry.shards.at(static_cast<std::size_t>(shard));
+  const ShardBuffer& sb = entry.shards.at(static_cast<std::size_t>(shard));
   ShardState& state = entry.states.at(static_cast<std::size_t>(shard));
   if (state.residency != ShardResidency::kHostDram) return;
   // Allocate() refuses while waiters queue, so a restore never jumps the
   // reservation order — it only soaks up genuinely idle capacity.
   if (!cluster_->device(sb.device).hbm().Allocate(sb.bytes).ok()) return;
   state.residency = ShardResidency::kHbm;
-  sb.location = BufferLocation::kHbm;
   cluster_->host_of(sb.device).dram().Free(sb.bytes);
   ++fills_completed_;
   Touch(state);
@@ -445,13 +443,6 @@ void ObjectStore::ReadShard(LogicalBufferId id, int shard, hw::DeviceId src,
       });
 }
 
-BufferLocation ObjectStore::shard_location(LogicalBufferId id,
-                                           int shard) const {
-  auto it = entries_.find(id);
-  PW_CHECK(it != entries_.end());
-  return it->second.shards.at(static_cast<std::size_t>(shard)).location;
-}
-
 ShardResidency ObjectStore::shard_residency(LogicalBufferId id,
                                             int shard) const {
   auto it = entries_.find(id);
@@ -521,8 +512,6 @@ bool ObjectStore::StartSpill(int device) {
             cluster_->host_of(dev).dram().Free(bytes);
           } else {
             st.residency = ShardResidency::kHostDram;
-            e.shards[static_cast<std::size_t>(shard)].location =
-                BufferLocation::kHostDram;
             ++spills_completed_;
             spilled_bytes_total_ += bytes;
             cluster_->device(dev).hbm().Free(bytes);  // serves waiters

@@ -49,16 +49,14 @@
 
 namespace pw::pathways {
 
-enum class BufferLocation { kHbm, kHostDram };
-
-// Fine-grained residency of one shard's granted memory.
+// Residency of one shard's granted memory (ObjectStore::ShardInDram and
+// shard_residency report it).
 enum class ShardResidency { kHbm, kSpillingOut, kHostDram };
 
 struct ShardBuffer {
   ShardBufferId id;
   hw::DeviceId device;
   Bytes bytes = 0;
-  BufferLocation location = BufferLocation::kHbm;
 };
 
 // Client-visible handle to a logical buffer distributed over devices.
@@ -190,7 +188,6 @@ class ObjectStore : public memory::SpillBackend {
                  hw::DeviceId dst, Bytes bytes,
                  sim::InlineFunction<void()> on_read,
                  sim::InlineFunction<void()> on_landed);
-  BufferLocation shard_location(LogicalBufferId id, int shard) const;
   ShardResidency shard_residency(LogicalBufferId id, int shard) const;
 
   // --- memory::SpillBackend (driven by the runtime's Spiller) ---

@@ -20,6 +20,17 @@ using pathways::PathwaysProgram;
 using pathways::PathwaysRuntime;
 using pathways::ProgramBuilder;
 
+// The workload every faults scenario runs; a scenario sets only the horizon
+// and, optionally, a fault_plan (FaultsSpec). The windows shape the
+// axis-derived random plans.
+constexpr double kMinWindowMs = 1;
+constexpr double kMaxWindowMs = 5;
+constexpr int kRetryMaxAttempts = 6;
+constexpr double kRetryInitialBackoffUs = 250;
+constexpr double kStepUs = 300;
+constexpr std::int64_t kCollectiveKib = 64;
+constexpr std::int64_t kSeedBase = 0x5eed;
+
 struct PointResult {
   double steps_ok = 0;
   double horizon_sec = 0;
@@ -54,6 +65,8 @@ faults::FaultPlan PlanFromSpec(const FaultsSpec& spec) {
 }
 
 // The axis-derived random plan (empty when crashes == 0, the baseline arm).
+// RandomSpec's defaults supply one link degrade, no partitions, and crashes
+// that always recover.
 faults::FaultPlan RandomPlan(const FaultsSpec& spec, int island_devices,
                              int crashes, std::uint64_t seed) {
   if (crashes <= 0) return {};
@@ -61,12 +74,9 @@ faults::FaultPlan RandomPlan(const FaultsSpec& spec, int island_devices,
   faults::FaultPlan::RandomSpec fspec;
   fspec.device_crashes = crashes;
   fspec.stragglers = crashes / 2;
-  fspec.link_degrades = spec.link_degrades;
-  fspec.partitions = 0;
   fspec.horizon = Duration::Millis(spec.horizon_ms);
-  fspec.min_window = Duration::Millis(spec.min_window_ms);
-  fspec.max_window = Duration::Millis(spec.max_window_ms);
-  fspec.always_recover = spec.always_recover;
+  fspec.min_window = Duration::Millis(kMinWindowMs);
+  fspec.max_window = Duration::Millis(kMaxWindowMs);
   return faults::FaultPlan::Random(
       seed, faults::ClusterShape{island_devices, hosts}, fspec);
 }
@@ -90,15 +100,15 @@ PointResult RunPoint(const Scenario& sc, const FaultsSpec& spec,
   Client* client = runtime.CreateClient();
   auto slice = client->AllocateSlice(island_devices / 2).value();
   auto fn = xlasim::CompiledFunction::Synthetic(
-      "step", island_devices / 2, Duration::Micros(spec.step_us),
-      net::CollectiveKind::kAllReduce, KiB(spec.collective_kib));
+      "step", island_devices / 2, Duration::Micros(kStepUs),
+      net::CollectiveKind::kAllReduce, KiB(kCollectiveKib));
   ProgramBuilder pb("train");
   pb.Call(fn, slice, {});
   PathwaysProgram prog = std::move(pb).Build();
 
   pathways::RetryPolicy policy;
-  policy.max_attempts = spec.retry_max_attempts;
-  policy.initial_backoff = Duration::Micros(spec.retry_initial_backoff_us);
+  policy.max_attempts = kRetryMaxAttempts;
+  policy.initial_backoff = Duration::Micros(kRetryInitialBackoffUs);
 
   PointResult out;
   const TimePoint end = TimePoint() + horizon;
@@ -136,7 +146,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
     // Seed varies per point so grid cells see different fault draws but
     // every rerun of the bench sees the same ones.
     const std::uint64_t seed =
-        static_cast<std::uint64_t>(spec.seed_base) + p.index();
+        static_cast<std::uint64_t>(kSeedBase) + p.index();
     plan = RandomPlan(spec, devices, crashes, seed);
   }
   const PointResult faulted = RunPoint(sc, spec, devices, plan);

@@ -39,13 +39,19 @@ constexpr ModelPoint kModels[] = {
     {"decoder136b", &models::TransformerConfig::Decoder136B, 1024},
 };
 
+// The training run every fig12 scenario measures; a scenario varies only
+// the model axis.
+constexpr int kSteps = 3;
+constexpr int kChunks = 8;
+constexpr int kMaxInflightGangs = 64;
+constexpr int kModelParallel = 32;  // single-island SPMD arm
+
 struct ArmResult {
   double tokens_per_sec = 0;
   double dcn_gb_per_step = 0;
 };
 
-ArmResult MeasureDataParallel(const Fig12Spec& spec,
-                              const models::TransformerConfig& config,
+ArmResult MeasureDataParallel(const models::TransformerConfig& config,
                               int islands, int cores_per_island,
                               const hw::SystemParams& params) {
   using namespace pathways;
@@ -53,7 +59,7 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec,
   auto cluster = std::make_unique<hw::Cluster>(&sim, params, islands,
                                                cores_per_island / 8, 8);
   PathwaysOptions options;
-  options.max_inflight_gangs = spec.max_inflight_gangs;
+  options.max_inflight_gangs = kMaxInflightGangs;
   PathwaysRuntime runtime(cluster.get(), options);
   Client* client = runtime.CreateClient();
   models::StepBuilder builder(config, cluster->params());
@@ -64,7 +70,7 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec,
     auto slice = client->AllocateSlice(cores_per_island).value();
     pb.Call(builder.SpmdStepFunction(cores_per_island,
                                      cluster->island(0).collectives(),
-                                     spec.model_parallel),
+                                     kModelParallel),
             slice, {});
     program = std::make_unique<PathwaysProgram>(std::move(pb).Build());
   } else {
@@ -74,28 +80,26 @@ ArmResult MeasureDataParallel(const Fig12Spec& spec,
           client->AllocateSlice(cores_per_island, hw::IslandId(i)).value());
     }
     program = std::make_unique<PathwaysProgram>(builder.BuildMultiIslandStep(
-        slices, spec.chunks, cluster->island(0).collectives()));
+        slices, kChunks, cluster->island(0).collectives()));
   }
   const auto meas = models::MeasureTraining(
-      client, program.get(), config.tokens_per_batch, spec.steps);
+      client, program.get(), config.tokens_per_batch, kSteps);
   ArmResult r;
   r.tokens_per_sec = meas.tokens_per_sec;
   r.dcn_gb_per_step = static_cast<double>(cluster->dcn().bytes_sent()) /
-                      (static_cast<double>(spec.steps) * 1e9);
+                      (static_cast<double>(kSteps) * 1e9);
   return r;
 }
 
-sweep::Metrics Measure(const Scenario& sc, bool quick,
-                       const sweep::ParamPoint& p) {
-  const Fig12Spec& spec = sc.fig12.For(quick);
+sweep::Metrics Measure(const Scenario& sc, bool, const sweep::ParamPoint& p) {
   const ModelPoint& m = FindByName(kModels, p.GetString("model"));
   const models::TransformerConfig config = m.config();
   const hw::SystemParams params = BaseSystemParams(sc.cluster);
 
   const ArmResult two =
-      MeasureDataParallel(spec, config, 2, m.cores_per_island, params);
+      MeasureDataParallel(config, 2, m.cores_per_island, params);
   const ArmResult one =
-      MeasureDataParallel(spec, config, 1, 2 * m.cores_per_island, params);
+      MeasureDataParallel(config, 1, 2 * m.cores_per_island, params);
 
   // Flow-level validation arm: single spine at R=1 is non-blocking, so the
   // pairwise cross-island gradient exchange is uncontended and must land on
@@ -107,7 +111,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   flow_params.dcn.clos.num_spines = 1;
   flow_params.dcn.clos.oversubscription = 1.0;
   const ArmResult flow =
-      MeasureDataParallel(spec, config, 2, m.cores_per_island, flow_params);
+      MeasureDataParallel(config, 2, m.cores_per_island, flow_params);
 
   return {{"two_island_tokens_per_sec", two.tokens_per_sec},
           {"one_island_tokens_per_sec", one.tokens_per_sec},

@@ -4,6 +4,7 @@
 // this family's summary.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,6 +27,19 @@ constexpr Shed kShedPolicies[] = {
     {"drop-tail", workload::ShedPolicy::kDropTail},
     {"reject-retry", workload::ShedPolicy::kRejectWithRetry},
 };
+
+// The workload every multitenant scenario runs; a scenario sets only the
+// measurement window (MultitenantSpec).
+constexpr double kNominalPodPerSec = 2500;  // offered load at rate_scale 1
+constexpr int kMaxInflightGangs = 2;
+constexpr int kQueueCapacity = 64;
+constexpr int kMaxOutstanding = 6;
+constexpr int kRetryMaxAttempts = 5;
+constexpr double kRetryInitialBackoffUs = 200;
+constexpr double kRetryMaxBackoffMs = 5;
+constexpr double kStepUs = 330;
+constexpr std::int64_t kCollectiveBytes = 64;
+constexpr std::int64_t kSeedBase = 0xC0FFEE;
 
 bool Overloaded(double scale, int clients, const std::vector<double>& w) {
   // Proportional share only binds while every client is backlogged: the
@@ -54,7 +68,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   PathwaysOptions options;
   options.policy = SchedulerPolicy::kWeightedStride;
   // Shallow window: the policy decides often.
-  options.max_inflight_gangs = spec.max_inflight_gangs;
+  options.max_inflight_gangs = kMaxInflightGangs;
   PathwaysRuntime runtime(cluster.get(), options);
 
   const Duration warmup = Duration::Millis(spec.warmup_ms);
@@ -77,8 +91,8 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
     auto slice = client->AllocateSlice(shards).value();
     ProgramBuilder pb("serve" + std::to_string(i));
     pb.Call(xlasim::CompiledFunction::Synthetic(
-                "infer", shards, Duration::Micros(spec.step_us),
-                net::CollectiveKind::kAllReduce, spec.collective_bytes),
+                "infer", shards, Duration::Micros(kStepUs),
+                net::CollectiveKind::kAllReduce, kCollectiveBytes),
             slice, {});
     programs.push_back(
         std::make_unique<PathwaysProgram>(std::move(pb).Build()));
@@ -87,19 +101,19 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
     ospec.process = ArrivalProcess::kPoisson;
     // Equal offered load per client: shares then reflect the scheduler's
     // weights, not the arrival mix.
-    ospec.rate_per_sec = scale * spec.nominal_pod_per_sec / clients;
+    ospec.rate_per_sec = scale * kNominalPodPerSec / clients;
     ospec.horizon = horizon;
-    ospec.seed = static_cast<std::uint64_t>(spec.seed_base) +
+    ospec.seed = static_cast<std::uint64_t>(kSeedBase) +
                  1000 * p.index() + static_cast<std::uint64_t>(i);
     AdmissionOptions adm;
-    adm.capacity = static_cast<std::size_t>(spec.queue_capacity);
+    adm.capacity = static_cast<std::size_t>(kQueueCapacity);
     // Larger than max_inflight_gangs so the stride scheduler — not each
     // client's submit round-trip — is the bottleneck under overload.
-    adm.max_outstanding = spec.max_outstanding;
+    adm.max_outstanding = kMaxOutstanding;
     adm.policy = policy;
-    adm.retry.max_attempts = spec.retry_max_attempts;
-    adm.retry.initial_backoff = Duration::Micros(spec.retry_initial_backoff_us);
-    adm.retry.max_backoff = Duration::Millis(spec.retry_max_backoff_ms);
+    adm.retry.max_attempts = kRetryMaxAttempts;
+    adm.retry.initial_backoff = Duration::Micros(kRetryInitialBackoffUs);
+    adm.retry.max_backoff = Duration::Millis(kRetryMaxBackoffMs);
     gens.push_back(std::make_unique<OpenLoopGenerator>(
         client, programs.back().get(), ospec, adm));
     gens.back()->Start();
@@ -152,7 +166,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   wait_us -= base_wait_us;
   const std::int64_t rebases = runtime.total_pass_rebases();
 
-  LatencyRecorder merged(static_cast<std::size_t>(spec.queue_capacity));
+  LatencyRecorder merged(static_cast<std::size_t>(kQueueCapacity));
   for (const auto& g : gens) merged.Merge(g->recorder());
 
   // Everything was sampled at the horizon; now drain the backlog (arrivals

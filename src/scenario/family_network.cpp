@@ -16,25 +16,30 @@
 namespace pw::scenario {
 namespace {
 
-net::DcnParams MakeParams(const NetworkSpec& spec, bool flow_mode,
-                          double oversub) {
+// The fabric and message every network scenario measures; a scenario
+// varies only the sweep axes.
+constexpr double kMessageMib = 16;
+constexpr int kHosts = 32;
+constexpr int kHostsPerLeaf = 8;
+constexpr int kNumSpines = 4;
+
+net::DcnParams MakeParams(bool flow_mode, double oversub) {
   net::DcnParams p;  // 20us latency, 12.5 GB/s NIC, 128 B header
   p.clos.enabled = flow_mode;
-  p.clos.hosts_per_leaf = spec.hosts_per_leaf;
-  p.clos.num_spines = spec.num_spines;
+  p.clos.hosts_per_leaf = kHostsPerLeaf;
+  p.clos.num_spines = kNumSpines;
   p.clos.oversubscription = oversub;
   return p;
 }
 
 // N senders (hosts 1..fan_in) -> host 0; returns last-arrival time in ms.
-double MeasureIncast(const NetworkSpec& spec, bool flow_mode, double oversub,
-                     int fan_in) {
+double MeasureIncast(bool flow_mode, double oversub, int fan_in) {
   sim::Simulator sim;
-  net::DcnFabric dcn(&sim, MakeParams(spec, flow_mode, oversub));
-  for (int h = 0; h < spec.hosts; ++h) dcn.AddHost(net::HostId(h));
+  net::DcnFabric dcn(&sim, MakeParams(flow_mode, oversub));
+  for (int h = 0; h < kHosts; ++h) dcn.AddHost(net::HostId(h));
   std::int64_t last_ns = 0;
   for (int s = 1; s <= fan_in; ++s) {
-    dcn.Send(net::HostId(s), net::HostId(0), MiB(spec.message_mib),
+    dcn.Send(net::HostId(s), net::HostId(0), MiB(kMessageMib),
              [&] { last_ns = sim.now().nanos(); });
   }
   sim.Run();
@@ -44,29 +49,26 @@ double MeasureIncast(const NetworkSpec& spec, bool flow_mode, double oversub,
 // Every host on leaf 0 streams to its counterpart on leaf 1 concurrently;
 // returns last-arrival time in ms. Exercises the leaf->spine uplinks, whose
 // bandwidth encodes the oversubscription ratio.
-double MeasureShuffle(const NetworkSpec& spec, bool flow_mode,
-                      double oversub) {
+double MeasureShuffle(bool flow_mode, double oversub) {
   sim::Simulator sim;
-  net::DcnFabric dcn(&sim, MakeParams(spec, flow_mode, oversub));
-  for (int h = 0; h < spec.hosts; ++h) dcn.AddHost(net::HostId(h));
+  net::DcnFabric dcn(&sim, MakeParams(flow_mode, oversub));
+  for (int h = 0; h < kHosts; ++h) dcn.AddHost(net::HostId(h));
   std::int64_t last_ns = 0;
-  for (int s = 0; s < spec.hosts_per_leaf; ++s) {
-    dcn.Send(net::HostId(s), net::HostId(spec.hosts_per_leaf + s),
-             MiB(spec.message_mib), [&] { last_ns = sim.now().nanos(); });
+  for (int s = 0; s < kHostsPerLeaf; ++s) {
+    dcn.Send(net::HostId(s), net::HostId(kHostsPerLeaf + s),
+             MiB(kMessageMib), [&] { last_ns = sim.now().nanos(); });
   }
   sim.Run();
   return static_cast<double>(last_ns) / 1e6;
 }
 
-sweep::Metrics Measure(const Scenario& sc, bool quick,
-                       const sweep::ParamPoint& p) {
-  const NetworkSpec& spec = sc.network.For(quick);
+sweep::Metrics Measure(const Scenario&, bool, const sweep::ParamPoint& p) {
   const double oversub = p.GetDouble("oversub");
   const int fan_in = static_cast<int>(p.GetInt("fan_in"));
-  const double incast_flow = MeasureIncast(spec, true, oversub, fan_in);
-  const double incast_abstract = MeasureIncast(spec, false, oversub, fan_in);
-  const double shuffle_flow = MeasureShuffle(spec, true, oversub);
-  const double shuffle_abstract = MeasureShuffle(spec, false, oversub);
+  const double incast_flow = MeasureIncast(true, oversub, fan_in);
+  const double incast_abstract = MeasureIncast(false, oversub, fan_in);
+  const double shuffle_flow = MeasureShuffle(true, oversub);
+  const double shuffle_abstract = MeasureShuffle(false, oversub);
   return {{"incast_flow_ms", incast_flow},
           {"incast_abstract_ms", incast_abstract},
           {"incast_slowdown", incast_flow / incast_abstract},

@@ -23,25 +23,32 @@ using pathways::PathwaysRuntime;
 using pathways::ProgramBuilder;
 using pathways::ShardedBuffer;
 
+// The workload every oversub scenario runs; a scenario sets only how many
+// requests each tenant issues (OversubSpec).
+constexpr int kTenants = 4;
+constexpr double kWeightsPerShardMib = 6;
+constexpr double kOutputPerShardMib = 2;
+constexpr double kWorkingHeadroomMib = 64;
+constexpr double kStepUs = 300;
+
 sweep::Metrics Measure(const Scenario& sc, bool quick,
                        const sweep::ParamPoint& p) {
-  const OversubSpec& spec = sc.oversub.For(quick);
   const double scale = p.GetDouble("hbm_scale");
   const int depth = static_cast<int>(p.GetInt("depth"));
-  const int requests_per_tenant = spec.requests_per_tenant;
+  const int requests_per_tenant = sc.oversub.For(quick).requests_per_tenant;
 
-  const Bytes weights_per_shard = MiB(spec.weights_per_shard_mib);
-  const Bytes output_per_shard = MiB(spec.output_per_shard_mib);
+  const Bytes weights_per_shard = MiB(kWeightsPerShardMib);
+  const Bytes output_per_shard = MiB(kOutputPerShardMib);
   // Logical bytes per tenant per device (weights + one in-flight output);
   // capacity = scale * (tenant bytes + transient headroom), so scale 1.0
   // really means un-oversubscribed.
   const Bytes tenant_bytes = weights_per_shard + output_per_shard;
-  const Bytes headroom = MiB(spec.working_headroom_mib);
+  const Bytes headroom = MiB(kWorkingHeadroomMib);
 
   sim::Simulator sim;
   hw::SystemParams params = BaseSystemParams(sc.cluster);
   params.hbm_capacity = static_cast<Bytes>(
-      scale * static_cast<double>(spec.tenants * tenant_bytes + headroom));
+      scale * static_cast<double>(kTenants * tenant_bytes + headroom));
   auto cluster = BuildCluster(&sim, sc.cluster, params);
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
 
@@ -58,15 +65,15 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
     int submitted = 0;
     int completed = 0;
   };
-  std::vector<Tenant> tenants(static_cast<std::size_t>(spec.tenants));
-  for (int t = 0; t < spec.tenants; ++t) {
+  std::vector<Tenant> tenants(static_cast<std::size_t>(kTenants));
+  for (int t = 0; t < kTenants; ++t) {
     Tenant& tn = tenants[static_cast<std::size_t>(t)];
     tn.client = runtime.CreateClient();
     tn.slice = tn.client->AllocateSlice(shards).value();
     xlasim::CompiledFunction fn;
     fn.name = "serve" + std::to_string(t);
     fn.num_shards = shards;
-    fn.pre_collective_time = Duration::Micros(spec.step_us);
+    fn.pre_collective_time = Duration::Micros(kStepUs);
     fn.input_bytes_per_shard = weights_per_shard;
     fn.output_bytes_per_shard = output_per_shard;
     ProgramBuilder pb("serve" + std::to_string(t));
@@ -95,7 +102,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
           issue(t);
         });
   };
-  for (int t = 0; t < spec.tenants; ++t) {
+  for (int t = 0; t < kTenants; ++t) {
     for (int d = 0; d < depth; ++d) issue(t);
   }
   sim.Run();
@@ -105,7 +112,7 @@ sweep::Metrics Measure(const Scenario& sc, bool quick,
   runtime.object_store().CheckNoReservationWedge();
   int completed = 0;
   for (const Tenant& tn : tenants) completed += tn.completed;
-  const bool all_done = completed == spec.tenants * requests_per_tenant;
+  const bool all_done = completed == kTenants * requests_per_tenant;
   const bool deadlocked = sim.Deadlocked() || !all_done;
 
   pathways::ObjectStore& store = runtime.object_store();

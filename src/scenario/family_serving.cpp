@@ -5,6 +5,7 @@
 // thresholds are the "gates" of scenarios/serving{,_disagg}.json.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,59 +29,110 @@ using serving::ServingTenant;
 using serving::ServingTrace;
 using serving::TenantSpec;
 
+// The request shape both families offer; a scenario sets only the arrival
+// horizon (ServingSpec, DisaggSpec).
+constexpr int kMaxBatch = 8;
+constexpr int kTokenBudget = 256;
+constexpr int kMinPrefillTokens = 8;
+constexpr int kMaxPrefillTokens = 48;
+constexpr int kMinDecodeTokens = 2;
+constexpr int kMaxDecodeTokens = 32;
+constexpr std::uint64_t kArrivalSeedBase = 11;
+constexpr std::uint64_t kArrivalSeedStride = 17;
+constexpr std::uint64_t kTokenSeedBase = 101;
 // Projected full KV of one worst-case sequence, per device shard.
-int MaxKvTokens(const RequestShape& spec) {
-  return spec.max_prefill_tokens + spec.max_decode_tokens - 1;
-}
+constexpr int kMaxKvTokens = kMaxPrefillTokens + kMaxDecodeTokens - 1;
 
 // Tenant `t` of the two every serving arm runs, offering half of `rate`.
-TenantSpec MakeTenantSpec(const RequestShape& spec, int t, double rate) {
+TenantSpec MakeTenantSpec(double horizon_ms, int t, double rate) {
   TenantSpec ts;
   ts.arrivals.process = t == 0 ? workload::ArrivalProcess::kPoisson
                                : workload::ArrivalProcess::kUniform;
   ts.arrivals.rate_per_sec = rate / 2;
-  ts.arrivals.horizon = Duration::Millis(spec.horizon_ms);
-  ts.arrivals.seed = static_cast<std::uint64_t>(spec.arrival_seed_base) +
-                     static_cast<std::uint64_t>(t) *
-                         static_cast<std::uint64_t>(spec.arrival_seed_stride);
-  ts.min_prefill_tokens = spec.min_prefill_tokens;
-  ts.max_prefill_tokens = spec.max_prefill_tokens;
-  ts.min_decode_tokens = spec.min_decode_tokens;
-  ts.max_decode_tokens = spec.max_decode_tokens;
-  ts.token_seed = static_cast<std::uint64_t>(spec.token_seed_base) +
-                  static_cast<std::uint64_t>(t);
+  ts.arrivals.horizon = Duration::Millis(horizon_ms);
+  ts.arrivals.seed =
+      kArrivalSeedBase + static_cast<std::uint64_t>(t) * kArrivalSeedStride;
+  ts.min_prefill_tokens = kMinPrefillTokens;
+  ts.max_prefill_tokens = kMaxPrefillTokens;
+  ts.min_decode_tokens = kMinDecodeTokens;
+  ts.max_decode_tokens = kMaxDecodeTokens;
+  ts.token_seed = kTokenSeedBase + static_cast<std::uint64_t>(t);
   return ts;
+}
+
+// Whether a drained serving arm stalled, and how many buffers it left live.
+struct ArmHealth {
+  bool deadlocked = false;
+  double leaked_buffers = 0;
+};
+
+// Runs one serving arm: its two tenants offer `rate` into `sink` until
+// `horizon_ms`, and the simulator drains. A reservation wedge dies here
+// naming its cycle. The arm is deadlocked if the engine reports blocked
+// work, `idle()` is false (work is left in the serving stack), or an
+// arrival was neither finished nor shed.
+ArmHealth RunArm(sim::Simulator* sim, pathways::ObjectStore* store,
+                 const ServingTenant::OfferSink& sink, double horizon_ms,
+                 double rate, const ServingMetrics& metrics,
+                 const std::function<bool()>& idle) {
+  ServingTenant tenant0(0, sink, sim, MakeTenantSpec(horizon_ms, 0, rate));
+  ServingTenant tenant1(1, sink, sim, MakeTenantSpec(horizon_ms, 1, rate));
+  tenant0.Start();
+  tenant1.Start();
+  sim->Run();
+
+  store->CheckNoReservationWedge();
+  const bool all_accounted =
+      metrics.finished() + metrics.sheds() == metrics.arrivals();
+  return {sim->Deadlocked() || !idle() || !all_accounted,
+          static_cast<double>(store->live_buffers())};
+}
+
+// The serving trace's checksum folded into two doubles, so any
+// nondeterminism in event order shows up in the cross-thread-count CSV
+// comparison.
+void AddTraceChecksum(sweep::Metrics* m, const std::string& prefix,
+                      const ServingTrace& trace) {
+  m->emplace_back(prefix + "trace_lo",
+                  static_cast<double>(trace.Checksum() & 0xffffffffULL));
+  m->emplace_back(prefix + "trace_hi",
+                  static_cast<double>(trace.Checksum() >> 32));
 }
 
 // --- family "serving" ------------------------------------------------------
 
+// KV bytes per token per device shard, and the HBM each device gets: a
+// fraction of a full batch's projected KV plus fixed staging headroom.
+constexpr std::int64_t kKvBytesPerToken = 4096;
+constexpr double kHbmFracOfWorkingSet = 0.2;
+constexpr double kHbmHeadroomKib = 128;
+
 sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
                               const sweep::ParamPoint& p) {
-  const ServingSpec& spec = sc.serving.For(quick);
+  const double horizon_ms = sc.serving.For(quick).horizon_ms;
   const double rate = p.GetDouble("rate_per_s");  // total across tenants
   const bool continuous = p.GetInt("policy_continuous") != 0;
   const double kv_scale = p.GetDouble("kv_scale");
 
   // Aggregate projected KV working set of a full batch, per device shard.
   const Bytes working_set_per_shard =
-      static_cast<Bytes>(spec.max_batch) * MaxKvTokens(spec) *
-      spec.kv_bytes_per_token;
+      static_cast<Bytes>(kMaxBatch) * kMaxKvTokens * kKvBytesPerToken;
 
   sim::Simulator sim;
   hw::SystemParams params = BaseSystemParams(sc.cluster);
   BatcherConfig cfg;
   cfg.policy = continuous ? BatchPolicy::kContinuous : BatchPolicy::kStatic;
-  cfg.max_batch = spec.max_batch;
-  cfg.token_budget = spec.token_budget;
+  cfg.max_batch = kMaxBatch;
+  cfg.token_budget = kTokenBudget;
   cfg.kv_budget_per_device = static_cast<Bytes>(
       kv_scale * static_cast<double>(working_set_per_shard));
   // HBM far below the working set (plus fixed staging headroom): even the
   // 0.5x-budget point must overflow KV into host DRAM to keep serving.
   params.hbm_capacity =
-      static_cast<Bytes>(spec.hbm_frac_of_working_set *
+      static_cast<Bytes>(kHbmFracOfWorkingSet *
                          static_cast<double>(working_set_per_shard)) +
       cfg.activation_bytes_per_shard + cfg.output_bytes_per_shard +
-      KiB(spec.hbm_headroom_kib);
+      KiB(kHbmHeadroomKib);
   auto cluster = BuildCluster(&sim, sc.cluster, params);
   PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
   pathways::Client* client = runtime.CreateClient();
@@ -89,22 +141,15 @@ sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
 
   ServingMetrics metrics;
   ServingTrace trace;
-  serving::Batcher batcher(client, slice,
-                           KvCacheConfig{spec.kv_bytes_per_token}, cfg,
-                           &metrics, &trace);
-
-  ServingTenant tenant0(0, &batcher, &sim, MakeTenantSpec(spec, 0, rate));
-  ServingTenant tenant1(1, &batcher, &sim, MakeTenantSpec(spec, 1, rate));
-  tenant0.Start();
-  tenant1.Start();
-  sim.Run();
-
-  runtime.object_store().CheckNoReservationWedge();
-  const bool all_accounted =
-      batcher.finished() + batcher.shed() == metrics.arrivals();
-  const bool deadlocked =
-      sim.Deadlocked() || !batcher.idle() || !all_accounted;
-  const pathways::ObjectStore& store = runtime.object_store();
+  serving::Batcher batcher(client, slice, KvCacheConfig{kKvBytesPerToken},
+                           cfg, &metrics, &trace);
+  pathways::ObjectStore& store = runtime.object_store();
+  const ArmHealth health = RunArm(
+      &sim, &store,
+      [&batcher](serving::Request req) {
+        return batcher.Offer(std::move(req));
+      },
+      horizon_ms, rate, metrics, [&batcher] { return batcher.idle(); });
   const double seconds = sim.now().ToSeconds();
 
   sweep::Metrics m;
@@ -124,14 +169,9 @@ sweep::Metrics MeasureServing(const Scenario& sc, bool quick,
   m.emplace_back("spills", static_cast<double>(store.spills_completed()));
   m.emplace_back("dram_reads", static_cast<double>(store.dram_reads()));
   m.emplace_back("kv_grows", static_cast<double>(store.grows_completed()));
-  m.emplace_back("deadlocked", deadlocked ? 1.0 : 0.0);
-  m.emplace_back("leaked_buffers",
-                 static_cast<double>(store.live_buffers()));
-  // Trace checksum folded into doubles: any nondeterminism in event order
-  // shows up in the cross-thread-count CSV comparison.
-  m.emplace_back("trace_lo",
-                 static_cast<double>(trace.Checksum() & 0xffffffffULL));
-  m.emplace_back("trace_hi", static_cast<double>(trace.Checksum() >> 32));
+  m.emplace_back("deadlocked", health.deadlocked ? 1.0 : 0.0);
+  m.emplace_back("leaked_buffers", health.leaked_buffers);
+  AddTraceChecksum(&m, "", trace);
   return m;
 }
 
@@ -184,22 +224,23 @@ std::map<std::string, double> SummarizeServing(
 
 // --- family "serving_disagg" -----------------------------------------------
 
+constexpr double kDisaggHbmHeadroomMib = 1;
+
 // Decode-island KV working set per shard at the reference half:half split;
 // HBM is fixed across every point at half of it (plus staging headroom).
-Bytes DisaggHbm(const DisaggSpec& spec, const BatcherConfig& cfg,
-                int devices_per_arm) {
+Bytes DisaggHbm(const BatcherConfig& cfg, int devices_per_arm) {
   const models::TransformerConfig model =
       models::TransformerConfig::Decoder3B();
   const Bytes kv_per_shard = model.KvBytesPerToken() / (devices_per_arm / 2);
-  const Bytes working_set = static_cast<Bytes>(spec.max_batch) *
-                            MaxKvTokens(spec) * kv_per_shard;
+  const Bytes working_set =
+      static_cast<Bytes>(kMaxBatch) * kMaxKvTokens * kv_per_shard;
   return working_set / 2 + cfg.activation_bytes_per_shard +
-         cfg.output_bytes_per_shard + MiB(spec.hbm_headroom_mib);
+         cfg.output_bytes_per_shard + MiB(kDisaggHbmHeadroomMib);
 }
 
 sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
                              const sweep::ParamPoint& p) {
-  const DisaggSpec& spec = sc.disagg.For(quick);
+  const double horizon_ms = sc.disagg.For(quick).horizon_ms;
   const double rate = p.GetDouble("rate_per_s");  // total across tenants
   const int prefill_devices = static_cast<int>(p.GetInt("prefill_devices"));
   // Per arm: P prefill + (devices_per_host - P) decode.
@@ -212,13 +253,13 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
   auto base_cfg = [&] {
     BatcherConfig cfg;
     cfg.policy = BatchPolicy::kContinuous;
-    cfg.max_batch = spec.max_batch;
-    cfg.token_budget = spec.token_budget;
+    cfg.max_batch = kMaxBatch;
+    cfg.token_budget = kTokenBudget;
     return cfg;
   };
   // Projected-KV admission budget for a decode role with `shards` devices.
   auto kv_budget = [&](int shards) {
-    return static_cast<Bytes>(spec.max_batch) * MaxKvTokens(spec) *
+    return static_cast<Bytes>(kMaxBatch) * kMaxKvTokens *
            (model.KvBytesPerToken() / shards);
   };
 
@@ -230,7 +271,7 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
   {
     sim::Simulator sim;
     hw::SystemParams params = BaseSystemParams(sc.cluster);
-    params.hbm_capacity = DisaggHbm(spec, base_cfg(), arm_devices);
+    params.hbm_capacity = DisaggHbm(base_cfg(), arm_devices);
     auto cluster = BuildCluster(&sim, sc.cluster, params);
     for (int h = 0; h < cluster->num_hosts(); ++h) {
       cluster->dcn().SetNicBandwidthScale(net::HostId(h), dcn_scale);
@@ -261,20 +302,14 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
         decode_costs.KvConfig(), dcfg, &metrics, &trace);
     serving::DisaggRouter router({&prefill}, {&decode}, &metrics, &trace);
 
-    auto sink = [&router](serving::Request req) {
-      return router.Offer(std::move(req));
-    };
-    ServingTenant tenant0(0, sink, &sim, MakeTenantSpec(spec, 0, rate));
-    ServingTenant tenant1(1, sink, &sim, MakeTenantSpec(spec, 1, rate));
-    tenant0.Start();
-    tenant1.Start();
-    sim.Run();
-
-    runtime.object_store().CheckNoReservationWedge();
-    const bool all_accounted =
-        metrics.finished() + metrics.sheds() == metrics.arrivals();
-    deadlocked |= sim.Deadlocked() || !router.idle() || !all_accounted;
-    leaked += static_cast<double>(runtime.object_store().live_buffers());
+    const ArmHealth health = RunArm(
+        &sim, &runtime.object_store(),
+        [&router](serving::Request req) {
+          return router.Offer(std::move(req));
+        },
+        horizon_ms, rate, metrics, [&router] { return router.idle(); });
+    deadlocked |= health.deadlocked;
+    leaked += health.leaked_buffers;
     const double seconds = sim.now().ToSeconds();
     m.emplace_back("arrivals", static_cast<double>(metrics.arrivals()));
     m.emplace_back("d_finished", static_cast<double>(metrics.finished()));
@@ -294,16 +329,14 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
     m.emplace_back(
         "d_spills",
         static_cast<double>(runtime.object_store().spills_completed()));
-    m.emplace_back("d_trace_lo",
-                   static_cast<double>(trace.Checksum() & 0xffffffffULL));
-    m.emplace_back("d_trace_hi", static_cast<double>(trace.Checksum() >> 32));
+    AddTraceChecksum(&m, "d_", trace);
   }
 
   // --- Colocated baseline: same model, same total device count ---
   {
     sim::Simulator sim;
     hw::SystemParams params = BaseSystemParams(sc.cluster);
-    params.hbm_capacity = DisaggHbm(spec, base_cfg(), arm_devices);
+    params.hbm_capacity = DisaggHbm(base_cfg(), arm_devices);
     auto cluster = BuildCluster(&sim, sc.cluster, params);
     PathwaysRuntime runtime(cluster.get(), pathways::PathwaysOptions{});
     pathways::Client* client = runtime.CreateClient();
@@ -319,17 +352,14 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
         client, client->AllocateSlice(arm_devices, hw::IslandId(0)).value(),
         costs.KvConfig(), cfg, &metrics, &trace);
 
-    ServingTenant tenant0(0, &batcher, &sim, MakeTenantSpec(spec, 0, rate));
-    ServingTenant tenant1(1, &batcher, &sim, MakeTenantSpec(spec, 1, rate));
-    tenant0.Start();
-    tenant1.Start();
-    sim.Run();
-
-    runtime.object_store().CheckNoReservationWedge();
-    const bool all_accounted =
-        batcher.finished() + batcher.shed() == metrics.arrivals();
-    deadlocked |= sim.Deadlocked() || !batcher.idle() || !all_accounted;
-    leaked += static_cast<double>(runtime.object_store().live_buffers());
+    const ArmHealth health = RunArm(
+        &sim, &runtime.object_store(),
+        [&batcher](serving::Request req) {
+          return batcher.Offer(std::move(req));
+        },
+        horizon_ms, rate, metrics, [&batcher] { return batcher.idle(); });
+    deadlocked |= health.deadlocked;
+    leaked += health.leaked_buffers;
     const double seconds = sim.now().ToSeconds();
     m.emplace_back("c_finished", static_cast<double>(batcher.finished()));
     m.emplace_back("c_shed", static_cast<double>(batcher.shed()));
@@ -339,9 +369,7 @@ sweep::Metrics MeasureDisagg(const Scenario& sc, bool quick,
     m.emplace_back("c_ttft_p99_us", metrics.TtftUs(99));
     m.emplace_back("c_token_p50_us", metrics.TokenLatencyUs(50));
     m.emplace_back("c_token_p99_us", metrics.TokenLatencyUs(99));
-    m.emplace_back("c_trace_lo",
-                   static_cast<double>(trace.Checksum() & 0xffffffffULL));
-    m.emplace_back("c_trace_hi", static_cast<double>(trace.Checksum() >> 32));
+    AddTraceChecksum(&m, "c_", trace);
   }
 
   m.emplace_back("deadlocked", deadlocked ? 1.0 : 0.0);

@@ -1,5 +1,6 @@
 #include "scenario/scenario.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -8,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "hw/cluster.h"
 #include "scenario/json.h"
 #include "scenario/result_store.h"
 #include "scenario/runner.h"
@@ -208,10 +210,37 @@ void ReadCluster(const Json& obj, ClusterSpec* s, DiagnosticEngine* diags) {
   }
   r.Int("islands", &s->islands, 1);
   r.Int("hosts_per_island", &s->hosts_per_island, 1);
+  // hw::Cluster::ConfigA/ConfigB die on more hosts than the paper's
+  // configuration has.
+  for (const auto& [preset, max_hosts] :
+       {std::pair{"config_a", hw::Cluster::kConfigAMaxHosts},
+        std::pair{"config_b", hw::Cluster::kConfigBMaxHosts}}) {
+    if (s->preset == preset && s->hosts_per_island > max_hosts) {
+      diags->Error(obj.Find("hosts_per_island")->loc(),
+                   "preset '" + s->preset + "' takes at most " +
+                       std::to_string(max_hosts) + " hosts_per_island (got " +
+                       std::to_string(s->hosts_per_island) + ")");
+    }
+  }
   r.Int("devices_per_host", &s->devices_per_host, 1);
   r.OptDouble("host_jitter_frac", &s->host_jitter_frac, 0);
-  r.OptDouble("hbm_capacity_mib", &s->hbm_capacity_mib, 0);
-  r.OptDouble("host_dram_capacity_mib", &s->host_dram_capacity_mib, 0);
+  // hw::Cluster dies on an empty HBM or DRAM pool, so a capacity must come
+  // to at least one byte, and its conversion to Bytes must not overflow.
+  for (const auto& [key, mib] :
+       {std::pair{"hbm_capacity_mib", &s->hbm_capacity_mib},
+        std::pair{"host_dram_capacity_mib", &s->host_dram_capacity_mib}}) {
+    r.OptDouble(key, mib, 0);
+    if (!mib->has_value()) continue;
+    const double bytes = **mib * 1024.0 * 1024.0;  // MiB() without the cast
+    if (bytes < 1) {
+      diags->Error(obj.Find(key)->loc(),
+                   std::string("key '") + key +
+                       "' must be at least one byte (>= 1/1048576 MiB)");
+    } else if (bytes >= 0x1p63) {
+      diags->Error(obj.Find(key)->loc(),
+                   std::string("key '") + key + "' must be under 2^63 bytes");
+    }
+  }
   if (const Json* flow = r.Object("ici_flow")) {
     FieldReader fr(*flow, diags);
     fr.Bool("enabled", &s->ici_flow);
@@ -305,16 +334,6 @@ void ReadFaultPlan(const Json* plan, std::vector<FaultPlanEvent>* out,
   }
 }
 
-// 'max_<what>' below 'min_<what>' is an error at the max key.
-template <typename T>
-void CheckRange(const Json& obj, const std::string& what, T min, T max,
-                DiagnosticEngine* diags) {
-  if (max < min) {
-    diags->Error(obj.KeyLoc("max_" + what),
-                 "'max_" + what + "' must be >= 'min_" + what + "'");
-  }
-}
-
 // Calls fn on each entry of a table (a tuple), in order.
 template <typename Table, typename Fn>
 void ForEach(const Table& table, Fn fn) {
@@ -323,23 +342,15 @@ void ForEach(const Table& table, Fn fn) {
 
 // Reads a section object, or its "quick" overlay on top of the full spec,
 // by walking S's field table; the member's type picks the reader. Absent
-// fields keep their incoming values. `check` holds the section's
-// cross-field rules; specs sharing the serving RequestShape also get its
-// token-range rules.
+// fields keep their incoming values.
 template <typename S>
-void ReadSpec(const Json& obj, S* s, bool overlay,
-              void (*check)(const Json&, const S&, DiagnosticEngine*),
-              DiagnosticEngine* diags) {
+void ReadSpec(const Json& obj, S* s, bool overlay, DiagnosticEngine* diags) {
   FieldReader r(obj, diags);
   if (!overlay) r.Allow("quick");
   ForEach(S::kFields, [&](const auto& f) {
     auto* out = &(s->*f.member);
     using T = std::remove_pointer_t<decltype(out)>;
-    if constexpr (std::is_same_v<T, bool>) {
-      r.Bool(f.key, out);
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      r.String(f.key, out);
-    } else if constexpr (std::is_same_v<T, double>) {
+    if constexpr (std::is_same_v<T, double>) {
       r.Double(f.key, out, f.min);
     } else if constexpr (std::is_integral_v<T>) {
       r.Int(f.key, out, f.min);
@@ -348,47 +359,7 @@ void ReadSpec(const Json& obj, S* s, bool overlay,
     }
   });
   r.Finish();
-  if constexpr (std::is_base_of_v<RequestShape, S>) {
-    CheckRange(obj, "prefill_tokens", s->min_prefill_tokens,
-               s->max_prefill_tokens, diags);
-    CheckRange(obj, "decode_tokens", s->min_decode_tokens,
-               s->max_decode_tokens, diags);
-  }
-  if (check != nullptr) check(obj, *s, diags);
 }
-
-void CheckFaults(const Json& obj, const FaultsSpec& s,
-                 DiagnosticEngine* diags) {
-  CheckRange(obj, "window_ms", s.min_window_ms, s.max_window_ms, diags);
-}
-
-void CheckDisagg(const Json& obj, const DisaggSpec& s,
-                 DiagnosticEngine* diags) {
-  if (s.model != "decoder3b") {
-    const Json* model = obj.Find("model");
-    diags->Error(model != nullptr ? model->loc() : obj.loc(),
-                 "unknown model '" + s.model + "'; known models: decoder3b");
-  }
-}
-
-// One family section: its key (also the name of the family that reads it),
-// its Scenario member, and its cross-field check, if any.
-template <typename S>
-struct Section {
-  const char* key;
-  WithQuick<S> Scenario::*member;
-  void (*check)(const Json&, const S&, DiagnosticEngine*) = nullptr;
-};
-
-// Every family section, in canonical order.
-constexpr std::tuple kSections{
-    Section{"multitenant", &Scenario::multitenant},
-    Section{"faults", &Scenario::faults, &CheckFaults},
-    Section{"oversub", &Scenario::oversub},
-    Section{"serving", &Scenario::serving},
-    Section{"serving_disagg", &Scenario::disagg, &CheckDisagg},
-    Section{"network", &Scenario::network},
-    Section{"fig12_twoisland", &Scenario::fig12}};
 
 template <typename S>
 void ReadSection(const Json& obj, const Section<S>& section, Scenario* sc,
@@ -396,7 +367,7 @@ void ReadSection(const Json& obj, const Section<S>& section, Scenario* sc,
   WithQuick<S>& out = sc->*section.member;
   out.present = true;
   out.loc = obj.loc();
-  ReadSpec(obj, &out.full, /*overlay=*/false, section.check, diags);
+  ReadSpec(obj, &out.full, /*overlay=*/false, diags);
   out.quick = out.full;
   if (const Json* q = obj.Find("quick")) {
     if (!q->is_object()) {
@@ -404,7 +375,7 @@ void ReadSection(const Json& obj, const Section<S>& section, Scenario* sc,
                                  q->kind_name());
       return;
     }
-    ReadSpec(*q, &out.quick, /*overlay=*/true, section.check, diags);
+    ReadSpec(*q, &out.quick, /*overlay=*/true, diags);
   }
 }
 
@@ -718,11 +689,7 @@ void EmitSpec(JsonWriter* w, const S& s, const S* base = nullptr) {
       if (base == nullptr && v.empty()) return;
     }
     w->Key(f.key);
-    if constexpr (std::is_same_v<T, bool>) {
-      w->Bool(v);
-    } else if constexpr (std::is_same_v<T, std::string>) {
-      w->String(v);
-    } else if constexpr (std::is_same_v<T, double>) {
+    if constexpr (std::is_same_v<T, double>) {
       w->Double(v);
     } else if constexpr (std::is_integral_v<T>) {
       w->Int(v);

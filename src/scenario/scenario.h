@@ -1,14 +1,15 @@
 // Declarative scenario schema: one JSON file describes a complete sweep —
-// which measurement family runs it, the cluster it runs on, the family's
-// workload knobs, and the parameter grid — so new scenarios cost a file,
-// not a recompile (docs/SCENARIOS.md has the full schema reference).
+// which measurement family runs it, the cluster it runs on, the workload
+// fields its family section lets it set, and the parameter grid — so new
+// scenarios cost a file, not a recompile (docs/SCENARIOS.md has the full
+// schema reference).
 //
 //   {
 //     "name": "serving",            // result file: BENCH_<name>.json
 //     "family": "serving",          // registered runner (scenario/runner.h)
 //     "description": "...",
 //     "cluster":  { "preset": "tpu_default", "devices_per_host": 2, ... },
-//     "serving":  { "max_batch": 8, ..., "quick": { "horizon_ms": 2 } },
+//     "serving":  { "quick": { "horizon_ms": 2 } },
 //     "sweep":    { "axes": [ { "name": "rate_per_s",
 //                               "values": [1500.0, 24000.0],
 //                               "quick_values": [1500.0] } ] },
@@ -23,14 +24,13 @@
 //
 // Every family section accepts a "quick" sub-object overriding a subset of
 // its fields for --quick (CI smoke) runs; each sweep axis may carry
-// "quick_values". Spec(quick=true) / GridAxes(quick=true) select the
+// "quick_values". WithQuick::For(true) / Scenario::Grid(true) select the
 // overlaid view.
 //
 // Each family spec declares its fields once, in `kFields`: the table the
 // parser, the quick overlay, and Serialize() all walk, in canonical order.
 #pragma once
 
-#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -75,13 +75,15 @@ struct ClusterSpec {
 const std::vector<std::string>& KnownPresets();
 
 // --- Family sections -------------------------------------------------------
-// Field defaults are the full-size values of the original hand-written
-// sweeps; shipped scenario files override via "quick" for smoke runs.
+// A section holds only the fields some shipped scenario sets (in the full
+// section or its "quick" overlay); each family's other workload values are
+// named constants in its family_*.cpp. Field defaults are the full-size
+// values of the original hand-written sweeps.
 
 // One field-table entry: the JSON key, the spec member it fills, and the
 // member's inclusive lower bound (numeric members only). The member's type
-// sets the JSON type: int and int64 members take an integer, double any
-// number; the rest are bool, string and the fault_plan event list.
+// sets the JSON type: an int member takes an integer, a double any number,
+// and the fault_plan member its event list.
 template <typename Member>
 struct Field {
   const char* key;
@@ -90,36 +92,16 @@ struct Field {
 };
 
 // family "multitenant": open-loop weighted clients through the stride
-// scheduler (scenarios/multitenant.json).
+// scheduler (scenarios/multitenant.json). Metrics cover [warmup, horizon).
 struct MultitenantSpec {
-  double nominal_pod_per_sec = 2500;
-  int max_inflight_gangs = 2;
   double warmup_ms = 80;
   double horizon_ms = 800;
-  int queue_capacity = 64;
-  int max_outstanding = 6;
-  int retry_max_attempts = 5;
-  double retry_initial_backoff_us = 200;
-  double retry_max_backoff_ms = 5;
-  double step_us = 330;
-  std::int64_t collective_bytes = 64;
-  std::int64_t seed_base = 0xC0FFEE;
 
   bool operator==(const MultitenantSpec&) const = default;
   using Self = MultitenantSpec;
   static constexpr std::tuple kFields{
-      Field{"nominal_pod_per_sec", &Self::nominal_pod_per_sec, 0},
-      Field{"max_inflight_gangs", &Self::max_inflight_gangs, 1},
       Field{"warmup_ms", &Self::warmup_ms, 0},
-      Field{"horizon_ms", &Self::horizon_ms, 0},
-      Field{"queue_capacity", &Self::queue_capacity, 1},
-      Field{"max_outstanding", &Self::max_outstanding, 1},
-      Field{"retry_max_attempts", &Self::retry_max_attempts, 1},
-      Field{"retry_initial_backoff_us", &Self::retry_initial_backoff_us, 0},
-      Field{"retry_max_backoff_ms", &Self::retry_max_backoff_ms, 0},
-      Field{"step_us", &Self::step_us, 0},
-      Field{"collective_bytes", &Self::collective_bytes, 0},
-      Field{"seed_base", &Self::seed_base, 0}};
+      Field{"horizon_ms", &Self::horizon_ms, 0}};
 };
 
 // One entry in a declarative fault timeline. `kind` selects which target
@@ -150,160 +132,48 @@ struct FaultPlanEvent {
 // declarative form).
 struct FaultsSpec {
   double horizon_ms = 200;
-  double min_window_ms = 1;
-  double max_window_ms = 5;
-  int link_degrades = 1;
-  bool always_recover = true;
-  int retry_max_attempts = 6;
-  double retry_initial_backoff_us = 250;
-  double step_us = 300;
-  std::int64_t collective_kib = 64;
-  std::int64_t seed_base = 0x5eed;
   std::vector<FaultPlanEvent> fault_plan;
 
   bool operator==(const FaultsSpec&) const = default;
   using Self = FaultsSpec;
   static constexpr std::tuple kFields{
       Field{"horizon_ms", &Self::horizon_ms, 0},
-      Field{"min_window_ms", &Self::min_window_ms, 0},
-      Field{"max_window_ms", &Self::max_window_ms, 0},
-      Field{"link_degrades", &Self::link_degrades, 0},
-      Field{"always_recover", &Self::always_recover},
-      Field{"retry_max_attempts", &Self::retry_max_attempts, 1},
-      Field{"retry_initial_backoff_us", &Self::retry_initial_backoff_us, 0},
-      Field{"step_us", &Self::step_us, 0},
-      Field{"collective_kib", &Self::collective_kib, 0},
-      Field{"seed_base", &Self::seed_base, 0},
       Field{"fault_plan", &Self::fault_plan}};
 };
 
 // family "oversub": tenants' working sets vs scaled-down HBM through the
 // spill hierarchy (scenarios/oversub.json).
 struct OversubSpec {
-  int tenants = 4;
-  double weights_per_shard_mib = 6;
-  double output_per_shard_mib = 2;
-  double working_headroom_mib = 64;
   int requests_per_tenant = 24;
-  double step_us = 300;
 
   bool operator==(const OversubSpec&) const = default;
   using Self = OversubSpec;
   static constexpr std::tuple kFields{
-      Field{"tenants", &Self::tenants, 1},
-      Field{"weights_per_shard_mib", &Self::weights_per_shard_mib, 0},
-      Field{"output_per_shard_mib", &Self::output_per_shard_mib, 0},
-      Field{"working_headroom_mib", &Self::working_headroom_mib, 0},
-      Field{"requests_per_tenant", &Self::requests_per_tenant, 1},
-      Field{"step_us", &Self::step_us, 0}};
-};
-
-// The request shape both serving families share: batching limits, the
-// uniform token-length ranges, the arrival horizon and the seeds. Its
-// fields sit in two runs of the canonical order, with each family's own
-// fields between them.
-struct RequestShape {
-  explicit RequestShape(double horizon_ms) : horizon_ms(horizon_ms) {}
-
-  int max_batch = 8;
-  int token_budget = 256;
-  int min_prefill_tokens = 8;
-  int max_prefill_tokens = 48;
-  int min_decode_tokens = 2;
-  int max_decode_tokens = 32;
-  double horizon_ms;
-  std::int64_t arrival_seed_base = 11;
-  std::int64_t arrival_seed_stride = 17;
-  std::int64_t token_seed_base = 101;
-
-  bool operator==(const RequestShape&) const = default;
-  using Self = RequestShape;
-  static constexpr std::tuple kBatchFields{
-      Field{"max_batch", &Self::max_batch, 1},
-      Field{"token_budget", &Self::token_budget, 1},
-      Field{"min_prefill_tokens", &Self::min_prefill_tokens, 1},
-      Field{"max_prefill_tokens", &Self::max_prefill_tokens, 1},
-      Field{"min_decode_tokens", &Self::min_decode_tokens, 1},
-      Field{"max_decode_tokens", &Self::max_decode_tokens, 1},
-      Field{"horizon_ms", &Self::horizon_ms, 0}};
-  static constexpr std::tuple kSeedFields{
-      Field{"arrival_seed_base", &Self::arrival_seed_base, 0},
-      Field{"arrival_seed_stride", &Self::arrival_seed_stride, 0},
-      Field{"token_seed_base", &Self::token_seed_base, 0}};
+      Field{"requests_per_tenant", &Self::requests_per_tenant, 1}};
 };
 
 // family "serving": continuous vs static batching under KV budgets
-// (scenarios/serving.json, serving_flow.json).
-struct ServingSpec : RequestShape {
-  ServingSpec() : RequestShape(/*horizon_ms=*/8) {}
-
-  std::int64_t kv_bytes_per_token = 4096;
-  double hbm_frac_of_working_set = 0.2;
-  double hbm_headroom_kib = 128;
+// (scenarios/serving.json, serving_flow.json). Tenants offer requests
+// until horizon_ms.
+struct ServingSpec {
+  double horizon_ms = 8;
 
   bool operator==(const ServingSpec&) const = default;
   using Self = ServingSpec;
-  static constexpr auto kFields = std::tuple_cat(
-      std::tuple{Field{"kv_bytes_per_token", &Self::kv_bytes_per_token, 1}},
-      kBatchFields,
-      std::tuple{
-          Field{"hbm_frac_of_working_set", &Self::hbm_frac_of_working_set, 0},
-          Field{"hbm_headroom_kib", &Self::hbm_headroom_kib, 0}},
-      kSeedFields);
+  static constexpr std::tuple kFields{
+      Field{"horizon_ms", &Self::horizon_ms, 0}};
 };
 
 // family "serving_disagg": prefill/decode split across islands with
 // cross-island KV transfer, vs a colocated arm
-// (scenarios/serving_disagg.json).
-struct DisaggSpec : RequestShape {
-  DisaggSpec() : RequestShape(/*horizon_ms=*/4000) {}
-
-  std::string model = "decoder3b";
-  double hbm_headroom_mib = 1;
+// (scenarios/serving_disagg.json). Tenants offer requests until horizon_ms.
+struct DisaggSpec {
+  double horizon_ms = 4000;
 
   bool operator==(const DisaggSpec&) const = default;
   using Self = DisaggSpec;
-  static constexpr auto kFields = std::tuple_cat(
-      std::tuple{Field{"model", &Self::model}}, kBatchFields,
-      std::tuple{Field{"hbm_headroom_mib", &Self::hbm_headroom_mib, 0}},
-      kSeedFields);
-};
-
-// family "network": contended flow-level Clos DCN vs the abstract per-NIC
-// fabric, swept over oversubscription ratio x incast fan-in
-// (scenarios/network.json, docs/NETWORK.md).
-struct NetworkSpec {
-  double message_mib = 16;
-  int hosts = 32;
-  int hosts_per_leaf = 8;
-  int num_spines = 4;
-
-  bool operator==(const NetworkSpec&) const = default;
-  using Self = NetworkSpec;
   static constexpr std::tuple kFields{
-      Field{"message_mib", &Self::message_mib, 0},
-      Field{"hosts", &Self::hosts, 2},
-      Field{"hosts_per_leaf", &Self::hosts_per_leaf, 1},
-      Field{"num_spines", &Self::num_spines, 1}};
-};
-
-// family "fig12_twoisland": Figure 12 / §5.3 — data-parallel training over
-// two islands vs one island with twice the devices, plus the flow-level
-// Clos validation arm (scenarios/fig12_twoisland.json). The model axis
-// fixes the per-island core count: decoder64b -> 512, decoder136b -> 1024.
-struct Fig12Spec {
-  int steps = 3;
-  int chunks = 8;
-  int max_inflight_gangs = 64;
-  int model_parallel = 32;  // single-island SPMD arm
-
-  bool operator==(const Fig12Spec&) const = default;
-  using Self = Fig12Spec;
-  static constexpr std::tuple kFields{
-      Field{"steps", &Self::steps, 1},
-      Field{"chunks", &Self::chunks, 1},
-      Field{"max_inflight_gangs", &Self::max_inflight_gangs, 1},
-      Field{"model_parallel", &Self::model_parallel, 1}};
+      Field{"horizon_ms", &Self::horizon_ms, 0}};
 };
 
 // --- Gates -----------------------------------------------------------------
@@ -369,8 +239,6 @@ struct Scenario {
   WithQuick<OversubSpec> oversub;
   WithQuick<ServingSpec> serving;
   WithQuick<DisaggSpec> disagg;
-  WithQuick<NetworkSpec> network;
-  WithQuick<Fig12Spec> fig12;
 
   std::vector<Gate> gates;
 
@@ -384,6 +252,23 @@ struct Scenario {
   // Parse(Serialize()) == *this, and re-serializing is byte-identical.
   std::string Serialize() const;
 };
+
+// One family section: its key (also the name of the family that reads it)
+// and its Scenario member.
+template <typename S>
+struct Section {
+  const char* key;
+  WithQuick<S> Scenario::*member;
+};
+
+// Every family section, in canonical order. The other families (training,
+// network, ...) have none: their sweep axes are all a scenario varies.
+inline constexpr std::tuple kSections{
+    Section{"multitenant", &Scenario::multitenant},
+    Section{"faults", &Scenario::faults},
+    Section{"oversub", &Scenario::oversub},
+    Section{"serving", &Scenario::serving},
+    Section{"serving_disagg", &Scenario::disagg}};
 
 // Parses and schema-validates `text` into *out, reporting into `diags`
 // (construct the engine over the same file/text). Returns false if any

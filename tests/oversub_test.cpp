@@ -39,7 +39,6 @@
 namespace pw {
 namespace {
 
-using pathways::BufferLocation;
 using pathways::Client;
 using pathways::ClientId;
 using pathways::ExecutionId;
@@ -335,7 +334,7 @@ TEST(SpillTest, ColdStagedBufferSpillsUnderPressureAndPagesBackOnUse) {
   EXPECT_EQ(done, 1);
   EXPECT_FALSE(w.sim.Deadlocked());
   EXPECT_GE(w.store().spills_completed(), 1);
-  EXPECT_EQ(w.store().shard_location(weights.id, 0), BufferLocation::kHostDram);
+  EXPECT_TRUE(w.store().ShardInDram(weights.id, 0));
   EXPECT_EQ(w.dram().used(), MiB(6));
   EXPECT_EQ(w.store().hbm_used(w.dev()), 0);  // big's output released
 
@@ -348,7 +347,7 @@ TEST(SpillTest, ColdStagedBufferSpillsUnderPressureAndPagesBackOnUse) {
   ASSERT_TRUE(result.ready());
   EXPECT_FALSE(result.value().failed);
   EXPECT_EQ(w.store().fills_completed(), 1);
-  EXPECT_EQ(w.store().shard_location(weights.id, 0), BufferLocation::kHbm);
+  EXPECT_FALSE(w.store().ShardInDram(weights.id, 0));
   EXPECT_EQ(w.dram().used(), 0);
 
   for (const auto& out : result.value().outputs) w.store().Release(out.id);
@@ -370,8 +369,8 @@ TEST(SpillTest, VictimSelectionIsLruByLastUse) {
   w.sim.Run();
   EXPECT_EQ(done, 1);
   EXPECT_EQ(w.store().spills_completed(), 1);
-  EXPECT_EQ(w.store().shard_location(older.id, 0), BufferLocation::kHostDram);
-  EXPECT_EQ(w.store().shard_location(newer.id, 0), BufferLocation::kHbm);
+  EXPECT_TRUE(w.store().ShardInDram(older.id, 0));
+  EXPECT_FALSE(w.store().ShardInDram(newer.id, 0));
   w.client->ReleaseBuffer(older);
   w.client->ReleaseBuffer(newer);
   EXPECT_EQ(w.dram().used(), 0);
@@ -387,7 +386,7 @@ TEST(SpillFaultTest, DeviceCrashWhileShardsSpilledAbortsCleanlyFreesDram) {
   PathwaysProgram big = w.MakeBig();
   w.client->Submit(&big, nullptr);
   w.sim.Run();
-  ASSERT_EQ(w.store().shard_location(weights.id, 0), BufferLocation::kHostDram);
+  ASSERT_TRUE(w.store().ShardInDram(weights.id, 0));
 
   // Crash the device while the weights sit in DRAM and a consumer program
   // is submitted against them: the execution aborts cleanly; the spilled
